@@ -11,10 +11,11 @@ nonlinear differential equation satisfied by lambda itself.
 """
 
 from ._backend import BACKEND, rational
-from .arith import AlphaContext, alpha_context, is_odd_prime, sigma1
+from .arith import AlphaContext, alpha_context, is_odd_prime, k_alpha, sigma1
 from .bpoly import (
     ENUMERATION_THRESHOLD,
     BContext,
+    BTable,
     b_eval,
     b_series,
     binomial_moment,
@@ -29,10 +30,12 @@ from .modeq import (
     PrimeParams,
     Row1Stats,
     assemble,
+    b_table,
     block,
     bordered_determinant,
     closed_form_row1,
     from_doc,
+    global_order,
     params_for,
     render_text,
     render_typeset,

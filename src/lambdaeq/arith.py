@@ -15,7 +15,7 @@ from math import factorial, isqrt
 
 from ._backend import rational
 
-__all__ = ["AlphaContext", "alpha_context", "is_odd_prime", "sigma1"]
+__all__ = ["AlphaContext", "alpha_context", "is_odd_prime", "k_alpha", "sigma1"]
 
 
 def sigma1(x):
@@ -48,6 +48,22 @@ def is_odd_prime(p):
         if p % d == 0:
             return False
     return True
+
+
+def k_alpha(p, k):
+    """k * alpha_p(k) as an exact integer, from sigma_1 alone.
+
+    Each term k * s(k/d) = d * sigma_1(k/d) is an integer, so
+    k alpha_p(k) = sigma_1(k) - 6 sigma_1(k/2) + 8 sigma_1(k/4)
+    + p sigma_1(k/p) - 6p sigma_1(k/2p) + 8p sigma_1(k/4p).
+    """
+    if k < 1:
+        raise ValueError("k_alpha is defined for k >= 1")
+    total = 0
+    for d, c in ((1, 1), (2, -6), (4, 8), (p, p), (2 * p, -6 * p), (4 * p, 8 * p)):
+        if k % d == 0:
+            total += c * sigma1(k // d)
+    return total
 
 
 class AlphaContext:

@@ -5,31 +5,40 @@ b_l(u, v) is the sum over all partitions J of l of
     (-n)^{|J|} * u^{J_o} * v^{J_e} * W_p(J)
 
 where |J| counts parts, J_o/J_e count odd/even parts, and W_p is the
-alpha-weight of the partition.  Two evaluation routes exist on purpose:
+alpha-weight of the partition.  Summing the partition generating
+function gives the series-exponential recurrence
+
+    l * b_l = sum_{k=1..l} w_k * b_{l-k},   w_k = -n * k * g(k),
+
+with g(k) = u*alpha_p(k) for odd k and v*alpha_p(k) for even k.  Three
+evaluation routes exist on purpose:
 
 * ``b_eval`` sums over the explicit partition list (the oracle; only
   feasible for small l),
-* ``b_series`` produces the whole prefix b_0..b_L in O(L^2) rational
-  operations from the series-exponential recurrence
+* ``b_series`` runs the recurrence over exact rationals, at any
+  rational (u, v),
+* ``BTable`` runs the same recurrence on plain ints at integer (u, v):
+  k * alpha_p(k) is an integer (``arith.k_alpha``), so every w_k is,
+  and the division by l is an exact ``divmod`` whose remainder must be
+  zero.  It keeps each column and grows it on demand.
 
-      l * b_l = sum_{k=1..l} (-n * k * g(k)) * b_{l-k},
-
-  with g(k) = u*alpha_p(k) for odd k and v*alpha_p(k) for even k.
-
-The production code uses ``b_series`` everywhere; tests pin the two
-routes against each other.
+Production code reads ``BTable`` columns; ``b_series`` serves the CLI at
+rational points.  Tests pin the three routes against each other.
 """
 
 from functools import lru_cache
 from math import comb
+from operator import index, mul
 
 from ._backend import rational
-from .arith import AlphaContext
+from .arith import AlphaContext, k_alpha
 from .partitions import partitions_of
 
 __all__ = [
     "ENUMERATION_THRESHOLD",
     "BContext",
+    "BTable",
+    "IntegralityError",
     "b_eval",
     "b_series",
     "binomial_moment",
@@ -40,6 +49,10 @@ __all__ = [
 # p(30) = 5604 partitions is still cheap to enumerate; beyond that the
 # recurrence is the only sensible route.
 ENUMERATION_THRESHOLD = 30
+
+
+class IntegralityError(ArithmeticError):
+    """A value that must be an integer was not (never expected)."""
 
 
 class BContext:
@@ -85,10 +98,8 @@ def b_eval(bc, l, u, v, threshold=ENUMERATION_THRESHOLD):
 def b_series(bc, max_l, u, v):
     """The prefix [b_0, ..., b_max_l] at (u, v), via the exponential recurrence.
 
-    Eager normalization keeps the reduced values small (at the points
-    (r+2h, r) they are integer eta-quotient coefficients, a few hundred
-    bits even for l in the hundreds), so the plain rational recurrence
-    beats any scaled-integer variant whose operands grow like l!.
+    Works at any rational (u, v); at integer points ``BTable`` computes
+    the same values in integer arithmetic.
     """
     if max_l < 0:
         raise ValueError("max_l must be nonnegative")
@@ -109,6 +120,61 @@ def b_series(bc, max_l, u, v):
                 acc += wk * b[l - k]
         b.append(acc / l)
     return b
+
+
+class BTable:
+    """Integer columns [b_0(u, v), b_1(u, v), ...] of one BContext, grown on demand.
+
+    Each column is computed once and extended only when a longer prefix
+    is asked for, so every consumer of one table shares the work.  At
+    integer (u, v) the weights w_k = -n * scale * (k alpha_p(k)) are
+    integers, so the recurrence runs on ints and divides by l with
+    ``divmod``; a nonzero remainder raises ``IntegralityError``, which
+    makes every step an integrality check.  At the points (r+2h, r) the
+    b_l are integer eta-quotient coefficients and the check always holds;
+    elsewhere (e.g. b_2(1, 0) = 1/2 when n = 1) it fails as it should.
+    """
+
+    __slots__ = ("bc", "_g", "_columns")
+
+    def __init__(self, bc):
+        self.bc = bc
+        self._g = [0]          # k * alpha_p(k) at index k; index 0 unused
+        self._columns = {}
+
+    def column(self, u, v, top):
+        """b_0..b_top at the integer point (u, v), as a list of ints.
+
+        The list is the table's own column and may be longer than
+        top + 1; callers slice it and never modify it.
+        """
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise ValueError(
+                "the integer b-table needs integer (u, v), got (%s, %s)" % (u, v)
+            ) from None
+        column = self._columns.get((u, v))
+        if column is None:
+            column = self._columns[(u, v)] = [1]
+        if len(column) <= top:
+            self._grow(column, u, v, top)
+        return column
+
+    def _grow(self, column, u, v, top):
+        g = self._g
+        p = self.bc.alpha.p
+        g.extend(k_alpha(p, k) for k in range(len(g), top + 1))
+        n = self.bc.n
+        w = [-n * (u if k % 2 else v) * g[k] for k in range(1, top + 1)]
+        for l in range(len(column), top + 1):
+            # w_1 * b_{l-1} + ... + w_l * b_0
+            b_l, rem = divmod(sum(map(mul, w, reversed(column))), l)
+            if rem:
+                raise IntegralityError(
+                    "b_%d(%d, %d) is not an integer for p = %d, n = %d" % (l, u, v, p, n)
+                )
+            column.append(b_l)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Exit codes are stable across commands: 0 success, 1 a verification
-failed, 2 invalid input.  All configuration is by flags; the only state
-on disk is the optional matrix cache, which is trusted for nothing (a
-cached matrix is re-checked on load and recomputed on any mismatch).
+failed (a check reported FAIL, or an exact step such as an integrality
+or a nonsingularity assertion raised ``ArithmeticError``), 2 invalid
+input.  All configuration is by flags; the only state on disk is the
+optional matrix cache.  A cached matrix is re-checked for the two
+symmetries on load and recomputed if they fail; nothing else about it
+is re-checked.
 """
 
 import argparse
@@ -17,9 +20,11 @@ from .bpoly import BContext, b_eval, b_series, p_poly
 from .modeq import (
     SCHEMA_VERSION,
     assemble,
+    b_table,
     bordered_determinant,
     closed_form_row1,
     from_doc,
+    global_order,
     params_for,
     render_text,
     render_typeset,
@@ -135,7 +140,7 @@ def _load_cached_matrix(path):
             matrix = from_doc(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    # cheap re-check on load: the cache is an optimization, never trusted
+    # cheap re-check on load; a symmetric but wrong entry passes it
     if not verify_symmetry(matrix).passed:
         return None
     return matrix
@@ -190,8 +195,13 @@ def _cmd_verify(args):
         selected = ["symmetry", "rowsums", "dets", "global"]
         if params.m == 3:
             selected.append("theorem52")
+    # validated before any b-table work
+    order = global_order(params, args.order) if "global" in selected else None
 
-    matrix = assemble(args.p)
+    # one b-table for every check: assembly grows its columns, global
+    # extends them to its order, and dets reads their heads
+    table = b_table(params)
+    matrix = assemble(args.p, table)
     results = []
     for name in selected:
         if name == "symmetry":
@@ -200,9 +210,9 @@ def _cmd_verify(args):
             res = verify_row_moments(matrix)
             results.append(res)
         elif name == "dets":
-            results.append(verify_block_determinants(params))
+            results.append(verify_block_determinants(params, table))
         elif name == "global":
-            results.append(verify_global_vanish(matrix, args.order))
+            results.append(verify_global_vanish(matrix, order, table))
         elif name == "theorem52":
             results.extend(
                 (closed_form_row1(args.p), row2_pipeline(args.p), bordered_determinant(args.p))
@@ -311,6 +321,9 @@ def main(argv=None):
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
+    except ArithmeticError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -35,7 +35,10 @@ class Matrix:
     __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries):
-        grid = tuple(tuple(rational(x) for x in row) for row in entries)
+        # tuple() of a list allocates at the final size; tuple() of a
+        # generator resizes, which moves the block to another size's
+        # free list and slowly inflates memory over many builds
+        grid = tuple([tuple([rational(x) for x in row]) for row in entries])
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(grid[0])

@@ -28,6 +28,23 @@ a_{i,h} = a_{h,i}, the horizontal symmetry
 a_{i,h} = (-1)^{m(i-1)} a_{i,m-i-h}, and the vanishing of all master
 coefficients beyond the ones used in solving are emergent facts that
 the verify_* functions check after the fact.
+
+Every block entry is some b_l(r+2h, r) at an integer point, and all of
+them come from one integer table per prime (``b_table``).  The
+recurrence l * b_l = sum_k w_k b_{l-k} has weights
+w_k = -n * u_k * (k alpha_p(k)), with u_k = r+2h for odd k and r for
+even k.  Each of the six terms c_d * s(k/d) of alpha_p(k), with
+s(x) = sigma_1(x)/x and c_d = 1, -3, 2, 1, -3, 2 at
+d = 1, 2, 4, p, 2p, 4p, turns into k * c_d * s(k/d) = c_d * d *
+sigma_1(k/d), so k alpha_p(k) is an integer and so is every w_k.  The
+whole recurrence therefore runs on ints; the division by l is an exact
+``divmod`` whose remainder is asserted zero, which checks the
+integrality of the eta-quotient coefficients at every step.  Assembly
+grows the column at (r+2h, r) to index m(m-r); the global check
+extends the same columns to its order, and the determinant check reads
+their heads, so no column is ever computed twice.  Only the diagonal blocks B(i,i) are
+solved over rationals; the right-hand sides are accumulated in ints
+straight from the columns.
 """
 
 from dataclasses import dataclass
@@ -35,7 +52,7 @@ from math import gcd
 
 from ._backend import as_integer, rational
 from .arith import alpha_context, is_odd_prime
-from .bpoly import BContext, b_series, p_poly
+from .bpoly import BContext, BTable, IntegralityError, p_poly
 from .exact import Matrix, binomial
 
 __all__ = [
@@ -46,10 +63,12 @@ __all__ = [
     "PrimeParams",
     "Row1Stats",
     "assemble",
+    "b_table",
     "block",
     "bordered_determinant",
     "closed_form_row1",
     "from_doc",
+    "global_order",
     "params_for",
     "render_text",
     "render_typeset",
@@ -65,10 +84,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-class IntegralityError(ArithmeticError):
-    """A solved matrix entry failed to be an integer (never expected)."""
 
 
 @dataclass(frozen=True)
@@ -139,45 +154,39 @@ def row0(m):
     """The alternating binomial row a_{0,h} = (-1)^h C(m, h)."""
     if m < 1:
         raise ValueError("m must be positive")
-    return tuple((-1) ** h * binomial(m, h) for h in range(m + 1))
+    return tuple([(-1) ** h * binomial(m, h) for h in range(m + 1)])
 
 
-def _prefix_table(params):
-    """All b-series prefixes the assembly will touch, computed once.
+def b_table(params):
+    """An empty integer b-table for one prime; its columns grow as they are read."""
+    return BTable(_bcontext(params))
 
-    Row m's system needs each column prefix at its full length m(m-r),
-    so precomputing loses nothing while sparing every earlier row a
-    recomputation of the same prefix.
-    """
-    m = params.m
-    bc = _bcontext(params)
-    table = {}
-    for r in range(m + 1):
-        top = m * (m - r)
-        for h in range(m - r + 1):
-            table[(r + 2 * h, r)] = b_series(bc, top, r + 2 * h, r)
+
+def _table_for(params, table):
+    if table is None:
+        return b_table(params)
+    if (table.bc.alpha.p, table.bc.n) != (params.p, params.n):
+        raise ValueError(
+            "b-table of p=%d, n=%d used for p=%d" % (table.bc.alpha.p, table.bc.n, params.p)
+        )
     return table
 
 
 def block(params, i, r, table=None):
     """The block B(i, r) = [b_{l+m(i-r)}(r+2h, r)], l = 0..m-i, h = 0..m-r.
 
-    ``table`` may hold shared b-series prefixes (see ``_prefix_table``);
-    without it every column is computed fresh.
+    ``table`` is the prime's shared b-table (see ``b_table``); without
+    it a fresh one is made.
     """
     m = params.m
     if not 1 <= i <= m:
         raise ValueError("row index i must satisfy 1 <= i <= m")
     if not 0 <= r <= i:
         raise ValueError("block index r must satisfy 0 <= r <= i")
+    table = _table_for(params, table)
     shift = m * (i - r)
     top = shift + (m - i)
-    columns = []
-    for h in range(m - r + 1):
-        prefix = table.get((r + 2 * h, r)) if table is not None else None
-        if prefix is None or len(prefix) <= top:
-            prefix = b_series(_bcontext(params), top, r + 2 * h, r)
-        columns.append(prefix[shift : top + 1])
+    columns = [table.column(r + 2 * h, r, top)[shift : top + 1] for h in range(m - r + 1)]
     return Matrix(list(zip(*columns)))
 
 
@@ -185,7 +194,9 @@ def solve_row(params, i, prior, table=None):
     """Solve for a'_i, the nonzero head of row i, given rows 0..i-1.
 
     ``prior`` holds the already-determined heads: prior[0] is the full
-    row 0 (length m+1), prior[r] has length m+1-r.  Returns exact
+    row 0 (length m+1), prior[r] has length m+1-r.  The right-hand side
+    -sum_r 2^{nr} B(i,r) a'_r is accumulated in ints from the table
+    columns; only B(i,i) is solved over rationals.  Returns exact
     rationals; integrality is asserted by the caller.
     """
     m, n = params.m, params.n
@@ -193,31 +204,46 @@ def solve_row(params, i, prior, table=None):
         raise ValueError("row index i must satisfy 1 <= i <= m")
     if len(prior) != i:
         raise ValueError("need exactly the %d previously solved rows" % i)
-    rhs = [rational(0)] * (m - i + 1)
+    table = _table_for(params, table)
+    size = m - i + 1
+    rhs = [0] * size
     for r in range(i):
         weight = 2 ** (n * r)
-        contrib = block(params, i, r, table).mul_vec(prior[r])
-        rhs = [acc - weight * c for acc, c in zip(rhs, contrib)]
+        shift = m * (i - r)
+        for h, a in enumerate(prior[r]):
+            if a:
+                coef = weight * a
+                column = table.column(r + 2 * h, r, shift + size - 1)
+                rhs = [acc - coef * b for acc, b in zip(rhs, column[shift : shift + size])]
     head = block(params, i, i, table).solve(rhs)
     scale = 2 ** (n * i)
-    return tuple(x / scale for x in head)
+    return tuple([x / scale for x in head])  # list: see Matrix.__init__
 
 
-def assemble(p):
-    """Build the full matrix A_p, asserting integrality of every entry."""
+def _integers(values, what):
+    try:
+        return tuple([as_integer(x) for x in values])
+    except ValueError:
+        raise IntegralityError("%s solved to non-integer values %r" % (what, values)) from None
+
+
+def assemble(p, table=None):
+    """Build the full matrix A_p, asserting integrality of every entry.
+
+    ``table`` may be the prime's shared b-table; its columns are grown
+    to index m(m-r), the longest any row's system reads.
+    """
     params = params_for(p)
     m = params.m
-    table = _prefix_table(params)
+    table = _table_for(params, table)
+    # grow each column once to its final length instead of row by row
+    for r in range(m + 1):
+        for h in range(m - r + 1):
+            table.column(r + 2 * h, r, m * (m - r))
     grid = [row0(m)]
     prior = [grid[0]]
     for i in range(1, m + 1):
-        solved = solve_row(params, i, prior, table)
-        try:
-            head = tuple(as_integer(x) for x in solved)
-        except ValueError:
-            raise IntegralityError(
-                "row %d of A_%d solved to non-integer values %r" % (i, p, solved)
-            ) from None
+        head = _integers(solve_row(params, i, prior, table), "row %d of A_%d" % (i, p))
         prior.append(head)
         grid.append(head + (0,) * i)
     return ModularMatrix(params, tuple(grid))
@@ -301,47 +327,59 @@ def verify_row_moments(matrix):
     return CheckResult("rowsums", passed, details)
 
 
-def verify_block_determinants(params):
-    """det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} for every 1 <= i <= m."""
+def verify_block_determinants(params, table=None):
+    """det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} for every 1 <= i <= m.
+
+    The determinants come from ``Matrix.det``, independent of how the
+    rows are solved; ``table`` may be the prime's shared b-table.
+    """
     m, n = params.m, params.n
+    table = _table_for(params, table)
     per_block = []
     for i in range(1, m + 1):
-        d = block(params, i, i).det()
+        d = block(params, i, i, table).det()
         expected = (-2 * n) ** (((m + 1 - i) * (m - i)) // 2)
         per_block.append({"i": i, "det": str(d), "expected": str(expected), "ok": d == expected})
     return CheckResult("dets", all(b["ok"] for b in per_block), {"blocks": per_block})
 
 
-def verify_global_vanish(matrix, order=None):
+def global_order(params, order=None):
+    """The q-order of the global check: m^2 + 2m by default, never below m^2."""
+    m = params.m
+    if order is None:
+        return m * m + 2 * m
+    if order < m * m:
+        raise ValueError("order must be >= m^2 = %d to cover all solved equations" % (m * m))
+    return order
+
+
+def verify_global_vanish(matrix, order=None, table=None):
     """Substitute the matrix back into the master q-series and demand zero.
 
     Checks every coefficient of q^t for 0 <= t <= order, including the
     equations no solve ever used, so it also exercises the zero triangle
     and the trailing padding.  The order must be at least m^2 (the
     largest index any solve touched); the default adds 2m surplus
-    equations on top.
+    equations on top.  ``table`` may be the prime's shared b-table; its
+    columns are extended to the order.
     """
     params = matrix.params
     m, n = params.m, params.n
-    if order is None:
-        order = m * m + 2 * m
-    if order < m * m:
-        raise ValueError("order must be >= m^2 = %d to cover all solved equations" % (m * m))
-    bc = _bcontext(params)
-    acc = [rational(0)] * (order + 1)
+    order = global_order(params, order)
+    table = _table_for(params, table)
+    acc = [0] * (order + 1)
     for i in range(m + 1):
         top = order - m * i
-        if top < 0:
-            break
         weight = 2 ** (n * i)
+        base = m * i
         for h in range(m + 1):
             a = matrix.entries[i][h]
             if a == 0:
                 continue
-            coeffs = b_series(bc, top, i + 2 * h, i)
-            base = m * i
-            for l, c in enumerate(coeffs):
-                acc[base + l] += weight * a * c
+            coef = weight * a
+            column = table.column(i + 2 * h, i, top)
+            for l in range(top + 1):
+                acc[base + l] += coef * column[l]
     bad = next(((t, c) for t, c in enumerate(acc) if c != 0), None)
     details = {"order": order}
     if bad is not None:
@@ -370,15 +408,8 @@ class Row1Stats:
 
 def row1_stats(params):
     """Solve only row 1 (one block system) and evaluate its moments."""
-    m, n = params.m, params.n
-    a0 = row0(m)
-    rhs = [-x for x in block(params, 1, 0).mul_vec(a0)]
-    head = block(params, 1, 1).solve(rhs)
-    scale = 2 ** n
-    try:
-        row = tuple(as_integer(x / scale) for x in head) + (0,)
-    except ValueError:
-        raise IntegralityError("row 1 of A_%d is not integral" % params.p) from None
+    solved = solve_row(params, 1, [row0(params.m)])
+    row = _integers(solved, "row 1 of A_%d" % params.p) + (0,)
     s = _row1_moments(row)
     e0, e1, e2, e2_alt = _row1_moment_expectations(params)
     return Row1Stats(params, row, s, (e0, e1, e2), e2_alt)
@@ -434,18 +465,19 @@ def row2_pipeline(p):
     params = params_for(p)
     _require_m3(params, "row2_pipeline")
     n = params.n
+    table = b_table(params)
     a0 = row0(params.m)
-    v = block(params, 1, 0).mul_vec(a0)
-    w = block(params, 1, 1).solve(v)
-    t = block(params, 2, 1).mul_vec(w)
-    s = block(params, 2, 0).mul_vec(a0)
+    v = block(params, 1, 0, table).mul_vec(a0)
+    w = block(params, 1, 1, table).solve(v)
+    t = block(params, 2, 1, table).mul_vec(w)
+    s = block(params, 2, 0, table).mul_vec(a0)
     residual = tuple(ti - si for ti, si in zip(t, s))
     first_zero = residual[0] == 0
     c = residual[1]
-    head = block(params, 2, 2).solve(residual)
+    head = block(params, 2, 2, table).solve(residual)
     scale = 2 ** (2 * n)
     a20, a21 = (x / scale for x in head)
-    reference = assemble(p).entries[2]
+    reference = assemble(p, table).entries[2]
     ok = (
         first_zero
         and a21 == -a20
@@ -472,10 +504,10 @@ def bordered_determinant(p):
     params = params_for(p)
     _require_m3(params, "bordered_determinant")
     m, n = params.m, params.n
-    bc = _bcontext(params)
-    col_a = b_series(bc, 2, 3, 1)
-    col_b = b_series(bc, 2, 5, 1)
-    col_c = block(params, 1, 0).mul_vec(row0(m))
+    table = b_table(params)
+    col_a = table.column(3, 1, 2)
+    col_b = table.column(5, 1, 2)
+    col_c = block(params, 1, 0, table).mul_vec(row0(m))
     det = Matrix([[col_a[l], col_b[l], col_c[l]] for l in range(3)]).det()
     expected = m * (-2 * n) ** 3 * 2 ** n
     details = {"det": str(det), "expected": str(expected)}

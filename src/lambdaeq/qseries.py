@@ -29,7 +29,7 @@ b_l(i+2h, i) at q^l, which is the production route.
 
 from ._backend import rational
 from .arith import alpha_context
-from .bpoly import BContext, b_series
+from .bpoly import BContext, BTable
 
 __all__ = [
     "Series",
@@ -301,5 +301,5 @@ def xy_normalized_lemma(params, i, h, order):
     """Same series as ``xy_normalized_direct`` with coefficient b_l(i+2h, i) at q^l."""
     if i < 0 or h < 0:
         raise ValueError("exponents i, h must be nonnegative")
-    bc = BContext(alpha_context(params.p), params.n)
-    return Series(b_series(bc, order, i + 2 * h, i), order)
+    table = BTable(BContext(alpha_context(params.p), params.n))
+    return Series(table.column(i + 2 * h, i, order), order)

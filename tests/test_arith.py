@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from lambdaeq import AlphaContext, Partition, alpha_context, is_odd_prime, sigma1
+from lambdaeq import AlphaContext, Partition, alpha_context, is_odd_prime, k_alpha, sigma1
 from lambdaeq._backend import rational
 
 
@@ -128,3 +128,14 @@ def test_alpha_beta_reject_nonpositive_k():
         ctx.alpha(0)
     with pytest.raises(ValueError):
         ctx.beta(-1)
+
+
+def test_k_alpha_is_k_times_alpha():
+    for p in (3, 5, 7, 13, 31):
+        ctx = alpha_context(p)
+        for k in range(1, 130):
+            value = k_alpha(p, k)
+            assert isinstance(value, int)
+            assert value == k * ctx.alpha(k), (p, k)
+    with pytest.raises(ValueError):
+        k_alpha(5, 0)

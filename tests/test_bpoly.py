@@ -8,13 +8,21 @@ carries a factor u (from the partition with the single part 7).
 """
 
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdaeq import (
+    ENUMERATION_THRESHOLD,
     BContext,
+    BTable,
+    IntegralityError,
     alpha_context,
+    is_odd_prime,
+    params_for,
     b_eval,
     b_series,
     binomial_moment,
@@ -218,3 +226,59 @@ def test_binomial_moment_matches_p_poly():
         for N in range(m, m + 5):
             expected = (-1) ** (m - 1) * p_poly(N - m, m) * factorial(N)
             assert binomial_moment(N, m) == expected, (N, m)
+
+
+# the integer table route, pinned against the rational and partition routes
+
+ODD_PRIMES = [p for p in range(3, 200) if is_odd_prime(p)]
+assert {params_for(p).n for p in ODD_PRIMES} == {1, 2, 4}
+
+
+def _prime_table(p):
+    return BTable(BContext(alpha_context(p), params_for(p).n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(ODD_PRIMES), r=st.integers(0, 12), h=st.integers(0, 12))
+def test_table_matches_b_series_at_integer_points(p, r, h):
+    table = _prime_table(p)
+    column = table.column(r + 2 * h, r, 60)
+    assert column[:61] == b_series(table.bc, 60, r + 2 * h, r)
+    assert all(type(b) is int for b in column)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from(ODD_PRIMES),
+    r=st.integers(0, 8),
+    h=st.integers(0, 8),
+    l=st.integers(0, ENUMERATION_THRESHOLD),
+)
+def test_table_matches_b_eval_at_integer_points(p, r, h, l):
+    table = _prime_table(p)
+    assert table.column(r + 2 * h, r, l)[l] == b_eval(table.bc, l, r + 2 * h, r)
+
+
+def test_table_grows_columns_in_place():
+    table = _prime_table(13)
+    short = table.column(5, 1, 4)
+    assert len(short) == 5
+    longer = table.column(5, 1, 40)
+    assert longer is short and len(longer) == 41
+    assert table.column(5, 1, 10) is short  # a shorter request reuses the column
+    assert longer == b_series(table.bc, 40, 5, 1)
+
+
+def test_table_raises_at_the_first_non_integer_coefficient():
+    # p = 7 has n = 1, and b_2(1, 0) = n^2/2 = 1/2 is off the points (r+2h, r)
+    table = _prime_table(7)
+    assert b_series(table.bc, 2, 1, 0)[2] == Fraction(1, 2)
+    assert table.column(1, 0, 1) == [1, -1]
+    with pytest.raises(IntegralityError, match="b_2"):
+        table.column(1, 0, 2)
+
+
+@pytest.mark.parametrize("u, v", [(Fraction(1, 2), 1), (3, Fraction(2, 3)), (1.0, 0)])
+def test_table_refuses_non_integer_points(u, v):
+    with pytest.raises(ValueError):
+        _prime_table(5).column(u, v, 3)

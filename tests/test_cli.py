@@ -222,3 +222,77 @@ def test_matrix_builtin_verification_failure_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "matrix", "5")
     assert code == 1
     assert "rowsums" in err
+
+
+def test_arithmetic_failure_exits_1_with_message(monkeypatch, capsys):
+    from lambdaeq import BTable, IntegralityError
+
+    def broken(self, column, u, v, top):
+        raise IntegralityError("b_2(1, 0) is not an integer")
+
+    monkeypatch.setattr(BTable, "_grow", broken)
+    code, out, err = run(capsys, "matrix", "13")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: b_2(1, 0) is not an integer")
+
+
+def test_singular_block_exits_1_with_message(monkeypatch, capsys):
+    from lambdaeq import Matrix, SingularMatrixError
+
+    def singular(self, rhs):
+        raise SingularMatrixError("singular system (pivot column 0)")
+
+    monkeypatch.setattr(Matrix, "solve", singular)
+    code, _, err = run(capsys, "verify", "13")
+    assert code == 1
+    assert err.startswith("error: singular system")
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every b-table the CLI builds, in order."""
+    import lambdaeq.cli as cli
+
+    built = []
+    make = cli.b_table
+
+    def recording(params):
+        built.append(make(params))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "b_table", recording)
+    return built
+
+
+def column_lengths(table):
+    return {key: len(column) for key, column in table._columns.items()}
+
+
+def test_verify_order_grows_the_shared_table(tables, capsys):
+    code, out, _ = run(capsys, "verify", "13", "--order", "300")
+    assert code == 0
+    assert "global: PASS" in out and "dets: PASS" in out
+    assert len(tables) == 1
+    m = 7
+    lengths = column_lengths(tables[0])
+    for r in range(m + 1):
+        for h in range(m - r + 1):
+            assert lengths[(r + 2 * h, r)] == 300 - m * r + 1
+
+
+def test_verify_order_below_m_squared_builds_no_table(tables, capsys):
+    code, out, err = run(capsys, "verify", "13", "--order", "10")
+    assert code == 2
+    assert "order must be >= m^2 = 49" in err
+    assert out == "" and tables == []
+
+
+def test_verify_without_global_builds_only_what_assembly_needs(tables, capsys):
+    code, _, _ = run(capsys, "verify", "13", "--checks", "symmetry")
+    assert code == 0
+    m = 7
+    expected = {
+        (r + 2 * h, r): m * (m - r) + 1 for r in range(m + 1) for h in range(m - r + 1)
+    }
+    assert column_lengths(tables[0]) == expected

@@ -16,6 +16,7 @@ from lambdaeq import (
     alpha_context,
     assemble,
     b_series,
+    b_table,
     block,
     bordered_determinant,
     closed_form_row1,
@@ -301,3 +302,34 @@ def test_render_typeset():
     assert "\\begin{array}{rrrr}" in tex
     assert "1 & -3 & 3 & -1" in tex
     assert "n = 1,\\ m = 3" in tex
+
+
+def test_one_table_serves_assembly_dets_and_global():
+    params = params_for(19)
+    table = b_table(params)
+    matrix = assemble(19, table)
+    assert matrix.entries == REFERENCE[19]
+    grown = {key: len(col) for key, col in table._columns.items()}
+    assert verify_block_determinants(params, table).passed
+    assert {key: len(col) for key, col in table._columns.items()} == grown
+    assert verify_global_vanish(matrix, table=table).passed
+    fresh = verify_global_vanish(matrix)
+    assert fresh.details == verify_global_vanish(matrix, table=table).details
+
+
+def test_block_from_table_matches_rational_columns():
+    params = params_for(13)
+    bc = BContext(alpha_context(13), params.n)
+    table = b_table(params)
+    m = params.m
+    for i, r in ((1, 0), (3, 1), (7, 7), (5, 2)):
+        shift, top = m * (i - r), m * (i - r) + m - i
+        columns = [b_series(bc, top, r + 2 * h, r)[shift:] for h in range(m - r + 1)]
+        assert block(params, i, r, table) == Matrix(list(zip(*columns)))
+
+
+def test_table_of_another_prime_is_refused():
+    with pytest.raises(ValueError):
+        assemble(13, b_table(params_for(17)))
+    with pytest.raises(ValueError):
+        verify_global_vanish(assemble(5), table=b_table(params_for(11)))
