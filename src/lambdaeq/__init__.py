@@ -25,6 +25,7 @@ from .bpoly import (
 from .exact import Matrix, SingularMatrixError, binomial, factorial
 from .modeq import (
     CheckResult,
+    FactorizationError,
     IntegralityError,
     ModularMatrix,
     PrimeParams,

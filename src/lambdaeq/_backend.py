@@ -39,15 +39,3 @@ else:
         "LAMBDAEQ_BACKEND must be 'gmpy2' or 'fractions', got %r" % _requested
     )
 
-
-def as_integer(x):
-    """Convert an exact rational with unit denominator to int.
-
-    Raises ValueError when x has a nontrivial denominator; this is the
-    guard behind every integrality assertion in the package.
-    """
-    num = getattr(x, "numerator", x)
-    den = getattr(x, "denominator", 1)
-    if den != 1:
-        raise ValueError("not an integer: %s" % (x,))
-    return int(num)

@@ -2,7 +2,7 @@
 
 Exit codes are stable across commands: 0 success, 1 a verification
 failed (a check reported FAIL, or an exact step such as an integrality
-or a nonsingularity assertion raised ``ArithmeticError``), 2 invalid
+or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
 input.  All configuration is by flags; the only state on disk is the
 optional matrix cache.  A cached matrix is re-checked for the two
 symmetries on load and recomputed if they fail; nothing else about it

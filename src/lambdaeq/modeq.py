@@ -42,15 +42,43 @@ whole recurrence therefore runs on ints; the division by l is an exact
 integrality of the eta-quotient coefficients at every step.  Assembly
 grows the column at (r+2h, r) to index m(m-r); the global check
 extends the same columns to its order, and the determinant check reads
-their heads, so no column is ever computed twice.  Only the diagonal blocks B(i,i) are
-solved over rationals; the right-hand sides are accumulated in ints
-straight from the columns.
+their heads, so no column is ever computed twice.  The right-hand sides
+are accumulated in ints straight from the columns.
+
+The diagonal blocks are solved in ints too, through a factorization
+B(i,i) = L U.  In b_l(u, v) a partition J of l contributes a term of
+degree J_o <= |J| <= l in u, with equality only for the all-ones
+partition, whose term is (-n)^l u^l alpha_p(1)^l / l! = (-n)^l u^l / l!.
+Along row l of B(i,i) the point is (u, v) = (i+2h, i), so the row is a
+polynomial of degree l in h with leading term (-2n)^l h^l / l!; in the
+binomial basis C(h, j) its coefficients are its forward differences
+Delta_h^j B[l][0], zero for j > l and (-2n)^l at j = l.  Hence
+
+    B(i,i) = L U,    L[l][j] = Delta_h^j B[l][0],    U[j][h] = C(h, j),
+
+with L lower triangular with diagonal (-2n)^l and U unit upper
+triangular.  ``solve_row`` does not assume this: it builds the forward
+differences of every row from the integer columns and checks that the
+l-th differences of row l all equal (-2n)^l.  Newton's formula on the
+m-i+1 points h = 0..m-i is exact, so that check proves B = L U for the
+block at hand, and a failure raises ``FactorizationError``.  The solve
+is then forward substitution with an exact division by (-2n)^l per
+row, binomial back-substitution, and an exact division by 2^{ni}; every
+division asserts a zero remainder.
+
+The diagonal of L is the product formula det B(i,i) = (-2n)^{(m+1-i)(m-i)/2}.
+That is why ``verify_block_determinants`` keeps computing determinants
+with ``Matrix.det`` by rational elimination: reading them off L would
+make the check its own oracle.  ``row2_pipeline`` likewise keeps
+``Matrix.solve``, so it compares assembly against an independent
+elimination.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
+from operator import mul
 
-from ._backend import as_integer, rational
+from ._backend import rational
 from .arith import alpha_context, is_odd_prime
 from .bpoly import BContext, BTable, IntegralityError, p_poly
 from .exact import Matrix, binomial
@@ -58,6 +86,7 @@ from .exact import Matrix, binomial
 __all__ = [
     "SCHEMA_VERSION",
     "CheckResult",
+    "FactorizationError",
     "IntegralityError",
     "ModularMatrix",
     "PrimeParams",
@@ -196,8 +225,10 @@ def solve_row(params, i, prior, table=None):
     ``prior`` holds the already-determined heads: prior[0] is the full
     row 0 (length m+1), prior[r] has length m+1-r.  The right-hand side
     -sum_r 2^{nr} B(i,r) a'_r is accumulated in ints from the table
-    columns; only B(i,i) is solved over rationals.  Returns exact
-    rationals; integrality is asserted by the caller.
+    columns, and 2^{ni} B(i,i) a'_i = rhs is solved in ints through
+    B(i,i) = L U (see the module docstring).  Returns a tuple of ints;
+    a non-integral solution raises ``IntegralityError``, a block without
+    the factorization raises ``FactorizationError``.
     """
     m, n = params.m, params.n
     if not 1 <= i <= m:
@@ -215,16 +246,60 @@ def solve_row(params, i, prior, table=None):
                 coef = weight * a
                 column = table.column(r + 2 * h, r, shift + size - 1)
                 rhs = [acc - coef * b for acc, b in zip(rhs, column[shift : shift + size])]
-    head = block(params, i, i, table).solve(rhs)
+    return _solve_diagonal(params, i, rhs, table)
+
+
+class FactorizationError(ArithmeticError):
+    """A diagonal block B(i,i) is not L U with diagonal (-2n)^l (never expected)."""
+
+
+def _solve_diagonal(params, i, rhs, table):
+    """The int solution a of 2^{ni} B(i,i) a = rhs, through B(i,i) = L U."""
+    m, n, p = params.m, params.n, params.p
+    size = m - i + 1
+    columns = [table.column(i + 2 * h, i, m - i) for h in range(size)]
+    # row l of L: the forward differences Delta^0..Delta^{l-1} of row l of
+    # B(i,i) at h = 0; its l-th differences must all equal (-2n)^l
+    lower = []
+    for l in range(size):
+        diffs = [column[l] for column in columns]
+        row = []
+        for _ in range(l):
+            row.append(diffs[0])
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        lead = (-2 * n) ** l
+        bad = next((h for h, d in enumerate(diffs) if d != lead), None)
+        if bad is not None:
+            raise FactorizationError(
+                "B(%d,%d) of A_%d: row l=%d is not a degree-%d polynomial in h with "
+                "leading binomial coefficient (-2n)^l = %d; its %d-th forward "
+                "difference at h=%d is %d" % (i, i, p, l, l, lead, l, bad, diffs[bad])
+            )
+        lower.append(row)
+    # forward substitution L y = rhs; y = U x is integral iff x is
+    y = []
+    for l, row in enumerate(lower):
+        value, rem = divmod(rhs[l] - sum(map(mul, row, y)), (-2 * n) ** l)
+        if rem:
+            raise IntegralityError(
+                "row %d of A_%d has no integral solution (forward substitution, l=%d)"
+                % (i, p, l)
+            )
+        y.append(value)
+    # binomial back-substitution U x = y, U[j][h] = C(h, j)
+    x = [0] * size
+    for j in range(size - 1, -1, -1):
+        x[j] = y[j] - sum([comb(h, j) * x[h] for h in range(j + 1, size)])
     scale = 2 ** (n * i)
-    return tuple([x / scale for x in head])  # list: see Matrix.__init__
-
-
-def _integers(values, what):
-    try:
-        return tuple([as_integer(x) for x in values])
-    except ValueError:
-        raise IntegralityError("%s solved to non-integer values %r" % (what, values)) from None
+    head = []
+    for h, value in enumerate(x):
+        entry, rem = divmod(value, scale)
+        if rem:
+            raise IntegralityError(
+                "a_{%d,%d} of A_%d solved to the non-integer %d/2^%d" % (i, h, p, value, n * i)
+            )
+        head.append(entry)
+    return tuple(head)
 
 
 def assemble(p, table=None):
@@ -243,7 +318,7 @@ def assemble(p, table=None):
     grid = [row0(m)]
     prior = [grid[0]]
     for i in range(1, m + 1):
-        head = _integers(solve_row(params, i, prior, table), "row %d of A_%d" % (i, p))
+        head = solve_row(params, i, prior, table)
         prior.append(head)
         grid.append(head + (0,) * i)
     return ModularMatrix(params, tuple(grid))
@@ -408,8 +483,7 @@ class Row1Stats:
 
 def row1_stats(params):
     """Solve only row 1 (one block system) and evaluate its moments."""
-    solved = solve_row(params, 1, [row0(params.m)])
-    row = _integers(solved, "row 1 of A_%d" % params.p) + (0,)
+    row = solve_row(params, 1, [row0(params.m)]) + (0,)
     s = _row1_moments(row)
     e0, e1, e2, e2_alt = _row1_moment_expectations(params)
     return Row1Stats(params, row, s, (e0, e1, e2), e2_alt)

@@ -237,16 +237,23 @@ def test_arithmetic_failure_exits_1_with_message(monkeypatch, capsys):
     assert err.startswith("error: b_2(1, 0) is not an integer")
 
 
-def test_singular_block_exits_1_with_message(monkeypatch, capsys):
-    from lambdaeq import Matrix, SingularMatrixError
+def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
+    from lambdaeq import BTable
 
-    def singular(self, rhs):
-        raise SingularMatrixError("singular system (pivot column 0)")
+    column = BTable.column
 
-    monkeypatch.setattr(Matrix, "solve", singular)
-    code, _, err = run(capsys, "verify", "13")
+    def corrupted(self, u, v, top):
+        values = column(self, u, v, top)
+        if (u, v) == (7, 1):  # column h = 3 of B(1,1) for p = 13
+            values = values[:]
+            values[2] += 1
+        return values
+
+    monkeypatch.setattr(BTable, "column", corrupted)
+    code, out, err = run(capsys, "verify", "13")
     assert code == 1
-    assert err.startswith("error: singular system")
+    assert out == ""
+    assert err.startswith("error: B(1,1) of A_13: row l=2 is not a degree-2 polynomial")
 
 
 @pytest.fixture

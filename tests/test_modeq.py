@@ -8,9 +8,13 @@ entry for entry, and every structural check must hold on them.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambdaeq import (
     BContext,
+    FactorizationError,
+    IntegralityError,
     Matrix,
     ModularMatrix,
     alpha_context,
@@ -21,6 +25,7 @@ from lambdaeq import (
     bordered_determinant,
     closed_form_row1,
     from_doc,
+    is_odd_prime,
     params_for,
     render_text,
     render_typeset,
@@ -35,6 +40,7 @@ from lambdaeq import (
     verify_symmetry,
 )
 from lambdaeq._backend import rational
+from lambdaeq.modeq import _solve_diagonal
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A11 = ((1, -3, 3, -1), (-3, -10, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -128,9 +134,62 @@ def test_block_dimensions():
 
 
 def test_solve_row_examples():
-    assert solve_row(params_for(5), 1, [row0(3)]) == (-3, -26, -3)
-    assert solve_row(params_for(23), 1, [row0(3)]) == (-3, 2, -3)
-    assert solve_row(params_for(7), 1, [row0(1)]) == (-1,)
+    examples = ((5, 3, (-3, -26, -3)), (23, 3, (-3, 2, -3)), (7, 1, (-1,)))
+    for p, m, head in examples:
+        solved = solve_row(params_for(p), 1, [row0(m)])
+        assert solved == head
+        assert all(type(x) is int for x in solved)
+
+
+# primes with m <= 15, so the rational elimination oracle stays cheap
+SMALL_PRIMES = [p for p in range(3, 60) if is_odd_prime(p)]
+assert {params_for(p).n for p in SMALL_PRIMES} == {1, 2, 4}
+
+
+def _diagonal_system(data):
+    """A prime, a row index i, its table, B(i,i), and a random integer head x."""
+    params = params_for(data.draw(st.sampled_from(SMALL_PRIMES), label="p"))
+    i = data.draw(st.integers(1, params.m), label="i")
+    size = params.m - i + 1
+    x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size), label="x")
+    table = b_table(params)
+    return params, i, table, block(params, i, i, table), tuple(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_structured_solve_inverts_the_diagonal_block(data):
+    params, i, table, b, x = _diagonal_system(data)
+    scale = 2 ** (params.n * i)
+    rhs = [scale * int(v) for v in b.mul_vec(x)]
+    solved = _solve_diagonal(params, i, rhs, table)
+    assert solved == x
+    assert all(type(v) is int for v in solved)
+    assert tuple(v / scale for v in b.solve(rhs)) == solved
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_structured_solve_refuses_rhs_outside_the_integral_image(data):
+    params, i, table, b, x = _diagonal_system(data)
+    scale = 2 ** (params.n * i)
+    off_lattice = [scale * int(v) for v in b.mul_vec(x)]
+    off_lattice[-1] += 1
+    with pytest.raises(IntegralityError):
+        _solve_diagonal(params, i, off_lattice, table)
+    odd = [int(v) for v in b.mul_vec((1,) + x[1:])]
+    with pytest.raises(IntegralityError):
+        _solve_diagonal(params, i, odd, table)
+
+
+@pytest.mark.parametrize("p, i, h, l", [(13, 1, 3, 2), (13, 2, 0, 0), (17, 4, 5, 5), (7, 1, 0, 0)])
+def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
+    params = params_for(p)
+    table = b_table(params)
+    table.column(i + 2 * h, i, params.m - i)[l] += 1  # the table's own list
+    rhs = [0] * (params.m - i + 1)
+    with pytest.raises(FactorizationError, match=r"B\(%d,%d\) of A_%d: row l=%d " % (i, i, p, l)):
+        _solve_diagonal(params, i, rhs, table)
 
 
 def test_solve_row_needs_prior_rows():
