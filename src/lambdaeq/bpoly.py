@@ -133,6 +133,14 @@ class BTable:
     makes every step an integrality check.  At the points (r+2h, r) the
     b_l are integer eta-quotient coefficients and the check always holds;
     elsewhere (e.g. b_2(1, 0) = 1/2 when n = 1) it fails as it should.
+    At v = 0 the even-k weights vanish and are skipped, which halves the
+    work of the columns b(2h, 0).
+
+    A column of length L costs ~L^2/2 multiply-adds (~L^2/4 at v = 0).
+    Assembly of A_p reads the columns b(2h, 0) to index m^2, b(r, r) to
+    index m(m-r) and the short diagonal-block heads b(i+2h, i) to index
+    m-i, ~3m^3/2 coefficients plus ~m^3/3 in the heads, and combines them
+    as b(r+2h, r) = b(r, r) b(2h, 0) (see ``modeq``); that is ~m^5 work.
     """
 
     __slots__ = ("bc", "_g", "_columns")
@@ -167,9 +175,12 @@ class BTable:
         g.extend(k_alpha(p, k) for k in range(len(g), top + 1))
         n = self.bc.n
         w = [-n * (u if k % 2 else v) * g[k] for k in range(1, top + 1)]
+        if v == 0:
+            w = w[::2]  # the even-k weights vanish; keep w_1, w_3, ...
         for l in range(len(column), top + 1):
-            # w_1 * b_{l-1} + ... + w_l * b_0
-            b_l, rem = divmod(sum(map(mul, w, reversed(column))), l)
+            # w_1 * b_{l-1} + ... + w_l * b_0, or only its odd-k terms when v = 0
+            terms = column[l - 1 :: -2] if v == 0 else reversed(column)
+            b_l, rem = divmod(sum(map(mul, w, terms)), l)
             if rem:
                 raise IntegralityError(
                     "b_%d(%d, %d) is not an integer for p = %d, n = %d" % (l, u, v, p, n)

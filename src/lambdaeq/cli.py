@@ -3,10 +3,12 @@
 Exit codes are stable across commands: 0 success, 1 a verification
 failed (a check reported FAIL, or an exact step such as an integrality
 or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
-input.  All configuration is by flags; the only state on disk is the
-optional matrix cache.  A cached matrix is re-checked for the two
-symmetries on load and recomputed if they fail; nothing else about it
-is re-checked.
+input.  ``matrix`` and ``verify`` refuse primes whose m exceeds
+``--max-m`` with exit 2 before any b-table work, since assembly time
+grows like m^5 bignum multiply-adds.  All configuration is by flags;
+the only state on disk is the optional matrix cache.  A cached matrix
+is re-checked for the two symmetries on load and recomputed if they
+fail; nothing else about it is re-checked.
 """
 
 import argparse
@@ -43,12 +45,28 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
+# Assembly runs ~m^5 bignum multiply-adds; every m <= 48 assembles in
+# under a minute on a 2-core VM (see README), so larger m needs an
+# explicit --max-m.
+DEFAULT_MAX_M = 48
+
 
 def _rational_arg(text):
     try:
         return rational(text)
     except (ValueError, ZeroDivisionError, TypeError):
         raise argparse.ArgumentTypeError("not an exact rational: %r" % (text,))
+
+
+def _add_max_m(parser):
+    parser.add_argument(
+        "--max-m",
+        type=int,
+        default=DEFAULT_MAX_M,
+        metavar="M",
+        help="refuse primes with m > M (default %d: under a minute of assembly)"
+        % DEFAULT_MAX_M,
+    )
 
 
 def _build_parser():
@@ -66,6 +84,7 @@ def _build_parser():
     )
     p_matrix.add_argument("--out", metavar="FILE")
     p_matrix.add_argument("--cache-dir", metavar="DIR")
+    _add_max_m(p_matrix)
 
     p_verify = sub.add_parser("verify", help="run verification checks for one prime")
     p_verify.add_argument("p", type=int)
@@ -76,6 +95,7 @@ def _build_parser():
         "(default: all applicable)",
     )
     p_verify.add_argument("--order", type=int, help="q-order for the global check")
+    _add_max_m(p_verify)
 
     p_series = sub.add_parser("series", help="print exact q-expansions")
     p_series.add_argument("kind", choices=("lambda", "xy"))
@@ -154,7 +174,20 @@ def _store_cached_matrix(path, matrix):
     os.replace(tmp, path)
 
 
+def _sized_params(args):
+    """The prime's parameters; m above --max-m is refused before any table work."""
+    params = params_for(args.p)
+    if params.m > args.max_m:
+        raise ValueError(
+            "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
+            "(under a minute for m <= %d), so pass a larger --max-m to run it"
+            % (args.p, params.m, args.max_m, DEFAULT_MAX_M)
+        )
+    return params
+
+
 def _cmd_matrix(args):
+    _sized_params(args)
     matrix = None
     cache_file = None
     if args.cache_dir:
@@ -183,7 +216,7 @@ def _print_check(result):
 
 
 def _cmd_verify(args):
-    params = params_for(args.p)
+    params = _sized_params(args)
     if args.checks:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in selected if c not in _CHECK_NAMES]

@@ -39,11 +39,27 @@ d = 1, 2, 4, p, 2p, 4p, turns into k * c_d * s(k/d) = c_d * d *
 sigma_1(k/d), so k alpha_p(k) is an integer and so is every w_k.  The
 whole recurrence therefore runs on ints; the division by l is an exact
 ``divmod`` whose remainder is asserted zero, which checks the
-integrality of the eta-quotient coefficients at every step.  Assembly
-grows the column at (r+2h, r) to index m(m-r); the global check
-extends the same columns to its order, and the determinant check reads
-their heads, so no column is ever computed twice.  The right-hand sides
-are accumulated in ints straight from the columns.
+integrality of the eta-quotient coefficients at every step.
+
+Assembly does not need a full column for every point (r+2h, r).  The
+generating function sum_l b_l(u, v) q^l is exp(sum_k w_k q^k / k) and
+w_k is linear in (u, v), so b(u1+u2, v1+v2) is the product series
+b(u1, v1) b(u2, v2).  With the two series K = b(1, 1) and P = b(2, 0),
+b(r+2h, r) = K^r P^h, and row r contributes q^{mr} S_r to the master
+series, where
+
+    S_r = 2^{nr} K^r A_r(P),     A_r(P) = sum_h a_{r,h} P^h.
+
+Once row r is solved, ``assemble`` forms S_r once, to index m(m-r): an
+integer combination of the columns P^h = b(2h, 0), then one truncated
+product with the column K^r = b(r, r).  The right-hand side of a later
+row i is minus the sum over r < i of the windows S_r[m(i-r) + l],
+l = 0..m-i.  So assembly reads the m+1 columns b(2h, 0) to index m^2,
+the columns b(r, r) to index m(m-r), and the heads b(i+2h, i) to index
+m-i that the diagonal solve reads: ~3m^3/2 coefficients plus the
+heads, in ~m^5 multiply-adds, where one full column per point took
+~m^4/3 coefficients and ~m^6/8.  ``solve_row`` builds the series of the
+prior rows itself, each only as long as row i needs.
 
 The diagonal blocks are solved in ints too, through a factorization
 B(i,i) = L U.  In b_l(u, v) a partition J of l contributes a term of
@@ -66,12 +82,23 @@ is then forward substitution with an exact division by (-2n)^l per
 row, binomial back-substitution, and an exact division by 2^{ni}; every
 division asserts a zero remainder.
 
-The diagonal of L is the product formula det B(i,i) = (-2n)^{(m+1-i)(m-i)/2}.
-That is why ``verify_block_determinants`` keeps computing determinants
-with ``Matrix.det`` by rational elimination: reading them off L would
-make the check its own oracle.  ``row2_pipeline`` likewise keeps
-``Matrix.solve``, so it compares assembly against an independent
-elimination.
+The checks stay independent of the row series:
+
+* ``verify_block_determinants`` reads the B(i,i) heads and computes the
+  determinants with ``Matrix.det`` by rational elimination.  The
+  diagonal of L is the product formula det B(i,i) =
+  (-2n)^{(m+1-i)(m-i)/2}, so reading it off L would make the check its
+  own oracle.
+* ``verify_global_vanish`` recomputes the master series from the
+  matrix entries alone and groups the sum the other way,
+  sum_h P^h D_h with D_h = sum_i 2^{ni} a_{i,h} q^{mi} K^i, extending
+  the columns b(2h, 0) and b(i, i) to its order.  It never sees
+  assembly's S_r, so a fault in them cannot cancel out.
+* ``row2_pipeline`` (theorem52) builds whole blocks from the direct
+  columns b(r+2h, r) and solves them with ``Matrix.solve``, an
+  independent elimination.
+
+``block`` and ``qseries.xy_normalized_lemma`` read direct columns too.
 """
 
 from dataclasses import dataclass
@@ -156,9 +183,6 @@ class ModularMatrix:
         if any(not isinstance(x, int) for r in self.entries for x in r):
             raise ValueError("entries must be plain integers")
 
-    def entry(self, i, h):
-        return self.entries[i][h]
-
     def with_entry(self, i, h, value):
         """Copy with one entry replaced (used by negative-control checks)."""
         grid = [list(r) for r in self.entries]
@@ -224,28 +248,54 @@ def solve_row(params, i, prior, table=None):
 
     ``prior`` holds the already-determined heads: prior[0] is the full
     row 0 (length m+1), prior[r] has length m+1-r.  The right-hand side
-    -sum_r 2^{nr} B(i,r) a'_r is accumulated in ints from the table
-    columns, and 2^{ni} B(i,i) a'_i = rhs is solved in ints through
-    B(i,i) = L U (see the module docstring).  Returns a tuple of ints;
-    a non-integral solution raises ``IntegralityError``, a block without
-    the factorization raises ``FactorizationError``.
+    is read off the row series S_r of the prior rows (see the module
+    docstring), each built only as far as row i needs, and
+    2^{ni} B(i,i) a'_i = rhs is solved in ints through B(i,i) = L U.
+    Returns a tuple of ints; a non-integral solution raises
+    ``IntegralityError``, a block without the factorization raises
+    ``FactorizationError``.
     """
-    m, n = params.m, params.n
+    m = params.m
     if not 1 <= i <= m:
         raise ValueError("row index i must satisfy 1 <= i <= m")
     if len(prior) != i:
         raise ValueError("need exactly the %d previously solved rows" % i)
     table = _table_for(params, table)
+    series = [
+        _row_series(params, r, head, table, m * (i - r) + m - i)
+        for r, head in enumerate(prior)
+    ]
+    return _solve_from_series(params, i, series, table)
+
+
+def _truncated_product(a, b, top):
+    """Coefficients 0..top of the product of the series a and b (int lists)."""
+    reverse = b[top::-1]  # b_top, ..., b_0
+    return [sum(map(mul, a, reverse[top - t :])) for t in range(top + 1)]
+
+
+def _row_series(params, r, head, table, top):
+    """S_r = 2^{nr} K^r A_r(P) to index top, from the head of row r."""
+    weight = 2 ** (params.n * r)
+    series = [0] * (top + 1)
+    for h, a in enumerate(head):
+        if a:
+            coef = weight * a
+            power = table.column(2 * h, 0, top)
+            series = [acc + coef * b for acc, b in zip(series, power)]
+    if r:  # K^0 = b(0, 0) = 1
+        series = _truncated_product(table.column(r, r, top), series, top)
+    return series
+
+
+def _solve_from_series(params, i, series, table):
+    """Row i's head, with the right-hand side read off S_0..S_{i-1}."""
+    m = params.m
     size = m - i + 1
     rhs = [0] * size
     for r in range(i):
-        weight = 2 ** (n * r)
         shift = m * (i - r)
-        for h, a in enumerate(prior[r]):
-            if a:
-                coef = weight * a
-                column = table.column(r + 2 * h, r, shift + size - 1)
-                rhs = [acc - coef * b for acc, b in zip(rhs, column[shift : shift + size])]
+        rhs = [acc - b for acc, b in zip(rhs, series[r][shift : shift + size])]
     return _solve_diagonal(params, i, rhs, table)
 
 
@@ -305,22 +355,20 @@ def _solve_diagonal(params, i, rhs, table):
 def assemble(p, table=None):
     """Build the full matrix A_p, asserting integrality of every entry.
 
-    ``table`` may be the prime's shared b-table; its columns are grown
-    to index m(m-r), the longest any row's system reads.
+    ``table`` may be the prime's shared b-table.  Each row's series S_r
+    is formed once, right after the row is solved, and every later
+    right-hand side is read off it (see the module docstring).
     """
     params = params_for(p)
     m = params.m
     table = _table_for(params, table)
-    # grow each column once to its final length instead of row by row
-    for r in range(m + 1):
-        for h in range(m - r + 1):
-            table.column(r + 2 * h, r, m * (m - r))
     grid = [row0(m)]
-    prior = [grid[0]]
+    series = [_row_series(params, 0, grid[0], table, m * m)]
     for i in range(1, m + 1):
-        head = solve_row(params, i, prior, table)
-        prior.append(head)
+        head = _solve_from_series(params, i, series, table)
         grid.append(head + (0,) * i)
+        if i < m:
+            series.append(_row_series(params, i, head, table, m * (m - i)))
     return ModularMatrix(params, tuple(grid))
 
 
@@ -435,26 +483,28 @@ def verify_global_vanish(matrix, order=None, table=None):
     equations no solve ever used, so it also exercises the zero triangle
     and the trailing padding.  The order must be at least m^2 (the
     largest index any solve touched); the default adds 2m surplus
-    equations on top.  ``table`` may be the prime's shared b-table; its
-    columns are extended to the order.
+    equations on top.  The sum is grouped by column, sum_h P^h D_h
+    (see the module docstring), and reads only ``matrix.entries`` and
+    the columns b(2h, 0) and b(i, i), which it extends to the order;
+    ``table`` may be the prime's shared b-table.
     """
     params = matrix.params
     m, n = params.m, params.n
     order = global_order(params, order)
     table = _table_for(params, table)
     acc = [0] * (order + 1)
-    for i in range(m + 1):
-        top = order - m * i
-        weight = 2 ** (n * i)
-        base = m * i
-        for h in range(m + 1):
+    for h in range(m + 1):
+        # D_h = sum_i 2^{ni} a_{i,h} q^{mi} K^i, then acc += P^h D_h
+        d = [0] * (order + 1)
+        for i in range(m + 1):
             a = matrix.entries[i][h]
-            if a == 0:
-                continue
-            coef = weight * a
-            column = table.column(i + 2 * h, i, top)
-            for l in range(top + 1):
-                acc[base + l] += coef * column[l]
+            if a:
+                coef = 2 ** (n * i) * a
+                base = m * i
+                power = table.column(i, i, order - base)
+                d[base:] = [x + coef * b for x, b in zip(d[base:], power)]
+        product = _truncated_product(table.column(2 * h, 0, order), d, order)
+        acc = [x + y for x, y in zip(acc, product)]
     bad = next(((t, c) for t, c in enumerate(acc) if c != 0), None)
     details = {"order": order}
     if bad is not None:

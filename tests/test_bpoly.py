@@ -259,6 +259,28 @@ def test_table_matches_b_eval_at_integer_points(p, r, h, l):
     assert table.column(r + 2 * h, r, l)[l] == b_eval(table.bc, l, r + 2 * h, r)
 
 
+def _truncated_convolution(a, b, top):
+    return [sum(a[j] * b[t - j] for j in range(t + 1)) for t in range(top + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(ODD_PRIMES), r=st.integers(0, 12), h=st.integers(0, 12))
+def test_columns_factor_as_k_power_times_p_power(p, r, h):
+    # the weights are linear in (u, v), so b(r+2h, r) = b(r, r) b(2h, 0) = K^r P^h
+    table = _prime_table(p)
+    product = _truncated_convolution(table.column(r, r, 40), table.column(2 * h, 0, 40), 40)
+    assert product == table.column(r + 2 * h, r, 40)[:41]
+
+
+@pytest.mark.parametrize("p", [23, 11, 13])  # n = 1, 2, 4
+def test_table_v0_branch_matches_b_series(p):
+    # at v = 0 the table skips the even-k weights; grow each column in two steps
+    table = _prime_table(p)
+    for h in (0, 1, 2, 5):
+        assert table.column(2 * h, 0, 7) == b_series(table.bc, 7, 2 * h, 0)
+        assert table.column(2 * h, 0, 60) == b_series(table.bc, 60, 2 * h, 0)
+
+
 def test_table_grows_columns_in_place():
     table = _prime_table(13)
     short = table.column(5, 1, 4)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -276,16 +277,30 @@ def column_lengths(table):
     return {key: len(column) for key, column in table._columns.items()}
 
 
+def factored_layout(m, power_top, kernel_top):
+    """Column lengths of the factored route for one prime.
+
+    The columns P^h = b(2h, 0) reach index power_top, each K^r = b(r, r)
+    reaches kernel_top(r), and the B(i,i) heads b(i+2h, i), h >= 1,
+    reach index m-i.  No other point has a column.
+    """
+    layout = {(2 * h, 0): power_top + 1 for h in range(m + 1)}
+    layout.update({(r, r): kernel_top(r) + 1 for r in range(1, m + 1)})
+    layout.update(
+        {(i + 2 * h, i): m - i + 1 for i in range(1, m + 1) for h in range(1, m - i + 1)}
+    )
+    return layout
+
+
 def test_verify_order_grows_the_shared_table(tables, capsys):
     code, out, _ = run(capsys, "verify", "13", "--order", "300")
     assert code == 0
     assert "global: PASS" in out and "dets: PASS" in out
     assert len(tables) == 1
     m = 7
-    lengths = column_lengths(tables[0])
-    for r in range(m + 1):
-        for h in range(m - r + 1):
-            assert lengths[(r + 2 * h, r)] == 300 - m * r + 1
+    # global extends P^h to its order and K^i to order - m*i; dets reads the heads
+    expected = factored_layout(m, 300, lambda r: 300 - m * r)
+    assert column_lengths(tables[0]) == expected
 
 
 def test_verify_order_below_m_squared_builds_no_table(tables, capsys):
@@ -299,7 +314,28 @@ def test_verify_without_global_builds_only_what_assembly_needs(tables, capsys):
     code, _, _ = run(capsys, "verify", "13", "--checks", "symmetry")
     assert code == 0
     m = 7
-    expected = {
-        (r + 2 * h, r): m * (m - r) + 1 for r in range(m + 1) for h in range(m - r + 1)
-    }
+    # row r's series S_r runs to index m(m-r); K^m is only read as the
+    # one-entry head of B(m,m)
+    expected = factored_layout(m, m * m, lambda r: m * (m - r))
     assert column_lengths(tables[0]) == expected
+
+
+def test_matrix_refuses_oversize_prime_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matrix", "1000003")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: p = 1000003 has m = 250001, above --max-m 48;")
+    assert "Traceback" not in err
+
+
+def test_max_m_bounds_matrix_and_verify(tables, capsys):
+    code, out, err = run(capsys, "verify", "13", "--max-m", "6")
+    assert code == 2 and out == "" and tables == []
+    assert err.startswith("error: p = 13 has m = 7, above --max-m 6;")
+    code, _, _ = run(capsys, "matrix", "13", "--max-m", "6")
+    assert code == 2
+    code, out, _ = run(capsys, "matrix", "13", "--max-m", "7")
+    assert code == 0 and "-60980" in out
+    code, _, _ = run(capsys, "matrix", "5", "--max-m", "0")
+    assert code == 2

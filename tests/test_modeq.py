@@ -141,7 +141,7 @@ def test_solve_row_examples():
         assert all(type(x) is int for x in solved)
 
 
-# primes with m <= 15, so the rational elimination oracle stays cheap
+# the odd primes below 60: every n, and m up to 27 (p = 53)
 SMALL_PRIMES = [p for p in range(3, 60) if is_odd_prime(p)]
 assert {params_for(p).n for p in SMALL_PRIMES} == {1, 2, 4}
 
@@ -190,6 +190,34 @@ def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
     rhs = [0] * (params.m - i + 1)
     with pytest.raises(FactorizationError, match=r"B\(%d,%d\) of A_%d: row l=%d " % (i, i, p, l)):
         _solve_diagonal(params, i, rhs, table)
+
+
+def _direct_route(p):
+    """A_p with every right-hand side summed from the per-(r+2h, r) columns.
+
+    This is the route without the K^r P^h factorization: one table
+    column for each point (r+2h, r), read as far as row i needs.
+    """
+    params = params_for(p)
+    m, n = params.m, params.n
+    table = b_table(params)
+    grid = [row0(m)]
+    for i in range(1, m + 1):
+        size = m - i + 1
+        rhs = [0] * size
+        for r in range(i):
+            shift = m * (i - r)
+            for h in range(m - r + 1):
+                column = table.column(r + 2 * h, r, shift + size - 1)
+                for l in range(size):
+                    rhs[l] -= 2 ** (n * r) * grid[r][h] * column[shift + l]
+        grid.append(_solve_diagonal(params, i, rhs, table) + (0,) * i)
+    return tuple(grid)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_assemble_matches_the_direct_column_route(p):
+    assert assemble(p).entries == _direct_route(p)
 
 
 def test_solve_row_needs_prior_rows():
@@ -262,10 +290,24 @@ def test_global_vanish_rejects_small_order():
 
 
 def test_global_vanish_detects_perturbation_with_index():
-    bad = assemble(5).with_entry(3, 3, 5)  # deep in the zero triangle
-    result = verify_global_vanish(bad)
-    assert not result.passed
-    assert result.details["first_nonzero"]["power"] >= 0
+    # a_{i,h} += delta adds delta 2^{ni} q^{mi} K^i P^h to a series that
+    # vanishes through the order, and K^i P^h starts with 1
+    cases = {
+        5: [(3, 3, 5)],  # deep in the zero triangle
+        13: [(0, 0, 1), (1, 3, -2), (3, 5, 7), (7, 0, 1), (7, 7, -3)],
+        17: [(2, 2, 5), (4, 6, -1), (9, 0, 3)],
+    }
+    for p, perturbations in cases.items():
+        matrix = assemble(p)
+        m, n = matrix.params.m, matrix.params.n
+        for i, h, delta in perturbations:
+            bad = matrix.with_entry(i, h, matrix.entries[i][h] + delta)
+            result = verify_global_vanish(bad)
+            assert not result.passed
+            assert result.details["first_nonzero"] == {
+                "power": m * i,
+                "coefficient": str(2 ** (n * i) * delta),
+            }, (p, i, h)
 
 
 def test_row1_stats_matches_assembled_row():
