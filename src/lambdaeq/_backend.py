@@ -1,18 +1,22 @@
 """Exact rational scalar backend.
 
-The whole mathematical core works over exact rationals; no float ever
-enters.  Two interchangeable scalar implementations are supported:
+The hot paths (the b-table, the row solves, assembly, the global check
+and the q-series ring on integral input) run on plain ints.  Exact
+rationals are left in the alpha weights, ``p_poly``/``c_coeff``,
+``b_series``/``b_eval``, ``Matrix.det``/``solve`` and ``Series`` with a
+non-unit constant term; no float ever enters.  Two interchangeable
+scalar implementations are supported:
 
 * ``gmpy2.mpq`` -- GMP-backed rationals from a compiled extension,
 * ``fractions.Fraction`` -- the pure-Python stdlib fallback.
 
 The choice is made once, at import time: gmpy2 when it is installed,
 the stdlib otherwise.  Setting ``LAMBDAEQ_BACKEND=fractions`` (or
-``gmpy2``) in the environment forces a backend, which is what
-``benchmarks/backend_bench.py`` uses to time one against the other.
-Both types normalize eagerly, parse ``"3/4"`` strings, interoperate
-with plain ints, and agree that ``0**0 == 1``, so everything downstream
-is written against ordinary arithmetic on ``rational`` values.
+``gmpy2``) in the environment forces a backend, for instance to time
+one against the other.  Both types normalize eagerly, parse ``"3/4"``
+strings, interoperate with plain ints, and agree that ``0**0 == 1``, so
+everything downstream is written against ordinary arithmetic on
+``rational`` values.
 """
 
 import os

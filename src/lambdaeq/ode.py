@@ -13,6 +13,8 @@ denominators), so the identity becomes the polynomial q-series statement
 
 Only this cleared form is checked: it needs no Laurent series for the
 valuation -2 quotients, and every coefficient comparison is exact.  The
+lambda expansion has integer coefficients and the cleared form has no
+division, so the whole residual is computed on plain ints.  The
 same identity rescaled by 3/2-powers is the familiar Schwarzian-style
 normalization 3 (f''/f'^2)^2 - 2 f'''/f'^3 = (1 - f + f^2)/(f^2(1-f)^2);
 verifying one form verifies the other.
@@ -44,7 +46,8 @@ def ode_residual(order, f=None):
     """Residual series of the cleared differential identity.
 
     ``f`` defaults to the lambda expansion through the given order;
-    passing any other series (say 2*lambda) gives the negative control.
+    passing any other series (say 2*lambda) gives the negative control;
+    a series with rational coefficients gives a rational residual.
     The residual's own truncation order is the certified range: the
     valuation-aware products typically push it beyond the input order.
     """

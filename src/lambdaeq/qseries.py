@@ -1,7 +1,10 @@
-"""Truncated formal power series in q over exact rationals.
+"""Truncated formal power series in q with exact coefficients.
 
 A ``Series`` stores coefficients c_0..c_T; terms beyond q^T are unknown
-(not zero).  Every operation records how far its output can be trusted:
+(not zero).  Coefficients are plain ints when the input is integral:
+products accumulate in ints, and the inverse of a series with constant
+term +-1 stays integral.  Only a non-unit constant term brings in exact
+rationals.  Every operation records how far its output can be trusted:
 sums keep the smaller order, while products use valuations, so that a
 product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
@@ -24,8 +27,11 @@ forms gives
 
 since (p+1)/8 = m/n makes the q-power exponent ni(p+1)/8 = mi.  That
 product is the brute-force oracle; the same series has coefficient
-b_l(i+2h, i) at q^l, which is the production route.
+b_l(i+2h, i) at q^l, which is the production route.  Every Euler product
+has constant term 1, so lambda, 1 - lambda and the oracle run on ints.
 """
+
+from operator import mul
 
 from ._backend import rational
 from .arith import alpha_context
@@ -46,7 +52,11 @@ def _is_scalar(x):
 
 
 class Series:
-    """Truncated power series with exact rational coefficients."""
+    """Truncated power series with int coefficients, or exact rationals.
+
+    Integral input gives integral output for every operation except the
+    inverse of a series whose constant term is not +-1.
+    """
 
     __slots__ = ("coeffs", "order")
 
@@ -97,11 +107,6 @@ class Series:
                 return (k, c)
         return None
 
-    def truncated(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return Series(self.coeffs[: order + 1], order)
-
     def __neg__(self):
         return Series([-c for c in self.coeffs], self.order)
 
@@ -133,12 +138,11 @@ class Series:
         for t in range(order + 1):
             lo = max(va, t - other.order)
             hi = min(self.order, t - vb)
-            acc = rational(0)
-            for i in range(lo, hi + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * b[t - i]
-            out.append(acc)
+            if lo > hi:  # t below a valuation: b[t - hi :] would wrap around
+                out.append(0)
+            else:
+                terms = map(mul, a[lo : hi + 1], reversed(b[t - hi : t - lo + 1]))
+                out.append(sum(terms))
         return Series(out, order)
 
     __rmul__ = __mul__
@@ -159,50 +163,20 @@ class Series:
         return result
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
+        """Multiplicative inverse; the constant term must be nonzero.
+
+        A unit constant term (+1 or -1) is its own inverse, so an integral
+        series has an integral inverse; any other constant makes it rational.
+        """
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
-        inv0 = rational(1) / c0
+        inv0 = c0 if c0 in (1, -1) else rational(1) / c0
         a = self.coeffs
         b = [inv0]
         for k in range(1, self.order + 1):
-            acc = rational(0)
-            for i in range(1, k + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * b[k - i]
-            b.append(-acc * inv0)
+            b.append(-sum(map(mul, a[1 : k + 1], reversed(b))) * inv0)
         return Series(b, self.order)
-
-    def exp(self):
-        """Series exponential; the constant term must be zero."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs a series with zero constant term")
-        g = self.coeffs
-        f = [rational(1)]
-        for l in range(1, self.order + 1):
-            acc = rational(0)
-            for k in range(1, l + 1):
-                gk = g[k]
-                if gk:
-                    acc += k * gk * f[l - k]
-            f.append(acc / l)
-        return Series(f, self.order)
-
-    def scale_q(self, a):
-        """Substitute q -> q^a (integer a >= 1).
-
-        Coefficients between known multiples of a are exactly zero, so the
-        result is valid through a*(order+1) - 1.
-        """
-        if not isinstance(a, int) or a < 1:
-            raise ValueError("scale_q needs an integer a >= 1")
-        order = a * (self.order + 1) - 1
-        out = [0] * (order + 1)
-        for k, c in enumerate(self.coeffs):
-            out[a * k] = c
-        return Series(out, order)
 
     def shift(self, k):
         """Multiply by q^k (integer k >= 0); validity extends to order + k."""
