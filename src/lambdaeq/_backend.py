@@ -1,7 +1,8 @@
 """Exact rational scalar backend.
 
-The hot paths (the b-table, the row solves, assembly, the global check
-and the q-series ring on integral input) run on plain ints.  Exact
+The hot paths (the b-table, the row solves, assembly, the global and
+determinant checks, and the q-series ring on integral input) run on
+plain ints.  Exact
 rationals are left in the alpha weights, ``p_poly``/``c_coeff``,
 ``b_series``/``b_eval``, ``Matrix.det``/``solve`` and ``Series`` with a
 non-unit constant term; no float ever enters.  Two interchangeable

@@ -32,6 +32,7 @@ from operator import index, mul
 
 from ._backend import rational
 from .arith import AlphaContext, k_alpha
+from .exact import IntegralityError
 from .partitions import partitions_of
 
 __all__ = [
@@ -49,10 +50,6 @@ __all__ = [
 # p(30) = 5604 partitions is still cheap to enumerate; beyond that the
 # recurrence is the only sensible route.
 ENUMERATION_THRESHOLD = 30
-
-
-class IntegralityError(ArithmeticError):
-    """A value that must be an integer was not (never expected)."""
 
 
 class BContext:

@@ -5,7 +5,9 @@ failed (a check reported FAIL, or an exact step such as an integrality
 or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
 input.  ``matrix`` and ``verify`` refuse primes whose m exceeds
 ``--max-m`` with exit 2 before any b-table work, since assembly time
-grows like m^5 bignum multiply-adds.  All configuration is by flags;
+grows like m^5 bignum multiply-adds; ``verify`` likewise refuses an
+``--order`` above ``MAX_ORDER`` (unless it is the default) and ``scan``
+a ``--max-p`` above ``MAX_SCAN_P``.  All configuration is by flags;
 the only state on disk is the optional matrix cache.  A cached matrix
 is re-checked for the two symmetries on load and recomputed if they
 fail; nothing else about it is re-checked.
@@ -49,6 +51,18 @@ EXIT_BAD_INPUT = 2
 # under a minute on a 2-core VM (see README), so larger m needs an
 # explicit --max-m.
 DEFAULT_MAX_M = 48
+
+# Past the default order the global check runs ~(m+1) order^2 bignum
+# multiply-adds; at order 2500 the costliest admitted m is 48, whose
+# default order is 2400, so no admitted order costs much more than a
+# full verify at m = 48 (see README).  The default order m^2 + 2m is
+# always admitted: --max-m already bounds it.
+MAX_ORDER = 2500
+
+# scan solves one row-1 block per odd prime, ~m^3 work with m up to
+# (p+1)/2, so its time grows like max-p^4; --max-p 400 took 28 s on a
+# 2-core VM (see README).
+MAX_SCAN_P = 400
 
 
 def _rational_arg(text):
@@ -94,7 +108,12 @@ def _build_parser():
         help="comma list from: symmetry,rowsums,dets,theorem52,global "
         "(default: all applicable)",
     )
-    p_verify.add_argument("--order", type=int, help="q-order for the global check")
+    p_verify.add_argument(
+        "--order",
+        type=int,
+        help="q-order for the global check (default m^2+2m; at most %d otherwise)"
+        % MAX_ORDER,
+    )
     _add_max_m(p_verify)
 
     p_series = sub.add_parser("series", help="print exact q-expansions")
@@ -125,7 +144,7 @@ def _build_parser():
     p_ode.add_argument("--order", type=int, default=50)
 
     p_scan = sub.add_parser("scan", help="row-1 moment identities for all odd primes <= max-p")
-    p_scan.add_argument("--max-p", type=int, required=True)
+    p_scan.add_argument("--max-p", type=int, required=True, help="at most %d" % MAX_SCAN_P)
 
     return parser
 
@@ -186,6 +205,17 @@ def _sized_params(args):
     return params
 
 
+def _sized_order(params, order):
+    """The global check's order; one above MAX_ORDER and the default is refused."""
+    order = global_order(params, order)
+    if order > max(MAX_ORDER, global_order(params)):
+        raise ValueError(
+            "--order %d is above the budget %d; the global check grows like "
+            "(m+1) order^2 bignum multiply-adds" % (order, MAX_ORDER)
+        )
+    return order
+
+
 def _cmd_matrix(args):
     _sized_params(args)
     matrix = None
@@ -229,7 +259,7 @@ def _cmd_verify(args):
         if params.m == 3:
             selected.append("theorem52")
     # validated before any b-table work
-    order = global_order(params, args.order) if "global" in selected else None
+    order = _sized_order(params, args.order) if "global" in selected else None
 
     # one b-table for every check: assembly grows its columns, global
     # extends them to its order, and dets reads their heads
@@ -316,6 +346,11 @@ def _cmd_ode_check(args):
 def _cmd_scan(args):
     if args.max_p < 3:
         raise ValueError("--max-p must be at least 3")
+    if args.max_p > MAX_SCAN_P:
+        raise ValueError(
+            "--max-p %d is above the budget %d; scan time grows like max-p^4"
+            % (args.max_p, MAX_SCAN_P)
+        )
     failures = 0
     for p in range(3, args.max_p + 1, 2):
         if not is_odd_prime(p):

@@ -84,16 +84,24 @@ division asserts a zero remainder.
 
 The checks stay independent of the row series:
 
-* ``verify_block_determinants`` reads the B(i,i) heads and computes the
-  determinants with ``Matrix.det`` by rational elimination.  The
-  diagonal of L is the product formula det B(i,i) =
-  (-2n)^{(m+1-i)(m-i)/2}, so reading it off L would make the check its
-  own oracle.
+* ``verify_block_determinants`` reads each B(i,i) as an int grid from
+  the heads b(i+2h, i) and computes its determinant by fraction-free
+  Bareiss elimination (``exact.integer_det``), every division an exact
+  ``divmod``.  That is generic elimination: it never reads L or its
+  diagonal, which is the product formula det B(i,i) =
+  (-2n)^{(m+1-i)(m-i)/2} itself, so the check is not its own oracle.
 * ``verify_global_vanish`` recomputes the master series from the
-  matrix entries alone and groups the sum the other way,
-  sum_h P^h D_h with D_h = sum_i 2^{ni} a_{i,h} q^{mi} K^i, extending
-  the columns b(2h, 0) and b(i, i) to its order.  It never sees
-  assembly's S_r, so a fault in them cannot cancel out.
+  matrix entries alone, by Horner's rule in 2^n q^m K:
+
+      F = sum_i (2^n q^m K)^i A_i(P),
+      acc = A_m(P);  acc = A_i(P) + 2^n q^m K acc  for i = m-1..0,
+
+  with the step at row i truncated to index order - m i.  Each step is
+  an integer combination of the columns P^h = b(2h, 0) plus one
+  truncated product with the single column K = b(1, 1), of length
+  order - m(i+1): ~m^5/6 multiply-adds, and no column b(i, i) with
+  i >= 2.  It never sees assembly's S_r, which put K^r in front of each
+  row separately, so a fault in them cannot cancel out.
 * ``row2_pipeline`` (theorem52) builds whole blocks from the direct
   columns b(r+2h, r) and solves them with ``Matrix.solve``, an
   independent elimination.
@@ -107,8 +115,8 @@ from operator import mul
 
 from ._backend import rational
 from .arith import alpha_context, is_odd_prime
-from .bpoly import BContext, BTable, IntegralityError, p_poly
-from .exact import Matrix, binomial
+from .bpoly import BContext, BTable, p_poly
+from .exact import IntegralityError, Matrix, binomial, integer_det
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -453,14 +461,18 @@ def verify_row_moments(matrix):
 def verify_block_determinants(params, table=None):
     """det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} for every 1 <= i <= m.
 
-    The determinants come from ``Matrix.det``, independent of how the
-    rows are solved; ``table`` may be the prime's shared b-table.
+    Each block is read as an int grid from the table columns
+    b(i+2h, i) and its determinant taken by Bareiss elimination
+    (``integer_det``), independent of how the rows are solved;
+    ``table`` may be the prime's shared b-table.
     """
     m, n = params.m, params.n
     table = _table_for(params, table)
     per_block = []
     for i in range(1, m + 1):
-        d = block(params, i, i, table).det()
+        size = m - i + 1
+        columns = [table.column(i + 2 * h, i, m - i)[:size] for h in range(size)]
+        d = integer_det(zip(*columns))
         expected = (-2 * n) ** (((m + 1 - i) * (m - i)) // 2)
         per_block.append({"i": i, "det": str(d), "expected": str(expected), "ok": d == expected})
     return CheckResult("dets", all(b["ok"] for b in per_block), {"blocks": per_block})
@@ -483,28 +495,31 @@ def verify_global_vanish(matrix, order=None, table=None):
     equations no solve ever used, so it also exercises the zero triangle
     and the trailing padding.  The order must be at least m^2 (the
     largest index any solve touched); the default adds 2m surplus
-    equations on top.  The sum is grouped by column, sum_h P^h D_h
-    (see the module docstring), and reads only ``matrix.entries`` and
-    the columns b(2h, 0) and b(i, i), which it extends to the order;
-    ``table`` may be the prime's shared b-table.
+    equations on top.  The sum is evaluated by Horner's rule in
+    2^n q^m K (see the module docstring) and reads only
+    ``matrix.entries`` and the columns b(2h, 0) and K = b(1, 1), which
+    it extends to the order and to order - m; ``table`` may be the
+    prime's shared b-table.
     """
     params = matrix.params
     m, n = params.m, params.n
     order = global_order(params, order)
     table = _table_for(params, table)
-    acc = [0] * (order + 1)
-    for h in range(m + 1):
-        # D_h = sum_i 2^{ni} a_{i,h} q^{mi} K^i, then acc += P^h D_h
-        d = [0] * (order + 1)
-        for i in range(m + 1):
-            a = matrix.entries[i][h]
+    kernel = table.column(1, 1, order - m)
+    weight = 2 ** n
+    acc = None
+    for i in range(m, -1, -1):
+        # acc = A_i(P) + 2^n q^m K acc, to index order - m*i
+        top = order - m * i
+        series = [0] * (top + 1)
+        for h, a in enumerate(matrix.entries[i]):
             if a:
-                coef = 2 ** (n * i) * a
-                base = m * i
-                power = table.column(i, i, order - base)
-                d[base:] = [x + coef * b for x, b in zip(d[base:], power)]
-        product = _truncated_product(table.column(2 * h, 0, order), d, order)
-        acc = [x + y for x, y in zip(acc, product)]
+                power = table.column(2 * h, 0, top)
+                series = [x + a * b for x, b in zip(series, power)]
+        if acc is not None:
+            product = _truncated_product(kernel, acc, top - m)
+            series[m:] = [x + weight * y for x, y in zip(series[m:], product)]
+        acc = series
     bad = next(((t, c) for t, c in enumerate(acc) if c != 0), None)
     details = {"order": order}
     if bad is not None:

@@ -298,8 +298,9 @@ def test_verify_order_grows_the_shared_table(tables, capsys):
     assert "global: PASS" in out and "dets: PASS" in out
     assert len(tables) == 1
     m = 7
-    # global extends P^h to its order and K^i to order - m*i; dets reads the heads
-    expected = factored_layout(m, 300, lambda r: 300 - m * r)
+    # global extends P^h to its order and K = b(1, 1) to order - m; every
+    # other b(r, r) stays at assembly's m(m-r), and dets reads the heads
+    expected = factored_layout(m, 300, lambda r: 300 - m if r == 1 else m * (m - r))
     assert column_lengths(tables[0]) == expected
 
 
@@ -339,3 +340,49 @@ def test_max_m_bounds_matrix_and_verify(tables, capsys):
     assert code == 0 and "-60980" in out
     code, _, _ = run(capsys, "matrix", "5", "--max-m", "0")
     assert code == 2
+
+
+def test_verify_refuses_an_oversize_order_at_once(tables, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "5", "--checks", "global", "--order", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == "" and tables == []
+    assert err.startswith("error: --order 1000000 is above the budget 2500;")
+    assert "Traceback" not in err
+
+
+def test_order_budget_bounds_only_an_explicit_order(tables, monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    # p = 5 has m = 3, so its default order is m^2 + 2m = 15
+    monkeypatch.setattr(cli, "MAX_ORDER", 20)
+    code, out, err = run(capsys, "verify", "5", "--checks", "global", "--order", "21")
+    assert code == 2 and out == "" and tables == []
+    assert err.startswith("error: --order 21 is above the budget 20;")
+    code, out, _ = run(capsys, "verify", "5", "--checks", "global", "--order", "20")
+    assert code == 0 and "global: PASS" in out
+    # the default order is always admitted, spelled out or not
+    monkeypatch.setattr(cli, "MAX_ORDER", 10)
+    for extra in ([], ["--order", "15"]):
+        code, out, _ = run(capsys, "verify", "5", "--checks", "global", *extra)
+        assert code == 0 and "global: PASS" in out
+    # without the global check the order is never read
+    code, _, _ = run(capsys, "verify", "5", "--checks", "symmetry", "--order", "21")
+    assert code == 0
+
+
+def test_scan_refuses_an_oversize_range_at_once(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--max-p", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: --max-p 1000000 is above the budget 400;")
+    assert "Traceback" not in err
+    monkeypatch.setattr(cli, "MAX_SCAN_P", 43)
+    code, out, err = run(capsys, "scan", "--max-p", "47")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --max-p 47 is above the budget 43;")
+    code, out, _ = run(capsys, "scan", "--max-p", "43")
+    assert code == 0 and "hold for every prime" in out

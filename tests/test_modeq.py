@@ -6,6 +6,7 @@ entry for entry, and every structural check must hold on them.
 """
 
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -279,6 +280,16 @@ def test_block_determinant_lemma_small():
     assert blocks[-1]["det"] == "1"
 
 
+@pytest.mark.parametrize("p, i, h, l", [(5, 1, 2, 1), (13, 1, 0, 3), (13, 3, 2, 4), (17, 6, 1, 2)])
+def test_block_determinants_flag_a_corrupted_head_column(p, i, h, l):
+    params = params_for(p)
+    table = b_table(params)
+    table.column(i + 2 * h, i, params.m - i)[l] += 1  # the table's own list
+    result = verify_block_determinants(params, table)
+    assert not result.passed
+    assert [b["i"] for b in result.details["blocks"] if not b["ok"]] == [i]
+
+
 def test_global_vanish_a5():
     result = verify_global_vanish(assemble(5), 15)
     assert result.passed
@@ -308,6 +319,84 @@ def test_global_vanish_detects_perturbation_with_index():
                 "power": m * i,
                 "coefficient": str(2 ** (n * i) * delta),
             }, (p, i, h)
+
+
+@lru_cache(maxsize=None)
+def _assembled(p):
+    return assemble(p)
+
+
+@lru_cache(maxsize=None)
+def _tables(p):
+    """Two b-tables per prime, shared across examples: (global's, the direct route's)."""
+    return b_table(params_for(p)), b_table(params_for(p))
+
+
+def _direct_master_series(matrix, order):
+    """sum_{i,h} 2^{ni} a_{i,h} q^{mi} b(i+2h, i) through q^order.
+
+    One direct table column per nonzero entry, with no K^r P^h
+    factorization and no regrouping: the master series as the module
+    docstring first writes it.
+    """
+    m, n = matrix.params.m, matrix.params.n
+    table = _tables(matrix.params.p)[1]
+    total = [0] * (order + 1)
+    for i, row in enumerate(matrix.entries):
+        top = order - m * i
+        for h, a in enumerate(row):
+            if a:
+                column = table.column(i + 2 * h, i, top)
+                coef = 2 ** (n * i) * a
+                for t in range(top + 1):
+                    total[m * i + t] += coef * column[t]
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_global_first_nonzero_matches_the_direct_column_sum(data):
+    p = data.draw(st.sampled_from(SMALL_PRIMES), label="p")
+    matrix = _assembled(p)
+    m = matrix.params.m
+    index = st.integers(0, m)
+    delta = st.integers(-50, 50).filter(bool)
+    perturbations = data.draw(
+        st.lists(st.tuples(index, index, delta), min_size=1, max_size=3), label="perturbations"
+    )
+    if data.draw(st.booleans(), label="cancel"):
+        # a partner in the same row cancels the leading 2^{ni} delta, so the
+        # first nonzero coefficient moves past q^{mi} into the columns' tails
+        i, h, d = perturbations[0]
+        perturbations.append((i, data.draw(index.filter(lambda x: x != h), label="h'"), -d))
+    bad = matrix
+    for i, h, d in perturbations:
+        bad = bad.with_entry(i, h, bad.entries[i][h] + d)
+    order = m * m + data.draw(st.integers(0, 2 * m), label="order - m^2")
+    result = verify_global_vanish(bad, order, _tables(p)[0])
+    reported = result.details.get("first_nonzero")
+    # the direct columns need only reach the reported power
+    top = reported["power"] if reported else order
+    direct = _direct_master_series(bad, top)
+    power = next((t for t, c in enumerate(direct) if c), None)
+    if reported is None:
+        assert power is None
+    else:
+        assert reported == {"power": power, "coefficient": str(direct[power])}
+
+
+def test_global_checks_the_coefficient_at_the_order_itself():
+    # a_{m,h} += 1 first shows at q^{m^2}, the lowest order global accepts
+    for p in (3, 5, 13, 17):
+        matrix = assemble(p)
+        m, n = matrix.params.m, matrix.params.n
+        for h in (0, m):
+            bad = matrix.with_entry(m, h, matrix.entries[m][h] + 1)
+            result = verify_global_vanish(bad, m * m)
+            assert result.details["first_nonzero"] == {
+                "power": m * m,
+                "coefficient": str(2 ** (n * m)),
+            }, (p, h)
 
 
 def test_row1_stats_matches_assembled_row():
