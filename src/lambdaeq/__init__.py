@@ -3,14 +3,14 @@
 For any odd prime p, with (p+1)/8 = m/n in lowest terms, the package
 constructs the (m+1) x (m+1) integer matrix of the polynomial relation
 between X = (lambda(t) lambda(pt))^{n/8} and
-Y = ((1-lambda(t)) (1-lambda(pt)))^{n/8}, entirely in exact rational
-arithmetic, and verifies every structural identity along the way: the
+Y = ((1-lambda(t)) (1-lambda(pt)))^{n/8}, entirely in exact arithmetic
+(plain ints on every hot path, ``fractions.Fraction`` where a value is
+not integral), and verifies every structural identity along the way: the
 partition expansion of the q-series coefficients, block determinants,
 row-moment formulas, the emergent symmetries of the matrix, and the
 nonlinear differential equation satisfied by lambda itself.
 """
 
-from ._backend import BACKEND, rational
 from .arith import AlphaContext, alpha_context, is_odd_prime, k_alpha, sigma1
 from .bpoly import (
     ENUMERATION_THRESHOLD,
@@ -22,11 +22,10 @@ from .bpoly import (
     c_coeff,
     p_poly,
 )
-from .exact import Matrix, SingularMatrixError, binomial, factorial
+from .exact import IntegralityError, Matrix, SingularMatrixError, binomial, factorial
 from .modeq import (
     CheckResult,
     FactorizationError,
-    IntegralityError,
     ModularMatrix,
     PrimeParams,
     Row1Stats,
@@ -51,7 +50,7 @@ from .modeq import (
     verify_symmetry,
 )
 from .ode import OdeResidual, ode_residual
-from .partitions import Partition, odd_partitions_of, partitions_of
+from .partitions import Partition, partitions_of
 from .qseries import (
     Series,
     euler_product,

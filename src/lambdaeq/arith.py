@@ -10,10 +10,9 @@ in this package.  For gcd(k, 2p) = 1 it collapses to sigma_1(k)/k, and
 it is multiplicative in k.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
-
-from ._backend import rational
 
 __all__ = ["AlphaContext", "alpha_context", "is_odd_prime", "k_alpha", "sigma1"]
 
@@ -22,7 +21,7 @@ def sigma1(x):
     """Sum of divisors of x when x is a positive integer, else 0.
 
     The zero convention at non-integral rationals is what makes the
-    six-term alpha/beta combinations total functions.
+    six-term alpha combination a total function.
     """
     if isinstance(x, float):
         raise TypeError("sigma1 is exact; floats are not accepted")
@@ -67,16 +66,15 @@ def k_alpha(p, k):
 
 
 class AlphaContext:
-    """The weight functions alpha_p, beta_p, gamma_{p,i,h} for a fixed odd prime."""
+    """The weight function alpha_p and partition weights W_p for a fixed odd prime."""
 
-    __slots__ = ("p", "_alpha", "_beta")
+    __slots__ = ("p", "_alpha")
 
     def __init__(self, p):
         if not is_odd_prime(p):
             raise ValueError("p must be an odd prime, got %r" % (p,))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_alpha", {})
-        object.__setattr__(self, "_beta", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("AlphaContext is immutable")
@@ -88,7 +86,7 @@ class AlphaContext:
         # sigma_1(k/d) / (k/d), zero unless d divides k
         if k % d:
             return 0
-        return rational(sigma1(k // d) * d, k)
+        return Fraction(sigma1(k // d) * d, k)
 
     def alpha(self, k):
         """alpha_p(k) = s(k) - 3 s(k/2) + 2 s(k/4) + s(k/p) - 3 s(k/2p) + 2 s(k/4p)
@@ -101,7 +99,7 @@ class AlphaContext:
         cached = self._alpha.get(k)
         if cached is None:
             p = self.p
-            cached = rational(
+            cached = Fraction(
                 self._term(k, 1)
                 - 3 * self._term(k, 2)
                 + 2 * self._term(k, 4)
@@ -112,36 +110,9 @@ class AlphaContext:
             self._alpha[k] = cached
         return cached
 
-    def beta(self, k):
-        """beta_p(k) = 2 s(k) - 3 s(k/2) + s(k/4) + 2 s(k/p) - 3 s(k/2p) + s(k/4p).
-
-        For odd p this works out to 2 alpha_p(k) at odd k and 0 at even k;
-        the six-term form is evaluated directly so that identity stays a
-        testable fact rather than a built-in assumption.
-        """
-        if k < 1:
-            raise ValueError("beta is defined for k >= 1")
-        cached = self._beta.get(k)
-        if cached is None:
-            p = self.p
-            cached = rational(
-                2 * self._term(k, 1)
-                - 3 * self._term(k, 2)
-                + self._term(k, 4)
-                + 2 * self._term(k, p)
-                - 3 * self._term(k, 2 * p)
-                + self._term(k, 4 * p)
-            )
-            self._beta[k] = cached
-        return cached
-
-    def gamma(self, i, h, k):
-        """gamma_{p,i,h}(k) = i alpha_p(k) + h beta_p(k)."""
-        return i * self.alpha(k) + h * self.beta(k)
-
     def partition_weight(self, partition):
         """W_p(J) = prod over parts k of alpha_p(k)^{j_k} / j_k!."""
-        w = rational(1)
+        w = Fraction(1)
         for k, j in partition.items():
             w *= self.alpha(k) ** j
             w /= factorial(j)

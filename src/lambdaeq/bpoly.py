@@ -26,11 +26,11 @@ Production code reads ``BTable`` columns; ``b_series`` serves the CLI at
 rational points.  Tests pin the three routes against each other.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import index, mul
 
-from ._backend import rational
 from .arith import AlphaContext, k_alpha
 from .exact import IntegralityError
 from .partitions import partitions_of
@@ -39,7 +39,6 @@ __all__ = [
     "ENUMERATION_THRESHOLD",
     "BContext",
     "BTable",
-    "IntegralityError",
     "b_eval",
     "b_series",
     "binomial_moment",
@@ -82,7 +81,7 @@ def b_eval(bc, l, u, v, threshold=ENUMERATION_THRESHOLD):
         raise ValueError(
             "l=%d exceeds the enumeration threshold %d; use b_series" % (l, threshold)
         )
-    total = rational(0)
+    total = Fraction(0)
     n = bc.n
     for part in partitions_of(l):
         term = (-n) ** part.norm * bc.alpha.partition_weight(part)
@@ -103,14 +102,14 @@ def b_series(bc, max_l, u, v):
     alpha = bc.alpha.alpha
     n = bc.n
     # w[k] = -n * k * g(k); zero factors (u or v zero) are skipped below.
-    w = [rational(0)] * (max_l + 1)
+    w = [Fraction(0)] * (max_l + 1)
     for k in range(1, max_l + 1):
         scale = u if k % 2 else v
         if scale:
             w[k] = -n * k * scale * alpha(k)
-    b = [rational(1)]
+    b = [Fraction(1)]
     for l in range(1, max_l + 1):
-        acc = rational(0)
+        acc = Fraction(0)
         for k in range(1, l + 1):
             wk = w[k]
             if wk:
@@ -195,10 +194,10 @@ def p_poly(s, m):
     if s < 0 or m < 0:
         raise ValueError("p_poly needs s >= 0 and m >= 0")
     if s == 0:
-        return rational(1)
+        return Fraction(1)
     if m == 0:
-        return rational(0)
-    return rational(m, m + s) * (p_poly(s - 1, m) + p_poly(s, m - 1))
+        return Fraction(0)
+    return Fraction(m, m + s) * (p_poly(s - 1, m) + p_poly(s, m - 1))
 
 
 @lru_cache(maxsize=None)
@@ -212,10 +211,10 @@ def c_coeff(s, r):
     if s < 0 or r < 0:
         raise ValueError("c_coeff needs s >= 0 and r >= 0")
     if s == 0 and r == 0:
-        return rational(1)
+        return Fraction(1)
     if r == 0 or r > s:
-        return rational(0)
-    return rational(r, s + r) * (c_coeff(s - 1, r - 1) + c_coeff(s - 1, r))
+        return Fraction(0)
+    return Fraction(r, s + r) * (c_coeff(s - 1, r - 1) + c_coeff(s - 1, r))
 
 
 def binomial_moment(N, m):

@@ -6,8 +6,9 @@ or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
 input.  ``matrix`` and ``verify`` refuse primes whose m exceeds
 ``--max-m`` with exit 2 before any b-table work, since assembly time
 grows like m^5 bignum multiply-adds; ``verify`` likewise refuses an
-``--order`` above ``MAX_ORDER`` (unless it is the default) and ``scan``
-a ``--max-p`` above ``MAX_SCAN_P``.  All configuration is by flags;
+``--order`` above ``MAX_ORDER`` (unless it is the default), ``scan``
+a ``--max-p`` above ``MAX_SCAN_P`` and ``pvals`` an s + m above
+``MAX_PVALS_SUM``.  All configuration is by flags;
 the only state on disk is the optional matrix cache.  A cached matrix
 is re-checked for the two symmetries on load and recomputed if they
 fail; nothing else about it is re-checked.
@@ -17,8 +18,8 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
-from ._backend import BACKEND, rational
 from .arith import alpha_context, is_odd_prime
 from .bpoly import BContext, b_eval, b_series, p_poly
 from .modeq import (
@@ -64,10 +65,17 @@ MAX_ORDER = 2500
 # 2-core VM (see README).
 MAX_SCAN_P = 400
 
+# p_poly(s, m) recurses ~2(s+m) frames deep; under Python's default
+# recursion limit of 1000 it fails from s + m ~ 497 at the command line
+# and from ~477 under pytest's deeper stack.  s + m <= 400 leaves ~150
+# frames of margin, and p_poly(200, 200), the costliest admitted pair,
+# takes 0.6-0.9 s on a 2-core VM.
+MAX_PVALS_SUM = 400
+
 
 def _rational_arg(text):
     try:
-        return rational(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError):
         raise argparse.ArgumentTypeError("not an exact rational: %r" % (text,))
 
@@ -86,8 +94,7 @@ def _add_max_m(parser):
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lambdaeq",
-        description="Exact modular-equation matrices for the modular lambda function "
-        "(rational backend: %s)" % BACKEND,
+        description="Exact modular-equation matrices for the modular lambda function",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -138,7 +145,7 @@ def _build_parser():
 
     p_pvals = sub.add_parser("pvals", help="evaluate the moment polynomial P_s(m)")
     p_pvals.add_argument("s", type=int)
-    p_pvals.add_argument("m", type=int)
+    p_pvals.add_argument("m", type=int, help="at most %d - s" % MAX_PVALS_SUM)
 
     p_ode = sub.add_parser("ode-check", help="verify the lambda differential equation")
     p_ode.add_argument("--order", type=int, default=50)
@@ -262,7 +269,8 @@ def _cmd_verify(args):
     order = _sized_order(params, args.order) if "global" in selected else None
 
     # one b-table for every check: assembly grows its columns, global
-    # extends them to its order, and dets reads their heads
+    # extends them to its order, dets reads their heads, and the m = 3
+    # checks read direct columns from it
     table = b_table(params)
     matrix = assemble(args.p, table)
     results = []
@@ -278,7 +286,11 @@ def _cmd_verify(args):
             results.append(verify_global_vanish(matrix, order, table))
         elif name == "theorem52":
             results.extend(
-                (closed_form_row1(args.p), row2_pipeline(args.p), bordered_determinant(args.p))
+                (
+                    closed_form_row1(matrix),
+                    row2_pipeline(matrix, table),
+                    bordered_determinant(args.p, table),
+                )
             )
     for res in results:
         _print_check(res)
@@ -326,6 +338,11 @@ def _cmd_alpha(args):
 
 
 def _cmd_pvals(args):
+    if args.s + args.m > MAX_PVALS_SUM:
+        raise ValueError(
+            "s + m = %d is above the budget %d; P_s(m) recurses about 2(s+m) "
+            "frames deep" % (args.s + args.m, MAX_PVALS_SUM)
+        )
     print(p_poly(args.s, args.m))
     return EXIT_OK
 

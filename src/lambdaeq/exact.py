@@ -5,12 +5,11 @@ arithmetic.  ``integer_det`` takes the determinant of an int grid
 without leaving the integers, by fraction-free (Bareiss) elimination.
 Pivoting picks the first nonzero entry in column order: exact
 arithmetic needs no numerical pivoting, and a fixed rule keeps every
-intermediate value reproducible across runs and backends.
+intermediate value reproducible across runs.
 """
 
+from fractions import Fraction
 from math import comb, factorial
-
-from ._backend import rational
 
 __all__ = [
     "IntegralityError",
@@ -85,7 +84,7 @@ class Matrix:
         # tuple() of a list allocates at the final size; tuple() of a
         # generator resizes, which moves the block to another size's
         # free list and slowly inflates memory over many builds
-        grid = tuple([tuple([rational(x) for x in row]) for row in entries])
+        grid = tuple([tuple([Fraction(x) for x in row]) for row in entries])
         if not grid or not grid[0]:
             raise ValueError("matrix needs at least one row and one column")
         width = len(grid[0])
@@ -116,7 +115,7 @@ class Matrix:
         if len(v) != self.cols:
             raise ValueError("vector length %d != column count %d" % (len(v), self.cols))
         return tuple(
-            sum((a * x for a, x in zip(row, v)), rational(0)) for row in self.entries
+            sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self.entries
         )
 
     def det(self):
@@ -126,11 +125,11 @@ class Matrix:
         n = self.rows
         a = [list(row) for row in self.entries]
         sign = 1
-        result = rational(1)
+        result = Fraction(1)
         for c in range(n):
             pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
             if pivot_row is None:
-                return rational(0)
+                return Fraction(0)
             if pivot_row != c:
                 a[c], a[pivot_row] = a[pivot_row], a[c]
                 sign = -sign
@@ -153,7 +152,7 @@ class Matrix:
         n = self.rows
         if len(rhs) != n:
             raise ValueError("right-hand side length %d != %d" % (len(rhs), n))
-        a = [list(row) + [rational(b)] for row, b in zip(self.entries, rhs)]
+        a = [list(row) + [Fraction(b)] for row, b in zip(self.entries, rhs)]
         for c in range(n):
             pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
             if pivot_row is None:
@@ -169,7 +168,7 @@ class Matrix:
                 row, top = a[r], a[c]
                 for k in range(c + 1, n + 1):
                     row[k] -= f * top[k]
-        x = [rational(0)] * n
+        x = [Fraction(0)] * n
         for r in range(n - 1, -1, -1):
             acc = a[r][n]
             row = a[r]

@@ -104,16 +104,16 @@ The checks stay independent of the row series:
   row separately, so a fault in them cannot cancel out.
 * ``row2_pipeline`` (theorem52) builds whole blocks from the direct
   columns b(r+2h, r) and solves them with ``Matrix.solve``, an
-  independent elimination.
+  independent elimination, then compares its row 2 with the matrix.
 
 ``block`` and ``qseries.xy_normalized_lemma`` read direct columns too.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from ._backend import rational
 from .arith import alpha_context, is_odd_prime
 from .bpoly import BContext, BTable, p_poly
 from .exact import IntegralityError, Matrix, binomial, integer_det
@@ -122,7 +122,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CheckResult",
     "FactorizationError",
-    "IntegralityError",
     "ModularMatrix",
     "PrimeParams",
     "Row1Stats",
@@ -416,12 +415,12 @@ def _row1_moment_expectations(params):
     """
     m, n = params.m, params.n
     ctx = alpha_context(params.p)
-    two = rational(2)
+    two = Fraction(2)
     first = -(n ** m) * two ** (m - n)
     second = -(n ** m) * two ** (m + 1 - n) * p_poly(1, m)
     lead = -(n ** m) * two ** (m + 3 - n) * p_poly(2, m)
-    mid = rational(n) ** (m - 1) * two ** (m + 1 - n) * ctx.alpha(2)
-    tail = rational(n) ** (m - 2) * two ** (m + 1 - n) * m * ctx.alpha(3)
+    mid = Fraction(n) ** (m - 1) * two ** (m + 1 - n) * ctx.alpha(2)
+    tail = Fraction(n) ** (m - 2) * two ** (m + 1 - n) * m * ctx.alpha(3)
     third = lead - mid - tail
     third_alternate = lead + mid - tail
     return first, second, third, third_alternate
@@ -559,26 +558,26 @@ def _require_m3(params, what):
         raise ValueError("%s is stated for m = 3 only (p in {5, 11, 23})" % what)
 
 
-def closed_form_row1(p):
+def closed_form_row1(matrix):
     """Closed-form expressions for a_{1,0}, a_{1,1}, a_{1,2} when m = 3.
 
-    As stated, the three expressions evaluate to the negatives of the
-    solved entries; the check accepts that global sign flip and records
-    it in the report.
+    The expressions are compared with row 1 of ``matrix``.  As stated,
+    they evaluate to the negatives of the solved entries; the check
+    accepts that global sign flip and records it in the report.
     """
-    params = params_for(p)
+    params = matrix.params
     _require_m3(params, "closed_form_row1")
     m, n = params.m, params.n
-    ctx = alpha_context(p)
+    ctx = alpha_context(params.p)
     a2, a3 = ctx.alpha(2), ctx.alpha(3)
     p1, p2 = p_poly(1, m), p_poly(2, m)
-    prefactor = rational(2) ** (m - n - 3) * rational(n) ** (m - 2)
+    prefactor = Fraction(2) ** (m - n - 3) * Fraction(n) ** (m - 2)
     expressions = (
         prefactor * (2 * n * a2 + 2 * m * a3 + n * n * (15 - 16 * p1 + 8 * p2)),
         prefactor * (-4 * n * a2 - 4 * m * a3 - 2 * n * n * (5 - 12 * p1 + 8 * p2)),
         prefactor * (2 * n * a2 + 2 * m * a3 + n * n * (3 - 8 * p1 + 8 * p2)),
     )
-    row = row1_stats(params).row
+    row = matrix.entries[1]
     entries = []
     ok = True
     for h, expr in enumerate(expressions):
@@ -591,20 +590,21 @@ def closed_form_row1(p):
     return CheckResult("row1-closed-forms", ok, details)
 
 
-def row2_pipeline(p):
-    """Determine row 2 from row-1 data alone, for m = 3.
+def row2_pipeline(matrix, table=None):
+    """Determine row 2 from row-1 data alone, for m = 3, and compare with ``matrix``.
 
     Solves 2^{2n} B(2,2) a'_2 = R with
     R = B(2,1) B(1,1)^{-1} B(1,0) a_0 - B(2,0) a_0, whose first
     coordinate vanishes when m = 3.  Writing C for the second
     coordinate, the solved entries satisfy a_{2,1} = -a_{2,0} and
     C = 2n * 2^{2n} * a_{2,0}; the simpler claim C = 2^{2n} a_{2,0}
-    misses the 2n factor and is recorded as such.
+    misses the 2n factor and is recorded as such.  ``table`` may be the
+    prime's shared b-table.
     """
-    params = params_for(p)
+    params = matrix.params
     _require_m3(params, "row2_pipeline")
     n = params.n
-    table = b_table(params)
+    table = _table_for(params, table)
     a0 = row0(params.m)
     v = block(params, 1, 0, table).mul_vec(a0)
     w = block(params, 1, 1, table).solve(v)
@@ -616,7 +616,7 @@ def row2_pipeline(p):
     head = block(params, 2, 2, table).solve(residual)
     scale = 2 ** (2 * n)
     a20, a21 = (x / scale for x in head)
-    reference = assemble(p, table).entries[2]
+    reference = matrix.entries[2]
     ok = (
         first_zero
         and a21 == -a20
@@ -634,16 +634,17 @@ def row2_pipeline(p):
     return CheckResult("row2-pipeline", ok, details)
 
 
-def bordered_determinant(p):
+def bordered_determinant(p, table=None):
     """The 3x3 determinant certifying a_{1,m} = 0 when m = 3.
 
     Columns are (b_l(3,1)), (b_l(5,1)) and (B(1,0) a_0)_l for l = 0..2;
-    the determinant must equal m (-2n)^3 2^n.
+    the determinant must equal m (-2n)^3 2^n.  ``table`` may be the
+    prime's shared b-table.
     """
     params = params_for(p)
     _require_m3(params, "bordered_determinant")
     m, n = params.m, params.n
-    table = b_table(params)
+    table = _table_for(params, table)
     col_a = table.column(3, 1, 2)
     col_b = table.column(5, 1, 2)
     col_c = block(params, 1, 0, table).mul_vec(row0(m))

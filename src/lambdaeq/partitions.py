@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-__all__ = ["Partition", "partitions_of", "odd_partitions_of"]
+__all__ = ["Partition", "partitions_of"]
 
 
 class Partition:
@@ -21,13 +21,6 @@ class Partition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
-
-    @classmethod
-    def from_parts(cls, parts):
-        return cls(Counter(parts))
-
-    def multiplicity(self, k):
-        return self._mult.get(k, 0)
 
     def items(self):
         """(part, multiplicity) pairs, parts ascending."""
@@ -63,7 +56,10 @@ class Partition:
         return "Partition(%r)" % (self._mult,)
 
 
-def _generate(n, step_down):
+def partitions_of(n):
+    """All partitions of n, ordered by descending largest part, recursively."""
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
     out = []
     parts = []
 
@@ -71,28 +67,10 @@ def _generate(n, step_down):
         if remaining == 0:
             out.append(Partition(Counter(parts)))
             return
-        for k in step_down(min(largest, remaining)):
+        for k in range(min(largest, remaining), 0, -1):
             parts.append(k)
             rec(remaining - k, k)
             parts.pop()
 
     rec(n, n)
     return out
-
-
-def partitions_of(n):
-    """All partitions of n, ordered by descending largest part, recursively."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-    return _generate(n, lambda top: range(top, 0, -1))
-
-
-def odd_partitions_of(n):
-    """All partitions of n into odd parts, in the partitions_of order."""
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
-
-    def odd_down(top):
-        return range(top if top % 2 else top - 1, 0, -2)
-
-    return _generate(n, odd_down)

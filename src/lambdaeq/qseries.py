@@ -31,9 +31,9 @@ b_l(i+2h, i) at q^l, which is the production route.  Every Euler product
 has constant term 1, so lambda, 1 - lambda and the oracle run on ints.
 """
 
+from fractions import Fraction
 from operator import mul
 
-from ._backend import rational
 from .arith import alpha_context
 from .bpoly import BContext, BTable
 
@@ -171,7 +171,7 @@ class Series:
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
-        inv0 = c0 if c0 in (1, -1) else rational(1) / c0
+        inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
         a = self.coeffs
         b = [inv0]
         for k in range(1, self.order + 1):

@@ -1,4 +1,4 @@
-"""Tests for divisor sums and the alpha/beta/gamma weight functions."""
+"""Tests for divisor sums, the alpha weights and the partition weights."""
 
 from fractions import Fraction
 from math import gcd
@@ -6,7 +6,6 @@ from math import gcd
 import pytest
 
 from lambdaeq import AlphaContext, Partition, alpha_context, is_odd_prime, k_alpha, sigma1
-from lambdaeq._backend import rational
 
 
 def brute_sigma1(n):
@@ -48,13 +47,13 @@ def test_alpha_fixed_values():
     for p in (3, 5, 7, 11, 13):
         ctx = alpha_context(p)
         assert ctx.alpha(1) == 1
-        assert ctx.alpha(2) == rational(-3, 2)
-        assert ctx.alpha(4) == rational(-3, 4)
+        assert ctx.alpha(2) == Fraction(-3, 2)
+        assert ctx.alpha(4) == Fraction(-3, 4)
         if p != 3:
-            assert ctx.alpha(3) == rational(4, 3)
+            assert ctx.alpha(3) == Fraction(4, 3)
         if p != 5:
-            assert ctx.alpha(5) == rational(6, 5)
-    assert alpha_context(5).alpha(5) == rational(11, 5)
+            assert ctx.alpha(5) == Fraction(6, 5)
+    assert alpha_context(5).alpha(5) == Fraction(11, 5)
 
 
 def test_alpha_coprime_to_2p_is_normalized_divisor_sum():
@@ -62,13 +61,13 @@ def test_alpha_coprime_to_2p_is_normalized_divisor_sum():
         ctx = alpha_context(p)
         for k in range(1, 201):
             if gcd(k, 2 * p) == 1:
-                assert ctx.alpha(k) == rational(sigma1(k), k)
+                assert ctx.alpha(k) == Fraction(sigma1(k), k)
 
 
 def test_alpha_hand_value_and_multiplicativity_at_10():
     ctx = alpha_context(5)
     # k=10: s(10) - 3 s(5) + s(2) - 3 s(1) = 9/5 - 18/5 + 3/2 - 3
-    assert ctx.alpha(10) == rational(-33, 10)
+    assert ctx.alpha(10) == Fraction(-33, 10)
     assert ctx.alpha(10) == ctx.alpha(2) * ctx.alpha(5)
 
 
@@ -81,53 +80,21 @@ def test_alpha_multiplicative():
                     assert ctx.alpha(a * b) == ctx.alpha(a) * ctx.alpha(b)
 
 
-def test_beta_examples():
-    assert alpha_context(5).beta(3) == rational(8, 3)
-    assert alpha_context(5).beta(2) == 0
-    assert alpha_context(7).beta(1) == 2
-
-
-def test_beta_reduces_to_alpha():
-    # the six-term form must collapse to 2*alpha at odd k and 0 at even k
-    for p in (3, 5, 13):
-        ctx = alpha_context(p)
-        for k in range(1, 201):
-            if k % 2:
-                assert ctx.beta(k) == 2 * ctx.alpha(k)
-            else:
-                assert ctx.beta(k) == 0
-
-
-def test_gamma():
-    ctx5 = alpha_context(5)
-    assert ctx5.gamma(1, 2, 3) == rational(20, 3)
-    assert ctx5.gamma(2, 1, 2) == -3
-    for p in (3, 7):
-        ctx = alpha_context(p)
-        for k in range(1, 51):
-            assert ctx.gamma(1, 0, k) == ctx.alpha(k)
-            for i, h in ((2, 3), (0, 1), (4, 4)):
-                expected = (i + 2 * h if k % 2 else i) * ctx.alpha(k)
-                assert ctx.gamma(i, h, k) == expected
-
-
 def test_partition_weight():
     ctx = alpha_context(5)
     assert ctx.partition_weight(Partition()) == 1
-    assert ctx.partition_weight(Partition({3: 2})) == rational(8, 9)
+    assert ctx.partition_weight(Partition({3: 2})) == Fraction(8, 9)
     # alpha(1) = 1 so a block of l+m ones weighs 1/(l+m)!
     from math import factorial
 
     for size in (1, 4, 9):
-        assert ctx.partition_weight(Partition({1: size})) == rational(1, factorial(size))
+        assert ctx.partition_weight(Partition({1: size})) == Fraction(1, factorial(size))
 
 
-def test_alpha_beta_reject_nonpositive_k():
+def test_alpha_rejects_nonpositive_k():
     ctx = alpha_context(3)
     with pytest.raises(ValueError):
         ctx.alpha(0)
-    with pytest.raises(ValueError):
-        ctx.beta(-1)
 
 
 def test_k_alpha_is_k_times_alpha():

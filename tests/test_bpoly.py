@@ -30,7 +30,6 @@ from lambdaeq import (
     p_poly,
     partitions_of,
 )
-from lambdaeq._backend import rational
 
 PRIMES_WITH_N = [(3, 2), (5, 4), (7, 1), (11, 2), (13, 4), (23, 1)]
 
@@ -40,38 +39,38 @@ def closed_forms(ctx, n):
     a2, a3, a4 = ctx.alpha(2), ctx.alpha(3), ctx.alpha(4)
     a5, a7 = ctx.alpha(5), ctx.alpha(7)
     return {
-        0: lambda u, v: rational(1),
+        0: lambda u, v: Fraction(1),
         1: lambda u, v: -n * u,
-        2: lambda u, v: rational(n ** 2 * u ** 2, 2) - n * v * a2,
-        3: lambda u, v: -rational(n ** 3 * u ** 3, 6) + n ** 2 * u * v * a2 - n * u * a3,
+        2: lambda u, v: Fraction(n ** 2 * u ** 2, 2) - n * v * a2,
+        3: lambda u, v: -Fraction(n ** 3 * u ** 3, 6) + n ** 2 * u * v * a2 - n * u * a3,
         4: lambda u, v: (
-            rational(n ** 4 * u ** 4, 24)
-            - rational(n ** 3 * u ** 2 * v, 2) * a2
+            Fraction(n ** 4 * u ** 4, 24)
+            - Fraction(n ** 3 * u ** 2 * v, 2) * a2
             + n ** 2 * u ** 2 * a3
-            + rational(n ** 2 * v ** 2, 2) * a2 ** 2
+            + Fraction(n ** 2 * v ** 2, 2) * a2 ** 2
             - n * v * a4
         ),
         5: lambda u, v: (
-            -rational(n ** 5 * u ** 5, 120)
-            + rational(n ** 4 * u ** 3 * v, 6) * a2
-            - rational(n ** 3 * u ** 3, 2) * a3
-            - rational(n ** 3 * u * v ** 2, 2) * a2 ** 2
+            -Fraction(n ** 5 * u ** 5, 120)
+            + Fraction(n ** 4 * u ** 3 * v, 6) * a2
+            - Fraction(n ** 3 * u ** 3, 2) * a3
+            - Fraction(n ** 3 * u * v ** 2, 2) * a2 ** 2
             + n ** 2 * u * v * a4
             + n ** 2 * u * v * a3 * a2
             - n * u * a5
         ),
         # odd-only (v = 0) closed forms
         6: lambda u, v: (
-            rational(n ** 6 * u ** 6, 720)
-            + rational(n ** 4 * u ** 4, 6) * a3
-            + rational(n ** 2 * u ** 2, 2) * a3 ** 2
+            Fraction(n ** 6 * u ** 6, 720)
+            + Fraction(n ** 4 * u ** 4, 6) * a3
+            + Fraction(n ** 2 * u ** 2, 2) * a3 ** 2
             + n ** 2 * u ** 2 * a5
         ),
         7: lambda u, v: (
-            -rational(n ** 7 * u ** 7, 5040)
-            - rational(n ** 5 * u ** 5, 24) * a3
-            - rational(n ** 3 * u ** 3, 2) * a5
-            - rational(n ** 3 * u ** 3, 2) * a3 ** 2
+            -Fraction(n ** 7 * u ** 7, 5040)
+            - Fraction(n ** 5 * u ** 5, 24) * a3
+            - Fraction(n ** 3 * u ** 3, 2) * a5
+            - Fraction(n ** 3 * u ** 3, 2) * a3 ** 2
             - n * u * a7
         ),
     }
@@ -102,8 +101,8 @@ def test_closed_form_table_at_random_rational_points():
         bc = BContext(ctx, n)
         table = closed_forms(ctx, n)
         for _ in range(10):
-            u = rational(rng.randint(-9, 9), rng.randint(1, 5))
-            v = rational(rng.randint(-9, 9), rng.randint(1, 5))
+            u = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             for l in range(6):
                 assert b_eval(bc, l, u, v) == table[l](u, v), (p, l, u, v)
             for l in (6, 7):  # odd-only forms: second variable zero
@@ -140,7 +139,7 @@ def test_recurrence_matches_partition_sum_full_grid():
 def test_recurrence_matches_b_eval_directly():
     for p, n in ((3, 1), (5, 4), (13, 2)):
         bc = BContext(alpha_context(p), n)
-        for u, v in ((0, 0), (1, 1), (3, 1), (rational(5, 2), rational(-1, 3))):
+        for u, v in ((0, 0), (1, 1), (3, 1), (Fraction(5, 2), Fraction(-1, 3))):
             series = b_series(bc, 12, u, v)
             for l in range(13):
                 assert series[l] == b_eval(bc, l, u, v)
@@ -181,23 +180,23 @@ def test_bcontext_rejects_bad_n():
 def test_p_poly_base_cases():
     for m in range(11):
         assert p_poly(0, m) == 1
-    assert p_poly(1, 3) == rational(3, 2)
-    assert p_poly(2, 3) == rational(5, 4)
+    assert p_poly(1, 3) == Fraction(3, 2)
+    assert p_poly(2, 3) == Fraction(5, 4)
 
 
 def test_p_poly_closed_form_table():
     for m in range(1, 11):
-        assert p_poly(1, m) == rational(m, 2)
-        assert p_poly(2, m) == rational(m * (3 * m + 1), 24)
-        assert p_poly(3, m) == rational(m ** 2 * (m + 1), 48)
-        assert p_poly(4, m) == rational(
+        assert p_poly(1, m) == Fraction(m, 2)
+        assert p_poly(2, m) == Fraction(m * (3 * m + 1), 24)
+        assert p_poly(3, m) == Fraction(m ** 2 * (m + 1), 48)
+        assert p_poly(4, m) == Fraction(
             m * (-2 + 5 * m + 30 * m ** 2 + 15 * m ** 3), 8 * factorial(6)
         )
 
 
 def test_c_coeff_values():
     assert c_coeff(0, 0) == 1
-    assert c_coeff(1, 1) == rational(1, 2)
+    assert c_coeff(1, 1) == Fraction(1, 2)
     assert c_coeff(1, 0) == 0
     assert c_coeff(2, 3) == 0
 

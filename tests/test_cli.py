@@ -98,6 +98,34 @@ def test_verify_theorem_checks(capsys):
     assert "bordered-det: PASS" in out
 
 
+def test_verify_m3_builds_one_table_and_assembles_once(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
+    from lambdaeq import BTable
+
+    counts = {"tables": 0, "assemble": 0}
+    init = BTable.__init__
+    build = modeq.assemble
+
+    def counting_init(self, bc):
+        counts["tables"] += 1
+        init(self, bc)
+
+    def counting_assemble(*args, **kwargs):
+        counts["assemble"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(BTable, "__init__", counting_init)
+    monkeypatch.setattr(modeq, "assemble", counting_assemble)
+    monkeypatch.setattr(cli, "assemble", counting_assemble)
+    code, out, _ = run(capsys, "verify", "23")
+    assert code == 0
+    for name in ("symmetry", "rowsums", "dets", "global", "row1-closed-forms",
+                 "row2-pipeline", "bordered-det"):
+        assert "%s: PASS" % name in out
+    assert counts == {"tables": 1, "assemble": 1}
+
+
 def test_verify_theorem_checks_need_m3(capsys):
     code, _, err = run(capsys, "verify", "7", "--checks", "theorem52")
     assert code == 2
@@ -173,6 +201,22 @@ def test_pvals(capsys):
     code, out, _ = run(capsys, "pvals", "1", "3")
     assert code == 0
     assert out.strip() == "3/2"
+
+
+def test_pvals_budget_boundary(capsys):
+    import lambdaeq.cli as cli
+    from lambdaeq import p_poly
+
+    # a cold cache makes the admitted side recurse to its full depth
+    p_poly.cache_clear()
+    top = cli.MAX_PVALS_SUM
+    code, out, _ = run(capsys, "pvals", "1", str(top - 1))
+    assert code == 0 and out.strip() == "%d/2" % (top - 1)
+    for s, m in ((1, top), (1, 499)):
+        code, out, err = run(capsys, "pvals", str(s), str(m))
+        assert code == 2 and out == ""
+        assert err.startswith("error: s + m = %d is above the budget %d;" % (s + m, top))
+        assert "Traceback" not in err
 
 
 def test_ode_check(capsys):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from lambdaeq import IntegralityError, Matrix, SingularMatrixError, binomial, factorial
 from lambdaeq.exact import integer_det
-from lambdaeq._backend import rational
 
 
 def test_binomial_small_cases():
@@ -166,7 +165,7 @@ def test_solve_identity():
 
 def test_solve_diagonal():
     x = Matrix([[2, 0], [0, 4]]).solve([1, 1])
-    assert x == (rational(1, 2), rational(1, 4))
+    assert x == (Fraction(1, 2), Fraction(1, 4))
 
 
 def test_solve_residual_recomputation_oracle():

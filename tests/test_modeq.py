@@ -6,6 +6,7 @@ entry for entry, and every structural check must hold on them.
 """
 
 import json
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -40,7 +41,6 @@ from lambdaeq import (
     verify_row_moments,
     verify_symmetry,
 )
-from lambdaeq._backend import rational
 from lambdaeq.modeq import _solve_diagonal
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -410,7 +410,7 @@ def test_row1_stats_matches_assembled_row():
 
 def test_closed_form_row1_negates_entries():
     for p, values in ((5, (3, 26, 3)), (11, (3, 10, 3)), (23, (3, -2, 3))):
-        result = closed_form_row1(p)
+        result = closed_form_row1(assemble(p))
         assert result.passed
         assert result.details["sign_flipped"] is True
         got = tuple(int(e["expression"]) for e in result.details["entries"])
@@ -419,12 +419,12 @@ def test_closed_form_row1_negates_entries():
 
 def test_closed_form_row1_requires_m3():
     with pytest.raises(ValueError):
-        closed_form_row1(7)
+        closed_form_row1(assemble(7))
 
 
 def test_row2_pipeline():
     for p in (5, 11, 23):
-        result = row2_pipeline(p)
+        result = row2_pipeline(assemble(p))
         assert result.passed, result.details
         assert result.details["a20"] == "3" and result.details["a21"] == "-3"
         assert result.details["first_coordinate_zero"]
@@ -435,7 +435,39 @@ def test_row2_pipeline():
 def test_row2_pipeline_c_value_p23_hand_computation():
     # for p = 23: B(2,1) B(1,1)^{-1} B(1,0) a_0 = (-176, 408),
     # B(2,0) a_0 = (-176, 384), so C = 24 = 2n * 2^{2n} * a_{2,0}
-    assert row2_pipeline(23).details["C"] == "24"
+    assert row2_pipeline(assemble(23)).details["C"] == "24"
+
+
+def test_closed_form_row1_fails_on_a_perturbed_row1():
+    # the closed forms are compared with the matrix they are given, so a
+    # wrong a_{1,0} must fail even though the solve itself is sound
+    for p in (5, 11, 23):
+        matrix = assemble(p)
+        result = closed_form_row1(matrix.with_entry(1, 0, matrix.entries[1][0] + 1))
+        assert not result.passed
+        matches = [e["matches_negated_entry"] for e in result.details["entries"]]
+        assert matches == [False, True, True]
+
+
+def test_row2_pipeline_fails_on_a_perturbed_row2():
+    for p in (5, 11, 23):
+        matrix = assemble(p)
+        result = row2_pipeline(matrix.with_entry(2, 0, matrix.entries[2][0] + 1))
+        assert not result.passed
+        # the pipeline's own solve is unchanged; only the comparison fails
+        assert result.details["a20"] == "3" and result.details["a21"] == "-3"
+
+
+def test_m3_checks_share_the_verified_table():
+    params = params_for(23)
+    table = b_table(params)
+    matrix = assemble(23, table)
+    assert row2_pipeline(matrix, table) == row2_pipeline(matrix)
+    assert bordered_determinant(23, table) == bordered_determinant(23)
+    with pytest.raises(ValueError):
+        row2_pipeline(matrix, b_table(params_for(11)))
+    with pytest.raises(ValueError):
+        bordered_determinant(23, b_table(params_for(5)))
 
 
 def test_bordered_determinant_values():
@@ -461,7 +493,7 @@ def test_modular_matrix_validation():
     with pytest.raises(ValueError):
         ModularMatrix(params, ((1, 2), (3, 4)))
     with pytest.raises(ValueError):
-        ModularMatrix(params, tuple((rational(1),) * 4 for _ in range(4)))
+        ModularMatrix(params, tuple((Fraction(1),) * 4 for _ in range(4)))
 
 
 def test_serialization_round_trip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lambdaeq import Partition, odd_partitions_of, partitions_of
+from lambdaeq import Partition, partitions_of
 
 
 def partition_counts(limit):
@@ -56,7 +56,7 @@ def test_partition_validation():
 
 def test_partition_equality_and_hash():
     assert Partition({2: 1, 1: 2}) == Partition({1: 2, 2: 1})
-    assert hash(Partition({3: 2})) == hash(Partition.from_parts([3, 3]))
+    assert hash(Partition({3: 2, 1: 1})) == hash(Partition({1: 1, 3: 2}))
     assert Partition({1: 1}) != Partition({2: 1})
 
 
@@ -92,27 +92,6 @@ def test_enumerate_no_duplicates_and_correct_weight():
             assert j.norm == j.odd_count + j.even_count
 
 
-def test_odd_enumeration_examples():
-    got = odd_partitions_of(6)
-    assert len(got) == 4
-    assert set(got) == {
-        Partition({1: 6}),
-        Partition({1: 3, 3: 1}),
-        Partition({3: 2}),
-        Partition({1: 1, 5: 1}),
-    }
-    assert len(odd_partitions_of(7)) == 5
-    assert odd_partitions_of(1) == [Partition({1: 1})]
-
-
-def test_odd_enumeration_is_the_even_free_filter():
-    for n in range(41):
-        filtered = [j for j in partitions_of(n) if j.even_count == 0]
-        assert odd_partitions_of(n) == filtered
-
-
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         partitions_of(-1)
-    with pytest.raises(ValueError):
-        odd_partitions_of(-2)
