@@ -3,22 +3,27 @@
 Exit codes are stable across commands: 0 success, 1 a verification
 failed (a check reported FAIL, or an exact step such as an integrality
 or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
-input.  ``matrix`` and ``verify`` refuse primes whose m exceeds
-``--max-m`` with exit 2 before any b-table work, since assembly time
-grows like m^5 bignum multiply-adds; ``verify`` likewise refuses an
-``--order`` above ``MAX_ORDER`` (unless it is the default), ``scan``
-a ``--max-p`` above ``MAX_SCAN_P`` and ``pvals`` an s + m above
-``MAX_PVALS_SUM``.  All configuration is by flags;
-the only state on disk is the optional matrix cache.  A cached matrix
-is re-checked for the two symmetries on load and recomputed if they
-fail; nothing else about it is re-checked.
+input.  Every input whose cost grows without bound is refused with
+exit 2 before any work: ``matrix`` and ``verify`` refuse primes whose m
+exceeds ``--max-m`` (assembly time grows like m^5 bignum multiply-adds),
+and each other budget is a ``MAX_*`` constant below.  All configuration
+is by flags; the only state on disk is the optional matrix cache.  A
+cached matrix is re-checked for the two symmetries on load and
+recomputed if they fail; nothing else about it is re-checked.
+
+The argument parser is built once, at import, and is the only state
+this module keeps between ``main`` calls: each call parses into a fresh
+namespace.  Memoized math (``alpha_context``, ``p_poly``) lives in the
+library's functools caches, not here.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .arith import alpha_context, is_odd_prime
 from .bpoly import BContext, b_eval, b_series, p_poly
@@ -72,8 +77,35 @@ MAX_SCAN_P = 400
 # takes 0.6-0.9 s on a 2-core VM.
 MAX_PVALS_SUM = 400
 
+# Each budget below keeps the costliest admitted input within a few
+# seconds on a 2-core VM, timed as one CLI process each.
+
+# ode-check multiplies series of length order: --order 1000 took 1.8 s.
+MAX_ODE_ORDER = 1000
+
+# series lambda --order 2000 took 3.3 s; series xy at order 2000 with
+# i + h = 1000 took 1.3 s, and its coefficients lengthen with i + h.
+MAX_SERIES_ORDER = 2000
+MAX_XY_EXPONENT = 1000
+
+# bpoly runs the rational recurrence, ~l^2/2 Fraction products whose
+# numerators and denominators lengthen with l and with the size of u
+# and v: l = 200 with 32-bit numerators and denominators took 3.3 s,
+# l = 500 with one 32-bit fraction 44 s.
+MAX_BPOLY_L = 200
+MAX_BPOLY_BITS = 32
+
+# Primality (for the p of alpha, bpoly and series xy) and sigma_1 (for
+# the k of alpha) are trial division up to the square root: alpha at
+# k = 10^12 took 0.46 s, at p = 10^12 0.2 s.
+MAX_PRIME = 10**12
+MAX_ALPHA_K = 10**12
+
 
 def _rational_arg(text):
+    # Fraction("1e999999999") would build a power of ten with 10^9 digits
+    if "e" in text.lower():
+        raise argparse.ArgumentTypeError("not an exact rational a/b or decimal: %r" % (text,))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -128,32 +160,40 @@ def _build_parser():
     p_series.add_argument("--p", type=int)
     p_series.add_argument("--i", type=int, default=0)
     p_series.add_argument("--h", type=int, default=0)
-    p_series.add_argument("--order", type=int, required=True)
+    p_series.add_argument(
+        "--order", type=int, required=True, help="at most %d" % MAX_SERIES_ORDER
+    )
 
     p_bpoly = sub.add_parser("bpoly", help="evaluate b_l(u, v)")
     p_bpoly.add_argument("p", type=int)
-    p_bpoly.add_argument("l", type=int)
+    p_bpoly.add_argument("l", type=int, help="at most %d" % MAX_BPOLY_L)
     p_bpoly.add_argument("--u", type=_rational_arg, required=True)
     p_bpoly.add_argument("--v", type=_rational_arg, required=True)
     p_bpoly.add_argument(
         "--method", choices=("partition", "recurrence"), default="recurrence"
     )
+    # bpoly has no option that starts with a digit, so a space-separated
+    # negative rational such as "--v -1/3" is a value, not an option
+    p_bpoly._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_alpha = sub.add_parser("alpha", help="evaluate alpha_p(k)")
     p_alpha.add_argument("p", type=int)
-    p_alpha.add_argument("k", type=int)
+    p_alpha.add_argument("k", type=int, help="at most %d" % MAX_ALPHA_K)
 
     p_pvals = sub.add_parser("pvals", help="evaluate the moment polynomial P_s(m)")
     p_pvals.add_argument("s", type=int)
     p_pvals.add_argument("m", type=int, help="at most %d - s" % MAX_PVALS_SUM)
 
     p_ode = sub.add_parser("ode-check", help="verify the lambda differential equation")
-    p_ode.add_argument("--order", type=int, default=50)
+    p_ode.add_argument("--order", type=int, default=50, help="at most %d" % MAX_ODE_ORDER)
 
     p_scan = sub.add_parser("scan", help="row-1 moment identities for all odd primes <= max-p")
     p_scan.add_argument("--max-p", type=int, required=True, help="at most %d" % MAX_SCAN_P)
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _emit(text, out_path):
@@ -164,14 +204,13 @@ def _emit(text, out_path):
         print(text)
 
 
-def _format_matrix(matrix, fmt):
+def _format_matrix(matrix, fmt, checks):
     if fmt == "text":
         return render_text(matrix)
     if fmt == "typeset":
         return render_typeset(matrix)
     verification = {
-        res.name: {"passed": res.passed, "details": res.details}
-        for res in (verify_symmetry(matrix), verify_row_moments(matrix))
+        res.name: {"passed": res.passed, "details": res.details} for res in checks
     }
     return json.dumps(to_doc(matrix, verification), indent=2, sort_keys=True)
 
@@ -200,26 +239,41 @@ def _store_cached_matrix(path, matrix):
     os.replace(tmp, path)
 
 
+def _refuse_above(label, value, budget, why):
+    if value > budget:
+        raise ValueError("%s %d is above the budget %d; %s" % (label, value, budget, why))
+
+
+def _sized_prime(p):
+    _refuse_above("p =", p, MAX_PRIME, "primality is tested by trial division up to sqrt(p)")
+    return p
+
+
 def _sized_params(args):
-    """The prime's parameters; m above --max-m is refused before any table work."""
-    params = params_for(args.p)
-    if params.m > args.max_m:
-        raise ValueError(
-            "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
-            "(under a minute for m <= %d), so pass a larger --max-m to run it"
-            % (args.p, params.m, args.max_m, DEFAULT_MAX_M)
-        )
-    return params
+    """The prime's parameters; m above --max-m is refused before any work.
+
+    m is read off p + 1 before the primality test, which is trial
+    division up to sqrt(p) and would take minutes for p near 10^18.
+    """
+    p = args.p
+    if p > 2 and p % 2:
+        m = (p + 1) // gcd(p + 1, 8)
+        if m > args.max_m:
+            raise ValueError(
+                "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
+                "(under a minute for m <= %d), so pass a larger --max-m to run it"
+                % (p, m, args.max_m, DEFAULT_MAX_M)
+            )
+    return params_for(p)
 
 
 def _sized_order(params, order):
     """The global check's order; one above MAX_ORDER and the default is refused."""
     order = global_order(params, order)
-    if order > max(MAX_ORDER, global_order(params)):
-        raise ValueError(
-            "--order %d is above the budget %d; the global check grows like "
-            "(m+1) order^2 bignum multiply-adds" % (order, MAX_ORDER)
-        )
+    _refuse_above(
+        "--order", order, max(MAX_ORDER, global_order(params)),
+        "the global check grows like (m+1) order^2 bignum multiply-adds",
+    )
     return order
 
 
@@ -235,11 +289,12 @@ def _cmd_matrix(args):
         matrix = assemble(args.p)
         if cache_file:
             _store_cached_matrix(cache_file, matrix)
-    for check in (verify_symmetry(matrix), verify_row_moments(matrix)):
+    checks = (verify_symmetry(matrix), verify_row_moments(matrix))
+    for check in checks:
         if not check.passed:
             print("built-in verification failed: %s" % check.name, file=sys.stderr)
             return EXIT_CHECK_FAILED
-    _emit(_format_matrix(matrix, args.format), args.out)
+    _emit(_format_matrix(matrix, args.format, checks), args.out)
     return EXIT_OK
 
 
@@ -309,18 +364,34 @@ def _cmd_verify(args):
 
 
 def _cmd_series(args):
+    _refuse_above(
+        "--order", args.order, MAX_SERIES_ORDER,
+        "series products grow like order^2 bignum multiply-adds",
+    )
     if args.kind == "lambda":
         series = lambda_series(args.order)
     else:
         if args.p is None:
             raise ValueError("series xy needs --p")
-        params = params_for(args.p)
+        _refuse_above(
+            "i + h =", args.i + args.h, MAX_XY_EXPONENT,
+            "the coefficients of X^i Y^h lengthen with i + h",
+        )
+        params = params_for(_sized_prime(args.p))
         series = xy_normalized_lemma(params, args.i, args.h, args.order)
     print(series.to_text())
     return EXIT_OK
 
 
 def _cmd_bpoly(args):
+    _sized_prime(args.p)
+    _refuse_above("l =", args.l, MAX_BPOLY_L, "the recurrence runs ~l^2/2 rational products")
+    bits = max(abs(x).bit_length() for r in (args.u, args.v) for x in r.as_integer_ratio())
+    if bits > MAX_BPOLY_BITS:
+        raise ValueError(
+            "--u/--v have a %d-bit numerator or denominator, above the budget %d "
+            "bits; b_l is about l times as long" % (bits, MAX_BPOLY_BITS)
+        )
     bc = BContext(alpha_context(args.p), params_for(args.p).n)
     if args.method == "partition":
         value = b_eval(bc, args.l, args.u, args.v)
@@ -333,21 +404,24 @@ def _cmd_bpoly(args):
 def _cmd_alpha(args):
     if args.k < 1:
         raise ValueError("k must be >= 1")
-    print(alpha_context(args.p).alpha(args.k))
+    _refuse_above("k =", args.k, MAX_ALPHA_K, "sigma_1 is summed by trial division up to sqrt(k)")
+    print(alpha_context(_sized_prime(args.p)).alpha(args.k))
     return EXIT_OK
 
 
 def _cmd_pvals(args):
-    if args.s + args.m > MAX_PVALS_SUM:
-        raise ValueError(
-            "s + m = %d is above the budget %d; P_s(m) recurses about 2(s+m) "
-            "frames deep" % (args.s + args.m, MAX_PVALS_SUM)
-        )
+    _refuse_above(
+        "s + m =", args.s + args.m, MAX_PVALS_SUM, "P_s(m) recurses about 2(s+m) frames deep"
+    )
     print(p_poly(args.s, args.m))
     return EXIT_OK
 
 
 def _cmd_ode_check(args):
+    _refuse_above(
+        "--order", args.order, MAX_ODE_ORDER,
+        "the residual multiplies series of that length, ~order^2 bignum multiply-adds",
+    )
     result = ode_residual(args.order)
     if result.vanishes:
         print(
@@ -363,11 +437,7 @@ def _cmd_ode_check(args):
 def _cmd_scan(args):
     if args.max_p < 3:
         raise ValueError("--max-p must be at least 3")
-    if args.max_p > MAX_SCAN_P:
-        raise ValueError(
-            "--max-p %d is above the budget %d; scan time grows like max-p^4"
-            % (args.max_p, MAX_SCAN_P)
-        )
+    _refuse_above("--max-p", args.max_p, MAX_SCAN_P, "scan time grows like max-p^4")
     failures = 0
     for p in range(3, args.max_p + 1, 2):
         if not is_odd_prime(p):
@@ -400,7 +470,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:

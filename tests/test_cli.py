@@ -430,3 +430,194 @@ def test_scan_refuses_an_oversize_range_at_once(monkeypatch, capsys):
     assert err.startswith("error: --max-p 47 is above the budget 43;")
     code, out, _ = run(capsys, "scan", "--max-p", "43")
     assert code == 0 and "hold for every prime" in out
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (("alpha", "5", "12"), ("pvals", "3", "7"), ("matrix", "5"),
+                 ("series", "lambda", "--order", "5")):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+    assert built == []
+
+
+def test_no_parse_state_leaks_between_calls(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    code, out, _ = run(capsys, "matrix", "13", "--format", "structured")
+    assert code == 0 and json.loads(out)["p"] == 13
+    code, out, _ = run(capsys, "matrix", "13")
+    assert code == 0 and out.startswith("p = 13   m = 7   n = 4")
+
+    orders = []
+    check = cli.verify_global_vanish
+
+    def recording(matrix, order, table):
+        orders.append(order)
+        return check(matrix, order, table)
+
+    monkeypatch.setattr(cli, "verify_global_vanish", recording)
+    for extra in (["--order", "20"], []):
+        code, out, _ = run(capsys, "verify", "5", "--checks", "global", *extra)
+        assert code == 0 and "global: PASS" in out
+    assert orders == [20, 15]  # p = 5 has m = 3: default order m^2 + 2m
+
+    with pytest.raises(SystemExit) as exc:
+        main(["matrix", "--format", "nonsense", "13"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "alpha", "5", "5")
+    assert code == 0 and out.strip() == "11/5"
+
+
+# stdout of `matrix 13 --format structured`, fresh or from the cache
+STRUCTURED_13_SHA256 = "a9940500f5be0a100b205f487fb5bb6cf8647b864c82c67aa7f15d7d2dbdb49b"
+
+
+def test_structured_matrix_runs_each_builtin_check_once(tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    import lambdaeq.cli as cli
+
+    calls = {"symmetry": 0, "rowsums": 0}
+    symmetry, rowsums = cli.verify_symmetry, cli.verify_row_moments
+
+    def counting_symmetry(matrix):
+        calls["symmetry"] += 1
+        return symmetry(matrix)
+
+    def counting_rowsums(matrix):
+        calls["rowsums"] += 1
+        return rowsums(matrix)
+
+    monkeypatch.setattr(cli, "verify_symmetry", counting_symmetry)
+    monkeypatch.setattr(cli, "verify_row_moments", counting_rowsums)
+    cache = str(tmp_path / "cache")
+    for extra, loads in (([], 0), (["--cache-dir", cache], 0), (["--cache-dir", cache], 1)):
+        calls.update(symmetry=0, rowsums=0)
+        code, out, _ = run(capsys, "matrix", "13", "--format", "structured", *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STRUCTURED_13_SHA256
+        # the cache load re-checks the symmetry on its own
+        assert calls == {"symmetry": 1 + loads, "rowsums": 1}
+
+
+def test_matrix_refuses_a_huge_prime_before_the_primality_test(capsys):
+    # 25 digits, odd and a multiple of 5: a primality test run first
+    # would end at once with the wrong error rather than hang
+    p = 10**24 + 5
+    start = time.perf_counter()
+    code, out, err = run(capsys, "matrix", str(p))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: p = %d has m = %d, above --max-m 48;" % (p, (p + 1) // 2))
+    assert "Traceback" not in err
+    code, out, err = run(capsys, "verify", str(p))
+    assert code == 2 and out == "" and "above --max-m 48" in err
+    # a small composite still gets the primality error
+    code, _, err = run(capsys, "matrix", "15")
+    assert code == 2 and err.startswith("error: p must be an odd prime, got 15")
+
+
+def test_bpoly_takes_a_negative_fraction_after_a_space(capsys):
+    for method in ("partition", "recurrence"):
+        outputs = set()
+        for spelling in (["--v", "-1/3"], ["--v=-1/3"]):
+            code, out, err = run(capsys, "bpoly", "5", "6", "--u", "5/2", *spelling,
+                                 "--method", method)
+            assert code == 0, err
+            outputs.add(out)
+        assert outputs == {"2868\n"}
+    code, out, _ = run(capsys, "bpoly", "5", "6", "--u", "-5/2", "--v", "-.5")
+    assert code == 0 and out.strip()
+
+
+def test_bpoly_refuses_an_exponent(capsys):
+    # Fraction("1e999999999") would build a 10^9-digit power of ten, so
+    # no exponent is read at all; small ones keep a failing check cheap
+    for u, v in (("1e5", "0"), ("1", "-2E3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bpoly", "5", "3", "--u", u, "--v", v])
+        assert exc.value.code == 2
+        assert "not an exact rational a/b or decimal" in capsys.readouterr().err
+
+
+# (argv, the budget constant it meets, refusal message when above)
+BUDGETS = [
+    (["ode-check", "--order", "{}"], "MAX_ODE_ORDER", "--order {} is above the budget {};"),
+    (["series", "lambda", "--order", "{}"], "MAX_SERIES_ORDER", "--order {} is above the budget {};"),
+    (["series", "xy", "--p", "11", "--order", "{}"], "MAX_SERIES_ORDER",
+     "--order {} is above the budget {};"),
+    (["series", "xy", "--p", "11", "--h", "{}", "--order", "3"], "MAX_XY_EXPONENT",
+     "i + h = {} is above the budget {};"),
+    (["bpoly", "5", "{}", "--u", "1", "--v", "1"], "MAX_BPOLY_L", "l = {} is above the budget {};"),
+    (["alpha", "5", "{}"], "MAX_ALPHA_K", "k = {} is above the budget {};"),
+    (["alpha", "{}", "1"], "MAX_PRIME", "p = {} is above the budget {};"),
+    (["bpoly", "{}", "3", "--u", "1", "--v", "1"], "MAX_PRIME", "p = {} is above the budget {};"),
+    (["series", "xy", "--p", "{}", "--order", "3"], "MAX_PRIME", "p = {} is above the budget {};"),
+]
+
+
+@pytest.mark.parametrize("argv, budget, message", BUDGETS, ids=lambda x: str(x))
+def test_budget_refuses_a_huge_input_at_once(argv, budget, message, capsys):
+    import lambdaeq.cli as cli
+
+    # odd and a multiple of 101, so a p is refused for its size, and a
+    # primality test run first would end at once with the wrong error
+    value = 10**30 + 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(value) for a in argv))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(value, getattr(cli, budget)))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, budget, message", BUDGETS, ids=lambda x: str(x))
+def test_budget_boundary(argv, budget, message, monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    # each admitted value is valid and cheap; one past it is refused
+    admitted = {"MAX_ODE_ORDER": 12, "MAX_SERIES_ORDER": 4, "MAX_XY_EXPONENT": 2,
+                "MAX_BPOLY_L": 4, "MAX_ALPHA_K": 12, "MAX_PRIME": 13}[budget]
+    monkeypatch.setattr(cli, budget, admitted)
+    code, out, err = run(capsys, *(a.format(admitted) for a in argv))
+    assert code == 0 and out, err
+    # a p one above is even, but its size is refused before its parity
+    code, out, err = run(capsys, *(a.format(admitted + 1) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message.format(admitted + 1, admitted))
+
+
+def test_bpoly_bit_budget(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    top = cli.MAX_BPOLY_BITS
+    edge = "%d/%d" % (2**top - 1, 2**top - 3)
+    code, out, _ = run(capsys, "bpoly", "5", "3", "--u", edge, "--v", "-" + edge)
+    assert code == 0 and out.strip()
+    for u, v in (("%d" % 2**top, "1"), ("1", "1/%d" % 2**top), ("1", "-%d" % 2**top)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bpoly", "5", "3", "--u", u, "--v", v)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error: --u/--v have a %d-bit numerator or denominator, above the budget %d bits;"
+            % (top + 1, top)
+        )
+    monkeypatch.setattr(cli, "MAX_BPOLY_BITS", 2)
+    code, out, _ = run(capsys, "bpoly", "5", "3", "--u", "3/2", "--v", "-1/3")
+    assert code == 0 and out.strip()
+    code, out, err = run(capsys, "bpoly", "5", "3", "--u", "4/3", "--v", "1")
+    assert code == 2 and out == "" and "3-bit numerator" in err
