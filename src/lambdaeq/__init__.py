@@ -11,10 +11,9 @@ row-moment formulas, the emergent symmetries of the matrix, and the
 nonlinear differential equation satisfied by lambda itself.
 """
 
-from .arith import AlphaContext, alpha_context, is_odd_prime, k_alpha, sigma1
+from .arith import alpha, is_odd_prime, k_alpha, partition_weight, sigma1
 from .bpoly import (
     ENUMERATION_THRESHOLD,
-    BContext,
     BTable,
     b_eval,
     b_series,
@@ -22,8 +21,16 @@ from .bpoly import (
     c_coeff,
     p_poly,
 )
-from .exact import IntegralityError, Matrix, SingularMatrixError, binomial, factorial
+from .exact import (
+    IntegralityError,
+    Matrix,
+    SingularMatrixError,
+    binomial,
+    factorial,
+    integer_det,
+)
 from .modeq import (
+    SCHEMA_VERSION,
     CheckResult,
     FactorizationError,
     ModularMatrix,

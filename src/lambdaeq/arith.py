@@ -13,23 +13,16 @@ it is multiplicative in k.
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
+from operator import index
 
-__all__ = ["AlphaContext", "alpha_context", "is_odd_prime", "k_alpha", "sigma1"]
+__all__ = ["alpha", "is_odd_prime", "k_alpha", "partition_weight", "sigma1"]
 
 
-def sigma1(x):
-    """Sum of divisors of x when x is a positive integer, else 0.
-
-    The zero convention at non-integral rationals is what makes the
-    six-term alpha combination a total function.
-    """
-    if isinstance(x, float):
-        raise TypeError("sigma1 is exact; floats are not accepted")
-    num = getattr(x, "numerator", x)
-    den = getattr(x, "denominator", 1)
-    if den != 1 or num < 1:
+def sigma1(n):
+    """Sum of the divisors of the integer n, and 0 for n < 1."""
+    n = index(n)
+    if n < 1:
         return 0
-    n = int(num)
     total = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -52,9 +45,12 @@ def is_odd_prime(p):
 def k_alpha(p, k):
     """k * alpha_p(k) as an exact integer, from sigma_1 alone.
 
-    Each term k * s(k/d) = d * sigma_1(k/d) is an integer, so
+    alpha_p(k) = s(k) - 3 s(k/2) + 2 s(k/4) + s(k/p) - 3 s(k/2p) + 2 s(k/4p)
+    with s(x) = sigma_1(x)/x, and each term k * s(k/d) = d * sigma_1(k/d)
+    is an integer, so
     k alpha_p(k) = sigma_1(k) - 6 sigma_1(k/2) + 8 sigma_1(k/4)
     + p sigma_1(k/p) - 6p sigma_1(k/2p) + 8p sigma_1(k/4p).
+    The prime p is taken as given, not tested.
     """
     if k < 1:
         raise ValueError("k_alpha is defined for k >= 1")
@@ -65,61 +61,19 @@ def k_alpha(p, k):
     return total
 
 
-class AlphaContext:
-    """The weight function alpha_p and partition weights W_p for a fixed odd prime."""
-
-    __slots__ = ("p", "_alpha")
-
-    def __init__(self, p):
-        if not is_odd_prime(p):
-            raise ValueError("p must be an odd prime, got %r" % (p,))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_alpha", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlphaContext is immutable")
-
-    def __repr__(self):
-        return "AlphaContext(p=%d)" % self.p
-
-    def _term(self, k, d):
-        # sigma_1(k/d) / (k/d), zero unless d divides k
-        if k % d:
-            return 0
-        return Fraction(sigma1(k // d) * d, k)
-
-    def alpha(self, k):
-        """alpha_p(k) = s(k) - 3 s(k/2) + 2 s(k/4) + s(k/p) - 3 s(k/2p) + 2 s(k/4p)
-
-        with s(x) = sigma_1(x)/x.  Equals sigma_1(k)/k when gcd(k, 2p) = 1,
-        and is multiplicative in k.
-        """
-        if k < 1:
-            raise ValueError("alpha is defined for k >= 1")
-        cached = self._alpha.get(k)
-        if cached is None:
-            p = self.p
-            cached = Fraction(
-                self._term(k, 1)
-                - 3 * self._term(k, 2)
-                + 2 * self._term(k, 4)
-                + self._term(k, p)
-                - 3 * self._term(k, 2 * p)
-                + 2 * self._term(k, 4 * p)
-            )
-            self._alpha[k] = cached
-        return cached
-
-    def partition_weight(self, partition):
-        """W_p(J) = prod over parts k of alpha_p(k)^{j_k} / j_k!."""
-        w = Fraction(1)
-        for k, j in partition.items():
-            w *= self.alpha(k) ** j
-            w /= factorial(j)
-        return w
-
-
 @lru_cache(maxsize=None)
-def alpha_context(p):
-    """Shared AlphaContext per prime, so divisor-sum caches are reused."""
-    return AlphaContext(p)
+def alpha(p, k):
+    """alpha_p(k) = k_alpha(p, k) / k as a Fraction, memoized per (p, k).
+
+    Equals sigma_1(k)/k when gcd(k, 2p) = 1, and is multiplicative in k.
+    """
+    return Fraction(k_alpha(p, k), k)
+
+
+def partition_weight(p, partition):
+    """W_p(J) = prod over parts k of alpha_p(k)^{j_k} / j_k!."""
+    w = Fraction(1)
+    for k, j in partition.items():
+        w *= alpha(p, k) ** j
+        w /= factorial(j)
+    return w

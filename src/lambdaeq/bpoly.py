@@ -31,13 +31,12 @@ from functools import lru_cache
 from math import comb
 from operator import index, mul
 
-from .arith import AlphaContext, k_alpha
+from .arith import alpha, k_alpha, partition_weight
 from .exact import IntegralityError
 from .partitions import partitions_of
 
 __all__ = [
     "ENUMERATION_THRESHOLD",
-    "BContext",
     "BTable",
     "b_eval",
     "b_series",
@@ -51,62 +50,49 @@ __all__ = [
 ENUMERATION_THRESHOLD = 30
 
 
-class BContext:
-    """Alpha weights for a prime together with the exponent scale n in {1, 2, 4}."""
-
-    __slots__ = ("alpha", "n")
-
-    def __init__(self, alpha: AlphaContext, n: int):
-        if n not in (1, 2, 4):
-            raise ValueError("n must be one of 1, 2, 4, got %r" % (n,))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BContext is immutable")
-
-    def __repr__(self):
-        return "BContext(p=%d, n=%d)" % (self.alpha.p, self.n)
+def _check_n(n):
+    if n not in (1, 2, 4):
+        raise ValueError("n must be one of 1, 2, 4, got %r" % (n,))
 
 
-def b_eval(bc, l, u, v, threshold=ENUMERATION_THRESHOLD):
-    """b_l(u, v) by direct summation over all partitions of l.
+def b_eval(p, n, l, u, v):
+    """b_l(u, v) of the prime p and scale n, summed over all partitions of l.
 
     Exists as the independent oracle for ``b_series`` and for small
-    structural checks; raises for l above the enumeration threshold.
+    structural checks; raises for l above ``ENUMERATION_THRESHOLD``.
     """
+    _check_n(n)
     if l < 0:
         raise ValueError("l must be nonnegative")
-    if l > threshold:
+    if l > ENUMERATION_THRESHOLD:
         raise ValueError(
-            "l=%d exceeds the enumeration threshold %d; use b_series" % (l, threshold)
+            "l=%d exceeds the enumeration threshold %d; use b_series"
+            % (l, ENUMERATION_THRESHOLD)
         )
     total = Fraction(0)
-    n = bc.n
     for part in partitions_of(l):
-        term = (-n) ** part.norm * bc.alpha.partition_weight(part)
+        term = (-n) ** part.norm * partition_weight(p, part)
         term *= u ** part.odd_count  # 0**0 == 1 keeps the empty cases right
         term *= v ** part.even_count
         total += term
     return total
 
 
-def b_series(bc, max_l, u, v):
+def b_series(p, n, max_l, u, v):
     """The prefix [b_0, ..., b_max_l] at (u, v), via the exponential recurrence.
 
     Works at any rational (u, v); at integer points ``BTable`` computes
     the same values in integer arithmetic.
     """
+    _check_n(n)
     if max_l < 0:
         raise ValueError("max_l must be nonnegative")
-    alpha = bc.alpha.alpha
-    n = bc.n
     # w[k] = -n * k * g(k); zero factors (u or v zero) are skipped below.
     w = [Fraction(0)] * (max_l + 1)
     for k in range(1, max_l + 1):
         scale = u if k % 2 else v
         if scale:
-            w[k] = -n * k * scale * alpha(k)
+            w[k] = -n * k * scale * alpha(p, k)
     b = [Fraction(1)]
     for l in range(1, max_l + 1):
         acc = Fraction(0)
@@ -119,7 +105,7 @@ def b_series(bc, max_l, u, v):
 
 
 class BTable:
-    """Integer columns [b_0(u, v), b_1(u, v), ...] of one BContext, grown on demand.
+    """Integer columns [b_0(u, v), b_1(u, v), ...] of one (p, n), grown on demand.
 
     Each column is computed once and extended only when a longer prefix
     is asked for, so every consumer of one table shares the work.  At
@@ -139,10 +125,12 @@ class BTable:
     as b(r+2h, r) = b(r, r) b(2h, 0) (see ``modeq``); that is ~m^5 work.
     """
 
-    __slots__ = ("bc", "_g", "_columns")
+    __slots__ = ("p", "n", "_g", "_columns")
 
-    def __init__(self, bc):
-        self.bc = bc
+    def __init__(self, p, n):
+        _check_n(n)
+        self.p = p
+        self.n = n
         self._g = [0]          # k * alpha_p(k) at index k; index 0 unused
         self._columns = {}
 
@@ -167,9 +155,8 @@ class BTable:
 
     def _grow(self, column, u, v, top):
         g = self._g
-        p = self.bc.alpha.p
+        p, n = self.p, self.n
         g.extend(k_alpha(p, k) for k in range(len(g), top + 1))
-        n = self.bc.n
         w = [-n * (u if k % 2 else v) * g[k] for k in range(1, top + 1)]
         if v == 0:
             w = w[::2]  # the even-k weights vanish; keep w_1, w_3, ...

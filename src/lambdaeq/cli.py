@@ -3,17 +3,18 @@
 Exit codes are stable across commands: 0 success, 1 a verification
 failed (a check reported FAIL, or an exact step such as an integrality
 or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
-input.  Every input whose cost grows without bound is refused with
-exit 2 before any work: ``matrix`` and ``verify`` refuse primes whose m
-exceeds ``--max-m`` (assembly time grows like m^5 bignum multiply-adds),
-and each other budget is a ``MAX_*`` constant below.  All configuration
+input, including an ``--out`` file or ``--cache-dir`` that cannot be
+written (``OSError``).  Every input whose cost grows without bound is
+refused with exit 2 before any work: ``matrix`` and ``verify`` refuse
+primes whose m exceeds ``--max-m`` (assembly time grows like m^5 bignum
+multiply-adds), and each other budget is a ``MAX_*`` constant below.  All configuration
 is by flags; the only state on disk is the optional matrix cache.  A
 cached matrix is re-checked for the two symmetries on load and
 recomputed if they fail; nothing else about it is re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh
-namespace.  Memoized math (``alpha_context``, ``p_poly``) lives in the
+namespace.  Memoized math (``alpha``, ``p_poly``) lives in the
 library's functools caches, not here.
 """
 
@@ -25,8 +26,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .arith import alpha_context, is_odd_prime
-from .bpoly import BContext, b_eval, b_series, p_poly
+from .arith import alpha, is_odd_prime
+from .bpoly import b_eval, b_series, p_poly
 from .modeq import (
     SCHEMA_VERSION,
     assemble,
@@ -220,15 +221,15 @@ def _cache_path(cache_dir, p):
 
 
 def _load_cached_matrix(path):
+    """(matrix, its symmetry check), or None if the entry is unreadable or not symmetric."""
     try:
         with open(path) as fh:
             matrix = from_doc(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError):
         return None
     # cheap re-check on load; a symmetric but wrong entry passes it
-    if not verify_symmetry(matrix).passed:
-        return None
-    return matrix
+    symmetry = verify_symmetry(matrix)
+    return (matrix, symmetry) if symmetry.passed else None
 
 
 def _store_cached_matrix(path, matrix):
@@ -279,17 +280,19 @@ def _sized_order(params, order):
 
 def _cmd_matrix(args):
     _sized_params(args)
-    matrix = None
-    cache_file = None
+    cached = None
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_file = _cache_path(args.cache_dir, args.p)
-        matrix = _load_cached_matrix(cache_file)
-    if matrix is None:
+        cached = _load_cached_matrix(cache_file)
+    if cached is None:
         matrix = assemble(args.p)
-        if cache_file:
+        if args.cache_dir:
             _store_cached_matrix(cache_file, matrix)
-    checks = (verify_symmetry(matrix), verify_row_moments(matrix))
+        symmetry = verify_symmetry(matrix)
+    else:
+        matrix, symmetry = cached
+    checks = (symmetry, verify_row_moments(matrix))
     for check in checks:
         if not check.passed:
             print("built-in verification failed: %s" % check.name, file=sys.stderr)
@@ -309,8 +312,10 @@ def _print_check(result):
 
 def _cmd_verify(args):
     params = _sized_params(args)
-    if args.checks:
+    if args.checks is not None:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not selected:
+            raise ValueError("--checks %r selects no check" % (args.checks,))
         unknown = [c for c in selected if c not in _CHECK_NAMES]
         if unknown:
             raise ValueError("unknown checks: %s" % ", ".join(unknown))
@@ -392,11 +397,11 @@ def _cmd_bpoly(args):
             "--u/--v have a %d-bit numerator or denominator, above the budget %d "
             "bits; b_l is about l times as long" % (bits, MAX_BPOLY_BITS)
         )
-    bc = BContext(alpha_context(args.p), params_for(args.p).n)
+    params = params_for(args.p)
     if args.method == "partition":
-        value = b_eval(bc, args.l, args.u, args.v)
+        value = b_eval(params.p, params.n, args.l, args.u, args.v)
     else:
-        value = b_series(bc, args.l, args.u, args.v)[args.l]
+        value = b_series(params.p, params.n, args.l, args.u, args.v)[args.l]
     print(value)
     return EXIT_OK
 
@@ -405,7 +410,8 @@ def _cmd_alpha(args):
     if args.k < 1:
         raise ValueError("k must be >= 1")
     _refuse_above("k =", args.k, MAX_ALPHA_K, "sigma_1 is summed by trial division up to sqrt(k)")
-    print(alpha_context(_sized_prime(args.p)).alpha(args.k))
+    params = params_for(_sized_prime(args.p))
+    print(alpha(params.p, args.k))
     return EXIT_OK
 
 
@@ -473,7 +479,7 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
     except ArithmeticError as exc:

@@ -114,8 +114,8 @@ from fractions import Fraction
 from math import comb, gcd
 from operator import mul
 
-from .arith import alpha_context, is_odd_prime
-from .bpoly import BContext, BTable, p_poly
+from .arith import alpha, is_odd_prime
+from .bpoly import BTable, p_poly
 from .exact import IntegralityError, Matrix, binomial, integer_det
 
 __all__ = [
@@ -160,20 +160,24 @@ class PrimeParams:
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime, got %r" % (self.p,))
-        g = gcd(self.p + 1, 8)
-        if (self.m, self.n) != ((self.p + 1) // g, 8 // g):
+        reduced = _reduced(self.p)
+        if (self.m, self.n) != reduced:
             raise ValueError(
                 "inconsistent parameters: (%d+1)/8 reduces to %d/%d, not %d/%d"
-                % (self.p, (self.p + 1) // g, 8 // g, self.m, self.n)
+                % (self.p, *reduced, self.m, self.n)
             )
 
 
-def params_for(p):
-    """Reduced parameters (m, n) for an odd prime p."""
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
+def _reduced(p):
     g = gcd(p + 1, 8)
-    return PrimeParams(p=p, m=(p + 1) // g, n=8 // g)
+    return (p + 1) // g, 8 // g
+
+
+def params_for(p):
+    """Reduced parameters (m, n) for an odd prime p; ``PrimeParams`` tests the primality."""
+    if not isinstance(p, int):
+        raise ValueError("p must be an odd prime, got %r" % (p,))
+    return PrimeParams(p, *_reduced(p))
 
 
 @dataclass(frozen=True)
@@ -206,10 +210,6 @@ class CheckResult:
     details: dict
 
 
-def _bcontext(params):
-    return BContext(alpha_context(params.p), params.n)
-
-
 def row0(m):
     """The alternating binomial row a_{0,h} = (-1)^h C(m, h)."""
     if m < 1:
@@ -219,16 +219,14 @@ def row0(m):
 
 def b_table(params):
     """An empty integer b-table for one prime; its columns grow as they are read."""
-    return BTable(_bcontext(params))
+    return BTable(params.p, params.n)
 
 
 def _table_for(params, table):
     if table is None:
         return b_table(params)
-    if (table.bc.alpha.p, table.bc.n) != (params.p, params.n):
-        raise ValueError(
-            "b-table of p=%d, n=%d used for p=%d" % (table.bc.alpha.p, table.bc.n, params.p)
-        )
+    if (table.p, table.n) != (params.p, params.n):
+        raise ValueError("b-table of p=%d, n=%d used for p=%d" % (table.p, table.n, params.p))
     return table
 
 
@@ -413,14 +411,13 @@ def _row1_moment_expectations(params):
     solved rows actually satisfy; ``third_alternate`` flips that sign
     and is reported only as the known-bad variant.
     """
-    m, n = params.m, params.n
-    ctx = alpha_context(params.p)
+    m, n, p = params.m, params.n, params.p
     two = Fraction(2)
     first = -(n ** m) * two ** (m - n)
     second = -(n ** m) * two ** (m + 1 - n) * p_poly(1, m)
     lead = -(n ** m) * two ** (m + 3 - n) * p_poly(2, m)
-    mid = Fraction(n) ** (m - 1) * two ** (m + 1 - n) * ctx.alpha(2)
-    tail = Fraction(n) ** (m - 2) * two ** (m + 1 - n) * m * ctx.alpha(3)
+    mid = Fraction(n) ** (m - 1) * two ** (m + 1 - n) * alpha(p, 2)
+    tail = Fraction(n) ** (m - 2) * two ** (m + 1 - n) * m * alpha(p, 3)
     third = lead - mid - tail
     third_alternate = lead + mid - tail
     return first, second, third, third_alternate
@@ -568,8 +565,7 @@ def closed_form_row1(matrix):
     params = matrix.params
     _require_m3(params, "closed_form_row1")
     m, n = params.m, params.n
-    ctx = alpha_context(params.p)
-    a2, a3 = ctx.alpha(2), ctx.alpha(3)
+    a2, a3 = alpha(params.p, 2), alpha(params.p, 3)
     p1, p2 = p_poly(1, m), p_poly(2, m)
     prefactor = Fraction(2) ** (m - n - 3) * Fraction(n) ** (m - 2)
     expressions = (

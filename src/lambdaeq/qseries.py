@@ -34,8 +34,7 @@ has constant term 1, so lambda, 1 - lambda and the oracle run on ints.
 from fractions import Fraction
 from operator import mul
 
-from .arith import alpha_context
-from .bpoly import BContext, BTable
+from .bpoly import BTable
 
 __all__ = [
     "Series",
@@ -275,5 +274,4 @@ def xy_normalized_lemma(params, i, h, order):
     """Same series as ``xy_normalized_direct`` with coefficient b_l(i+2h, i) at q^l."""
     if i < 0 or h < 0:
         raise ValueError("exponents i, h must be nonnegative")
-    table = BTable(BContext(alpha_context(params.p), params.n))
-    return Series(table.column(i + 2 * h, i, order), order)
+    return Series(BTable(params.p, params.n).column(i + 2 * h, i, order), order)

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 
 from lambdaeq import (
     ENUMERATION_THRESHOLD,
-    BContext,
     BTable,
     IntegralityError,
-    alpha_context,
+    alpha,
     is_odd_prime,
     params_for,
     b_eval,
@@ -28,16 +27,17 @@ from lambdaeq import (
     binomial_moment,
     c_coeff,
     p_poly,
+    partition_weight,
     partitions_of,
 )
 
 PRIMES_WITH_N = [(3, 2), (5, 4), (7, 1), (11, 2), (13, 4), (23, 1)]
 
 
-def closed_forms(ctx, n):
+def closed_forms(p, n):
     """b_0..b_5 plus the odd-only b_6*, b_7* as explicit polynomials."""
-    a2, a3, a4 = ctx.alpha(2), ctx.alpha(3), ctx.alpha(4)
-    a5, a7 = ctx.alpha(5), ctx.alpha(7)
+    a2, a3, a4 = alpha(p, 2), alpha(p, 3), alpha(p, 4)
+    a5, a7 = alpha(p, 5), alpha(p, 7)
     return {
         0: lambda u, v: Fraction(1),
         1: lambda u, v: -n * u,
@@ -78,41 +78,35 @@ def closed_forms(ctx, n):
 
 def test_b0_is_one():
     for p, n in PRIMES_WITH_N:
-        bc = BContext(alpha_context(p), n)
-        assert b_eval(bc, 0, 17, -2) == 1
-        assert b_series(bc, 0, 17, -2) == [1]
+        assert b_eval(p, n, 0, 17, -2) == 1
+        assert b_series(p, n, 0, 17, -2) == [1]
 
 
 def test_b1_example():
-    bc = BContext(alpha_context(3), 2)
-    assert b_eval(bc, 1, 5, 1) == -10
+    assert b_eval(3, 2, 1, 5, 1) == -10
 
 
 def test_b2_hand_value():
-    bc = BContext(alpha_context(5), 4)
-    assert b_eval(bc, 2, 1, 1) == 14  # 16/2 - 4*(-3/2)
+    assert b_eval(5, 4, 2, 1, 1) == 14  # 16/2 - 4*(-3/2)
 
 
 def test_closed_form_table_at_random_rational_points():
     rng = random.Random(1887)
     for p in (5, 11, 23):
         n = {5: 4, 11: 2, 23: 1}[p]
-        ctx = alpha_context(p)
-        bc = BContext(ctx, n)
-        table = closed_forms(ctx, n)
+        table = closed_forms(p, n)
         for _ in range(10):
             u = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             v = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             for l in range(6):
-                assert b_eval(bc, l, u, v) == table[l](u, v), (p, l, u, v)
+                assert b_eval(p, n, l, u, v) == table[l](u, v), (p, l, u, v)
             for l in (6, 7):  # odd-only forms: second variable zero
-                assert b_eval(bc, l, u, 0) == table[l](u, 0), (p, l, u)
+                assert b_eval(p, n, l, u, 0) == table[l](u, 0), (p, l, u)
 
 
 def _partition_terms(p, l):
-    ctx = alpha_context(p)
     return [
-        (j.norm, j.odd_count, j.even_count, ctx.partition_weight(j))
+        (j.norm, j.odd_count, j.even_count, partition_weight(p, j))
         for j in partitions_of(l)
     ]
 
@@ -124,10 +118,9 @@ def test_recurrence_matches_partition_sum_full_grid():
     for p in (3, 5, 7, 11, 13):
         terms = {l: _partition_terms(p, l) for l in range(26)}
         for n in (1, 2, 4):
-            bc = BContext(alpha_context(p), n)
             for u in points:
                 for v in points:
-                    got = b_series(bc, 25, u, v)
+                    got = b_series(p, n, 25, u, v)
                     for l in range(26):
                         expected = sum(
                             ((-n) ** norm) * (u ** jo) * (v ** je) * w
@@ -138,11 +131,10 @@ def test_recurrence_matches_partition_sum_full_grid():
 
 def test_recurrence_matches_b_eval_directly():
     for p, n in ((3, 1), (5, 4), (13, 2)):
-        bc = BContext(alpha_context(p), n)
         for u, v in ((0, 0), (1, 1), (3, 1), (Fraction(5, 2), Fraction(-1, 3))):
-            series = b_series(bc, 12, u, v)
+            series = b_series(p, n, 12, u, v)
             for l in range(13):
-                assert series[l] == b_eval(bc, l, u, v)
+                assert series[l] == b_eval(p, n, l, u, v)
 
 
 def test_leading_term_by_divided_differences():
@@ -150,31 +142,33 @@ def test_leading_term_by_divided_differences():
     # finite difference over u = 0..l therefore equals (-n)^l exactly.
     for p in (5, 11):
         for n in (1, 2, 4):
-            bc = BContext(alpha_context(p), n)
             for l in range(9):
                 diff = sum(
-                    (-1) ** (l - j) * comb(l, j) * b_eval(bc, l, j, 0)
+                    (-1) ** (l - j) * comb(l, j) * b_eval(p, n, l, j, 0)
                     for j in range(l + 1)
                 )
                 assert diff == (-n) ** l, (p, n, l)
 
 
 def test_series_exp_zero_input():
-    bc = BContext(alpha_context(5), 4)
-    assert b_series(bc, 2, 0, 0) == [1, 0, 0]
+    assert b_series(5, 4, 2, 0, 0) == [1, 0, 0]
 
 
 def test_enumeration_threshold_enforced():
-    bc = BContext(alpha_context(5), 4)
-    with pytest.raises(ValueError):
-        b_eval(bc, 31, 1, 1)
-    assert b_eval(bc, 8, 1, 1, threshold=10) == b_series(bc, 8, 1, 1)[8]
+    top = ENUMERATION_THRESHOLD
+    with pytest.raises(ValueError, match="enumeration threshold"):
+        b_eval(5, 4, top + 1, 1, 1)
+    assert b_eval(5, 4, top, 1, 1) == b_series(5, 4, top, 1, 1)[top]
 
 
-def test_bcontext_rejects_bad_n():
+def test_b_routes_reject_bad_n():
     for bad in (0, 3, 8, -1):
-        with pytest.raises(ValueError):
-            BContext(alpha_context(5), bad)
+        with pytest.raises(ValueError, match="n must be one of"):
+            b_eval(5, bad, 2, 1, 1)
+        with pytest.raises(ValueError, match="n must be one of"):
+            b_series(5, bad, 2, 1, 1)
+        with pytest.raises(ValueError, match="n must be one of"):
+            BTable(5, bad)
 
 
 def test_p_poly_base_cases():
@@ -234,7 +228,7 @@ assert {params_for(p).n for p in ODD_PRIMES} == {1, 2, 4}
 
 
 def _prime_table(p):
-    return BTable(BContext(alpha_context(p), params_for(p).n))
+    return BTable(p, params_for(p).n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,7 +236,7 @@ def _prime_table(p):
 def test_table_matches_b_series_at_integer_points(p, r, h):
     table = _prime_table(p)
     column = table.column(r + 2 * h, r, 60)
-    assert column[:61] == b_series(table.bc, 60, r + 2 * h, r)
+    assert column[:61] == b_series(table.p, table.n, 60, r + 2 * h, r)
     assert all(type(b) is int for b in column)
 
 
@@ -255,7 +249,7 @@ def test_table_matches_b_series_at_integer_points(p, r, h):
 )
 def test_table_matches_b_eval_at_integer_points(p, r, h, l):
     table = _prime_table(p)
-    assert table.column(r + 2 * h, r, l)[l] == b_eval(table.bc, l, r + 2 * h, r)
+    assert table.column(r + 2 * h, r, l)[l] == b_eval(table.p, table.n, l, r + 2 * h, r)
 
 
 def _truncated_convolution(a, b, top):
@@ -276,8 +270,8 @@ def test_table_v0_branch_matches_b_series(p):
     # at v = 0 the table skips the even-k weights; grow each column in two steps
     table = _prime_table(p)
     for h in (0, 1, 2, 5):
-        assert table.column(2 * h, 0, 7) == b_series(table.bc, 7, 2 * h, 0)
-        assert table.column(2 * h, 0, 60) == b_series(table.bc, 60, 2 * h, 0)
+        assert table.column(2 * h, 0, 7) == b_series(table.p, table.n, 7, 2 * h, 0)
+        assert table.column(2 * h, 0, 60) == b_series(table.p, table.n, 60, 2 * h, 0)
 
 
 def test_table_grows_columns_in_place():
@@ -287,13 +281,13 @@ def test_table_grows_columns_in_place():
     longer = table.column(5, 1, 40)
     assert longer is short and len(longer) == 41
     assert table.column(5, 1, 10) is short  # a shorter request reuses the column
-    assert longer == b_series(table.bc, 40, 5, 1)
+    assert longer == b_series(table.p, table.n, 40, 5, 1)
 
 
 def test_table_raises_at_the_first_non_integer_coefficient():
     # p = 7 has n = 1, and b_2(1, 0) = n^2/2 = 1/2 is off the points (r+2h, r)
     table = _prime_table(7)
-    assert b_series(table.bc, 2, 1, 0)[2] == Fraction(1, 2)
+    assert b_series(table.p, table.n, 2, 1, 0)[2] == Fraction(1, 2)
     assert table.column(1, 0, 1) == [1, -1]
     with pytest.raises(IntegralityError, match="b_2"):
         table.column(1, 0, 2)

@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import (
-    BContext,
     FactorizationError,
     IntegralityError,
     Matrix,
     ModularMatrix,
-    alpha_context,
+    PrimeParams,
     assemble,
     b_series,
     b_table,
@@ -91,10 +90,30 @@ def test_params_for_examples():
     assert params_for(3).m == 1 and params_for(3).n == 2
 
 
-@pytest.mark.parametrize("bad", [4, 2, 9, 1, 0, -5, 15, 25])
+@pytest.mark.parametrize("bad", [4, 2, 9, 1, 0, -5, 15, 25, 13.0, "13"])
 def test_params_for_rejects_non_odd_primes(bad):
     with pytest.raises(ValueError):
         params_for(bad)
+
+
+def test_prime_params_test_primality_once(monkeypatch):
+    import lambdaeq.modeq as modeq
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_odd_prime(p)
+
+    monkeypatch.setattr(modeq, "is_odd_prime", counting)
+    assert params_for(13) == PrimeParams(13, 7, 4)
+    assert calls == [13, 13]  # one test for params_for, one for the direct construction
+    # direct construction stays validated
+    for bad in (2, 4, 9, 1, 0, -7, 15):
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeParams(bad, 1, 1)
+    with pytest.raises(ValueError, match="inconsistent"):
+        PrimeParams(13, 7, 2)
 
 
 def test_row0():
@@ -482,8 +501,7 @@ def test_bordered_determinant_inner_identity():
     # the same matrix with third column b_l(1,1) has determinant (-2n)^3
     for p in (5, 11, 23):
         params = params_for(p)
-        bc = BContext(alpha_context(p), params.n)
-        cols = [b_series(bc, 2, u, 1) for u in (3, 5, 1)]
+        cols = [b_series(p, params.n, 2, u, 1) for u in (3, 5, 1)]
         det = Matrix([[c[l] for c in cols] for l in range(3)]).det()
         assert det == (-2 * params.n) ** 3
 
@@ -541,12 +559,11 @@ def test_one_table_serves_assembly_dets_and_global():
 
 def test_block_from_table_matches_rational_columns():
     params = params_for(13)
-    bc = BContext(alpha_context(13), params.n)
     table = b_table(params)
     m = params.m
     for i, r in ((1, 0), (3, 1), (7, 7), (5, 2)):
         shift, top = m * (i - r), m * (i - r) + m - i
-        columns = [b_series(bc, top, r + 2 * h, r)[shift:] for h in range(m - r + 1)]
+        columns = [b_series(13, params.n, top, r + 2 * h, r)[shift:] for h in range(m - r + 1)]
         assert block(params, i, r, table) == Matrix(list(zip(*columns)))
 
 
