@@ -25,8 +25,6 @@ from .exact import (
     IntegralityError,
     Matrix,
     SingularMatrixError,
-    binomial,
-    factorial,
     integer_det,
 )
 from .modeq import (
@@ -35,7 +33,6 @@ from .modeq import (
     FactorizationError,
     ModularMatrix,
     PrimeParams,
-    Row1Stats,
     assemble,
     b_table,
     block,
@@ -47,9 +44,8 @@ from .modeq import (
     render_text,
     render_typeset,
     row0,
-    row1_stats,
     row2_pipeline,
-    solve_row,
+    solve_row1,
     to_doc,
     verify_block_determinants,
     verify_global_vanish,

@@ -9,8 +9,9 @@ refused with exit 2 before any work: ``matrix`` and ``verify`` refuse
 primes whose m exceeds ``--max-m`` (assembly time grows like m^5 bignum
 multiply-adds), and each other budget is a ``MAX_*`` constant below.  All configuration
 is by flags; the only state on disk is the optional matrix cache.  A
-cached matrix is re-checked for the two symmetries on load and
-recomputed if they fail; nothing else about it is re-checked.
+cached matrix is recomputed unless its entries are JSON integers, its
+prime is the one asked for and it passes the two symmetries; nothing
+else about it is re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh
@@ -39,8 +40,8 @@ from .modeq import (
     params_for,
     render_text,
     render_typeset,
-    row1_stats,
     row2_pipeline,
+    solve_row1,
     to_doc,
     verify_block_determinants,
     verify_global_vanish,
@@ -220,12 +221,18 @@ def _cache_path(cache_dir, p):
     return os.path.join(cache_dir, "A%d.schema%d.json" % (p, SCHEMA_VERSION))
 
 
-def _load_cached_matrix(path):
-    """(matrix, its symmetry check), or None if the entry is unreadable or not symmetric."""
+def _load_cached_matrix(path, p):
+    """(matrix, its symmetry check), or None for a miss.
+
+    An entry that does not parse, holds another prime's matrix or is not
+    symmetric is a miss.
+    """
     try:
         with open(path) as fh:
             matrix = from_doc(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError):
+        return None
+    if matrix.params.p != p:
         return None
     # cheap re-check on load; a symmetric but wrong entry passes it
     symmetry = verify_symmetry(matrix)
@@ -284,7 +291,7 @@ def _cmd_matrix(args):
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_file = _cache_path(args.cache_dir, args.p)
-        cached = _load_cached_matrix(cache_file)
+        cached = _load_cached_matrix(cache_file, args.p)
     if cached is None:
         matrix = assemble(args.p)
         if args.cache_dir:
@@ -292,7 +299,7 @@ def _cmd_matrix(args):
         symmetry = verify_symmetry(matrix)
     else:
         matrix, symmetry = cached
-    checks = (symmetry, verify_row_moments(matrix))
+    checks = (symmetry, verify_row_moments(matrix.params, matrix.entries[1]))
     for check in checks:
         if not check.passed:
             print("built-in verification failed: %s" % check.name, file=sys.stderr)
@@ -338,8 +345,7 @@ def _cmd_verify(args):
         if name == "symmetry":
             results.append(verify_symmetry(matrix))
         elif name == "rowsums":
-            res = verify_row_moments(matrix)
-            results.append(res)
+            results.append(verify_row_moments(matrix.params, matrix.entries[1]))
         elif name == "dets":
             results.append(verify_block_determinants(params, table))
         elif name == "global":
@@ -448,13 +454,14 @@ def _cmd_scan(args):
     for p in range(3, args.max_p + 1, 2):
         if not is_odd_prime(p):
             continue
-        stats = row1_stats(params_for(p))
-        status = "ok" if stats.ok else "MISMATCH"
-        if not stats.ok:
+        params = params_for(p)
+        check = verify_row_moments(params, solve_row1(params))
+        if not check.passed:
             failures += 1
+        moments = [check.details[k]["actual"] for k in ("first", "second", "third")]
         print(
             "p=%-4d m=%-3d n=%d  moments=%s, %s, %s  %s"
-            % (p, stats.params.m, stats.params.n, *map(str, stats.moments), status)
+            % (p, params.m, params.n, *moments, "ok" if check.passed else "MISMATCH")
         )
     print(
         "scan complete: row-1 moment identities %s"

@@ -1,4 +1,4 @@
-"""Exact combinatorial scalars and dense exact linear algebra.
+"""Dense exact linear algebra.
 
 Matrices hold exact rationals and are eliminated with plain fraction
 arithmetic.  ``integer_det`` takes the determinant of an int grid
@@ -9,23 +9,13 @@ intermediate value reproducible across runs.
 """
 
 from fractions import Fraction
-from math import comb, factorial
 
 __all__ = [
     "IntegralityError",
     "Matrix",
     "SingularMatrixError",
-    "binomial",
-    "factorial",
     "integer_det",
 ]
-
-
-def binomial(m: int, h: int) -> int:
-    """Binomial coefficient C(m, h); exact, and 0 when h > m."""
-    if m < 0 or h < 0:
-        raise ValueError("binomial needs nonnegative arguments")
-    return comb(m, h)
 
 
 class IntegralityError(ArithmeticError):

@@ -58,8 +58,8 @@ l = 0..m-i.  So assembly reads the m+1 columns b(2h, 0) to index m^2,
 the columns b(r, r) to index m(m-r), and the heads b(i+2h, i) to index
 m-i that the diagonal solve reads: ~3m^3/2 coefficients plus the
 heads, in ~m^5 multiply-adds, where one full column per point took
-~m^4/3 coefficients and ~m^6/8.  ``solve_row`` builds the series of the
-prior rows itself, each only as long as row i needs.
+~m^4/3 coefficients and ~m^6/8.  ``solve_row1`` solves row 1 on its own
+and needs only S_0 = A_0(P), to index 2m-1.
 
 The diagonal blocks are solved in ints too, through a factorization
 B(i,i) = L U.  In b_l(u, v) a partition J of l contributes a term of
@@ -73,7 +73,7 @@ Delta_h^j B[l][0], zero for j > l and (-2n)^l at j = l.  Hence
     B(i,i) = L U,    L[l][j] = Delta_h^j B[l][0],    U[j][h] = C(h, j),
 
 with L lower triangular with diagonal (-2n)^l and U unit upper
-triangular.  ``solve_row`` does not assume this: it builds the forward
+triangular.  ``_solve_diagonal`` does not assume this: it builds the forward
 differences of every row from the integer columns and checks that the
 l-th differences of row l all equal (-2n)^l.  Newton's formula on the
 m-i+1 points h = 0..m-i is exact, so that check proves B = L U for the
@@ -116,7 +116,7 @@ from operator import mul
 
 from .arith import alpha, is_odd_prime
 from .bpoly import BTable, p_poly
-from .exact import IntegralityError, Matrix, binomial, integer_det
+from .exact import IntegralityError, Matrix, integer_det
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -124,7 +124,6 @@ __all__ = [
     "FactorizationError",
     "ModularMatrix",
     "PrimeParams",
-    "Row1Stats",
     "assemble",
     "b_table",
     "block",
@@ -136,9 +135,8 @@ __all__ = [
     "render_text",
     "render_typeset",
     "row0",
-    "row1_stats",
     "row2_pipeline",
-    "solve_row",
+    "solve_row1",
     "to_doc",
     "verify_block_determinants",
     "verify_global_vanish",
@@ -214,7 +212,7 @@ def row0(m):
     """The alternating binomial row a_{0,h} = (-1)^h C(m, h)."""
     if m < 1:
         raise ValueError("m must be positive")
-    return tuple([(-1) ** h * binomial(m, h) for h in range(m + 1)])
+    return tuple([(-1) ** h * comb(m, h) for h in range(m + 1)])
 
 
 def b_table(params):
@@ -248,29 +246,19 @@ def block(params, i, r, table=None):
     return Matrix(list(zip(*columns)))
 
 
-def solve_row(params, i, prior, table=None):
-    """Solve for a'_i, the nonzero head of row i, given rows 0..i-1.
+def solve_row1(params):
+    """Row 1 of A_p on its own: the m+1 ints a_{1,0}..a_{1,m}, the last 0.
 
-    ``prior`` holds the already-determined heads: prior[0] is the full
-    row 0 (length m+1), prior[r] has length m+1-r.  The right-hand side
-    is read off the row series S_r of the prior rows (see the module
-    docstring), each built only as far as row i needs, and
-    2^{ni} B(i,i) a'_i = rhs is solved in ints through B(i,i) = L U.
-    Returns a tuple of ints; a non-integral solution raises
-    ``IntegralityError``, a block without the factorization raises
-    ``FactorizationError``.
+    The right-hand side is read off S_0 = A_0(P) to index 2m-1 (see the
+    module docstring) and 2^n B(1,1) a'_1 = rhs is solved in ints
+    through B(1,1) = L U, on a fresh b-table.  A non-integral solution
+    raises ``IntegralityError``, a block without the factorization
+    raises ``FactorizationError``.
     """
     m = params.m
-    if not 1 <= i <= m:
-        raise ValueError("row index i must satisfy 1 <= i <= m")
-    if len(prior) != i:
-        raise ValueError("need exactly the %d previously solved rows" % i)
-    table = _table_for(params, table)
-    series = [
-        _row_series(params, r, head, table, m * (i - r) + m - i)
-        for r, head in enumerate(prior)
-    ]
-    return _solve_from_series(params, i, series, table)
+    table = b_table(params)
+    series = _row_series(params, 0, row0(m), table, 2 * m - 1)
+    return _solve_from_series(params, 1, [series], table) + (0,)
 
 
 def _truncated_product(a, b, top):
@@ -423,23 +411,18 @@ def _row1_moment_expectations(params):
     return first, second, third, third_alternate
 
 
-def _row1_moments(row):
+def verify_row_moments(params, row):
+    """First-row moment identities: sums of a_{1,h} against their closed forms.
+
+    ``row`` is row 1 of A_p, the ints a_{1,0}..a_{1,m}.  The first two
+    moments match the classical statements verbatim.  The third matches
+    only after flipping the sign of its alpha_p(2) term; both
+    evaluations are reported, and the check passes on the corrected
+    form.
+    """
     s0 = sum(row)
     s1 = sum((1 + 2 * h) * a for h, a in enumerate(row))
     s2 = sum((1 + 2 * h) ** 2 * a for h, a in enumerate(row))
-    return s0, s1, s2
-
-
-def verify_row_moments(matrix):
-    """First-row moment identities: sums of a_{1,h} against their closed forms.
-
-    The first two moments match the classical statements verbatim.  The
-    third matches only after flipping the sign of its alpha_p(2) term;
-    both evaluations are reported, and the check passes on the corrected
-    form.
-    """
-    params = matrix.params
-    s0, s1, s2 = _row1_moments(matrix.entries[1])
     e0, e1, e2, e2_alt = _row1_moment_expectations(params)
     details = {
         "first": {"actual": str(s0), "expected": str(e0), "ok": s0 == e0},
@@ -524,30 +507,7 @@ def verify_global_vanish(matrix, order=None, table=None):
 
 
 # ---------------------------------------------------------------------------
-# row statistics and the m = 3 structure checks
-
-
-@dataclass(frozen=True)
-class Row1Stats:
-    """Row 1 of A_p solved on its own, with its moment identities."""
-
-    params: PrimeParams
-    row: tuple          # the m+1 integer entries a_{1,0}..a_{1,m}
-    moments: tuple      # the three actual moment values
-    expected: tuple     # closed forms (third with the corrected sign)
-    third_alternate: object   # the sign-flipped third moment (known bad)
-
-    @property
-    def ok(self):
-        return self.moments == self.expected
-
-
-def row1_stats(params):
-    """Solve only row 1 (one block system) and evaluate its moments."""
-    row = solve_row(params, 1, [row0(params.m)]) + (0,)
-    s = _row1_moments(row)
-    e0, e1, e2, e2_alt = _row1_moment_expectations(params)
-    return Row1Stats(params, row, s, (e0, e1, e2), e2_alt)
+# the m = 3 structure checks
 
 
 def _require_m3(params, what):
@@ -669,13 +629,19 @@ def to_doc(matrix, verification=None):
 
 
 def from_doc(doc):
-    """Parse a structured document back into a ModularMatrix."""
+    """Parse a structured document back into a ModularMatrix.
+
+    Every entry must be a JSON integer: a float, a string or a boolean
+    raises ``ValueError`` rather than being coerced.
+    """
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % (doc.get("schema_version"),))
     params = params_for(doc["p"])
     if params.m != doc["m"] or params.n != doc["n"]:
         raise ValueError("inconsistent (p, m, n) in document")
-    grid = tuple(tuple(int(x) for x in row) for row in doc["matrix"])
+    grid = tuple(tuple(row) for row in doc["matrix"])
+    if any(type(x) is not int for row in grid for x in row):
+        raise ValueError("matrix entries must be JSON integers")
     return ModularMatrix(params, grid)
 
 

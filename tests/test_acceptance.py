@@ -19,10 +19,11 @@ from lambdaeq import (
     ode_residual,
     p_poly,
     params_for,
-    row1_stats,
     row2_pipeline,
+    solve_row1,
     verify_block_determinants,
     verify_global_vanish,
+    verify_row_moments,
     verify_symmetry,
     xy_normalized_direct,
     xy_normalized_lemma,
@@ -70,18 +71,19 @@ def test_criterion_03_row1_moments_all_primes_to_97():
     for p in range(3, 98, 2):
         if not is_odd_prime(p):
             continue
-        stats = row1_stats(params_for(p))
-        ok = ok and stats.moments[0] == stats.expected[0]
-        ok = ok and stats.moments[1] == stats.expected[1]
-        ok = ok and stats.moments[2] == stats.expected[2]  # corrected third moment
+        params = params_for(p)
+        # all three moments, the third in its corrected form
+        ok = ok and verify_row_moments(params, solve_row1(params)).passed
     # the sign-flipped third moment must fail against the reference matrices
     flipped_values = {}
     for p in (5, 11, 23):
-        stats = row1_stats(params_for(p))
+        params = params_for(p)
+        check = verify_row_moments(params, solve_row1(params))
         row = REFERENCE[p][1]
         actual = sum((1 + 2 * h) ** 2 * a for h, a in enumerate(row))
-        ok = ok and actual == stats.moments[2] and actual != stats.third_alternate
-        flipped_values[p] = (stats.third_alternate, actual)
+        flipped = int(check.details["third_alpha2_sign_flipped"]["value"])
+        ok = ok and actual == int(check.details["third"]["actual"]) and actual != flipped
+        flipped_values[p] = (flipped, actual)
     ok = ok and flipped_values[5] == (-360, -312)
     ok = ok and flipped_values[11] == (-216, -168)
     ok = ok and flipped_values[23] == (-84, -60)

@@ -82,6 +82,34 @@ def test_matrix_cache_never_trusted(tmp_path, capsys):
     assert json.loads(path.read_text())["matrix"][2][1] == -3  # rewritten
 
 
+def test_matrix_cache_refuses_another_primes_matrix(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _, cold, _ = run(capsys, "matrix", "13")
+    code, _, _ = run(capsys, "matrix", "17", "--cache-dir", str(cache))
+    assert code == 0
+    path = cache / "A13.schema1.json"
+    path.write_text((cache / "A17.schema1.json").read_text())
+    code, out, _ = run(capsys, "matrix", "13", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert json.loads(path.read_text())["p"] == 13  # rewritten
+
+
+@pytest.mark.parametrize("entry", [1.7, "-3318"])
+def test_matrix_cache_refuses_non_integer_entries(tmp_path, capsys, entry):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "A13.schema1.json"
+    _, cold, _ = run(capsys, "matrix", "13")
+    doc = to_doc(assemble(13))
+    doc["matrix"][0][0] = entry
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "matrix", "13", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert json.loads(path.read_text())["matrix"][0][0] == 1  # rewritten
+
+
 def test_matrix_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "a13.txt"
     code, out, err = run(capsys, "matrix", "13", "--out", str(target))
@@ -270,6 +298,35 @@ def test_scan(capsys):
     assert "hold for every prime" in out
 
 
+# stdout of `scan --max-p 61`
+SCAN_61_SHA256 = "1a28847981d3e3219aada10c4b9968a9c8c8167d218b21d1283d9b0aeff1c609"
+
+
+def test_scan_output_is_pinned(capsys):
+    import hashlib
+
+    code, out, _ = run(capsys, "scan", "--max-p", "61")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_61_SHA256
+
+
+def test_scan_reports_a_mismatch(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    solve_row1 = cli.solve_row1
+
+    def perturbed(params):
+        row = solve_row1(params)
+        return (row[0] + 1,) + row[1:] if params.p == 13 else row
+
+    monkeypatch.setattr(cli, "solve_row1", perturbed)
+    code, out, _ = run(capsys, "scan", "--max-p", "23")
+    assert code == 1
+    lines = [l for l in out.splitlines() if l.startswith("p=")]
+    assert [l.endswith("MISMATCH") for l in lines] == [l.startswith("p=13 ") for l in lines]
+    assert out.splitlines()[-1].endswith("FAILED for 1 primes")
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -293,7 +350,7 @@ def test_matrix_builtin_verification_failure_exit_code(monkeypatch, capsys):
     from lambdaeq import CheckResult
 
     monkeypatch.setattr(
-        cli, "verify_row_moments", lambda matrix: CheckResult("rowsums", False, {})
+        cli, "verify_row_moments", lambda params, row: CheckResult("rowsums", False, {})
     )
     code, _, err = run(capsys, "matrix", "5")
     assert code == 1
@@ -528,9 +585,9 @@ def test_structured_matrix_runs_each_builtin_check_once(tmp_path, monkeypatch, c
         calls["symmetry"] += 1
         return symmetry(matrix)
 
-    def counting_rowsums(matrix):
+    def counting_rowsums(params, row):
         calls["rowsums"] += 1
-        return rowsums(matrix)
+        return rowsums(params, row)
 
     monkeypatch.setattr(cli, "verify_symmetry", counting_symmetry)
     monkeypatch.setattr(cli, "verify_row_moments", counting_rowsums)

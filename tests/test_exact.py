@@ -1,4 +1,4 @@
-"""Exact scalar and linear-algebra tests.
+"""Exact linear-algebra tests.
 
 The determinant and solver are checked against independent oracles:
 hand cofactor expansions, residual recomputation, and transposition.
@@ -12,48 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaeq import IntegralityError, Matrix, SingularMatrixError, binomial, factorial
+from lambdaeq import IntegralityError, Matrix, SingularMatrixError
 from lambdaeq.exact import integer_det
-
-
-def test_binomial_small_cases():
-    assert binomial(3, 2) == 3
-    assert binomial(7, 3) == 35
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_vanishes_above_row():
-    assert binomial(3, 5) == 0
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
-
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
-def test_binomial_pascal_rule(m, h):
-    if h <= m:
-        assert binomial(m, h) == binomial(m - 1, h - 1) + binomial(m - 1, h)
-
-
-def test_factorial_small():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-
-
-def test_factorial_20_iterated_multiplication_oracle():
-    acc = 1
-    for k in range(1, 21):
-        acc *= k
-    assert factorial(20) == acc == 2432902008176640000
-
-
-def test_factorial_100_exact():
-    assert factorial(100) % 10 ** 24 == 0  # trailing zeros only exist with exact bignums
-    assert len(str(factorial(100))) == 158
 
 
 def test_det_identity():

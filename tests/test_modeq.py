@@ -31,9 +31,8 @@ from lambdaeq import (
     render_text,
     render_typeset,
     row0,
-    row1_stats,
     row2_pipeline,
-    solve_row,
+    solve_row1,
     to_doc,
     verify_block_determinants,
     verify_global_vanish,
@@ -154,10 +153,10 @@ def test_block_dimensions():
 
 
 def test_solve_row_examples():
-    examples = ((5, 3, (-3, -26, -3)), (23, 3, (-3, 2, -3)), (7, 1, (-1,)))
-    for p, m, head in examples:
-        solved = solve_row(params_for(p), 1, [row0(m)])
-        assert solved == head
+    examples = ((5, (-3, -26, -3, 0)), (23, (-3, 2, -3, 0)), (7, (-1, 0)))
+    for p, row in examples:
+        solved = solve_row1(params_for(p))
+        assert solved == row
         assert all(type(x) is int for x in solved)
 
 
@@ -240,11 +239,6 @@ def test_assemble_matches_the_direct_column_route(p):
     assert assemble(p).entries == _direct_route(p)
 
 
-def test_solve_row_needs_prior_rows():
-    with pytest.raises(ValueError):
-        solve_row(params_for(5), 2, [row0(3)])
-
-
 @pytest.mark.parametrize("p", sorted(REFERENCE))
 def test_assemble_reproduces_reference(p):
     assert assemble(p).entries == REFERENCE[p]
@@ -268,8 +262,13 @@ def test_symmetry_detects_perturbation():
     assert result.details["transpose_violations"] or result.details["horizontal_violations"]
 
 
+def _row_moments(p):
+    matrix = assemble(p)
+    return verify_row_moments(matrix.params, matrix.entries[1])
+
+
 def test_row_moments_values_a5():
-    result = verify_row_moments(assemble(5))
+    result = _row_moments(5)
     assert result.passed
     assert result.details["first"]["actual"] == "-32"
     assert result.details["third"]["actual"] == "-312"
@@ -278,12 +277,12 @@ def test_row_moments_values_a5():
 
 
 def test_row_moments_a11_and_a23():
-    r11 = verify_row_moments(assemble(11))
+    r11 = _row_moments(11)
     assert r11.passed
     assert r11.details["second"]["actual"] == "-48"
     assert r11.details["third"]["actual"] == "-168"
     assert r11.details["third_alpha2_sign_flipped"]["value"] == "-216"
-    r23 = verify_row_moments(assemble(23))
+    r23 = _row_moments(23)
     assert r23.passed
     assert r23.details["third"]["actual"] == "-60"
     assert r23.details["third_alpha2_sign_flipped"]["value"] == "-84"
@@ -418,13 +417,16 @@ def test_global_checks_the_coefficient_at_the_order_itself():
             }, (p, h)
 
 
-def test_row1_stats_matches_assembled_row():
+def test_solve_row1_matches_reference_and_passes_moments():
     for p in (3, 5, 7, 13, 19, 31, 47):
-        stats = row1_stats(params_for(p))
-        assert stats.ok
+        params = params_for(p)
+        row = solve_row1(params)
         if p in REFERENCE:
-            assert stats.row == REFERENCE[p][1]
-        assert stats.moments[2] != stats.third_alternate
+            assert row == REFERENCE[p][1]
+        check = verify_row_moments(params, row)
+        assert check.passed
+        third = check.details["third"]["actual"]
+        assert check.details["third_alpha2_sign_flipped"]["value"] != third
 
 
 def test_closed_form_row1_negates_entries():
@@ -528,6 +530,14 @@ def test_from_doc_validates():
     doc = to_doc(assemble(5))
     doc["m"] = 4
     with pytest.raises(ValueError):
+        from_doc(doc)
+
+
+@pytest.mark.parametrize("entry", [1.7, -3.0, "-3", True, None])
+def test_from_doc_refuses_non_integer_entries(entry):
+    doc = json.loads(json.dumps(to_doc(assemble(5))))
+    doc["matrix"][1][0] = entry
+    with pytest.raises(ValueError, match="JSON integers"):
         from_doc(doc)
 
 
