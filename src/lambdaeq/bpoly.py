@@ -119,10 +119,10 @@ class BTable:
     work of the columns b(2h, 0).
 
     A column of length L costs ~L^2/2 multiply-adds (~L^2/4 at v = 0).
-    Assembly of A_p reads the columns b(2h, 0) to index m^2, b(r, r) to
-    index m(m-r) and the short diagonal-block heads b(i+2h, i) to index
-    m-i, ~3m^3/2 coefficients plus ~m^3/3 in the heads, and combines them
-    as b(r+2h, r) = b(r, r) b(2h, 0) (see ``modeq``); that is ~m^5 work.
+    Assembly of A_p reads only the m+1 columns b(2h, 0) to index m^2 and
+    the column b(-1, -1) to index m^2 - m, ~m^3 coefficients in ~m^5/4
+    multiply-adds, and combines them row by row, bottom-up in
+    K^{-1} = b(-1, -1) (see ``modeq``), in another ~m^5/6.
     """
 
     __slots__ = ("p", "n", "_g", "_columns")

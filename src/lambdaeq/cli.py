@@ -1,17 +1,17 @@
 """Command-line interface.
 
 Exit codes are stable across commands: 0 success, 1 a verification
-failed (a check reported FAIL, or an exact step such as an integrality
-or a block-factorization assertion raised ``ArithmeticError``), 2 invalid
+failed (a check reported FAIL, or an exact step such as an integrality,
+factorization or gap assertion raised ``ArithmeticError``), 2 invalid
 input, including an ``--out`` file or ``--cache-dir`` that cannot be
 written (``OSError``).  Every input whose cost grows without bound is
 refused with exit 2 before any work: ``matrix`` and ``verify`` refuse
 primes whose m exceeds ``--max-m`` (assembly time grows like m^5 bignum
 multiply-adds), and each other budget is a ``MAX_*`` constant below.  All configuration
 is by flags; the only state on disk is the optional matrix cache.  A
-cached matrix is recomputed unless its entries are JSON integers, its
-prime is the one asked for and it passes the two symmetries; nothing
-else about it is re-checked.
+cached matrix is recomputed unless it is a JSON object whose entries are
+JSON integers, its prime is the one asked for and it passes the two
+symmetries; nothing else about it is re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh
@@ -68,7 +68,7 @@ DEFAULT_MAX_M = 48
 MAX_ORDER = 2500
 
 # scan solves one row-1 block per odd prime, ~m^3 work with m up to
-# (p+1)/2, so its time grows like max-p^4; --max-p 400 took 28 s on a
+# (p+1)/2, so its time grows like max-p^4; --max-p 400 took 21.5 s on a
 # 2-core VM (see README).
 MAX_SCAN_P = 400
 
@@ -224,13 +224,13 @@ def _cache_path(cache_dir, p):
 def _load_cached_matrix(path, p):
     """(matrix, its symmetry check), or None for a miss.
 
-    An entry that does not parse, holds another prime's matrix or is not
-    symmetric is a miss.
+    An entry that does not parse (nested past the recursion limit
+    included), holds another prime's matrix or is not symmetric is a miss.
     """
     try:
         with open(path) as fh:
             matrix = from_doc(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     if matrix.params.p != p:
         return None
@@ -335,9 +335,9 @@ def _cmd_verify(args):
     # validated before any b-table work
     order = _sized_order(params, args.order) if "global" in selected else None
 
-    # one b-table for every check: assembly grows its columns, global
-    # extends them to its order, dets reads their heads, and the m = 3
-    # checks read direct columns from it
+    # one b-table for every check: assembly grows b(2h, 0) and b(-1, -1),
+    # global extends b(2h, 0) to its order and adds K = b(1, 1), dets adds
+    # the B(i,i) heads, and the m = 3 checks read direct columns from it
     table = b_table(params)
     matrix = assemble(args.p, table)
     results = []

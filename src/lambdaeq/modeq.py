@@ -29,67 +29,70 @@ a_{i,h} = (-1)^{m(i-1)} a_{i,m-i-h}, and the vanishing of all master
 coefficients beyond the ones used in solving are emergent facts that
 the verify_* functions check after the fact.
 
-Every block entry is some b_l(r+2h, r) at an integer point, and all of
-them come from one integer table per prime (``b_table``).  The
-recurrence l * b_l = sum_k w_k b_{l-k} has weights
-w_k = -n * u_k * (k alpha_p(k)), with u_k = r+2h for odd k and r for
-even k.  Each of the six terms c_d * s(k/d) of alpha_p(k), with
-s(x) = sigma_1(x)/x and c_d = 1, -3, 2, 1, -3, 2 at
-d = 1, 2, 4, p, 2p, 4p, turns into k * c_d * s(k/d) = c_d * d *
-sigma_1(k/d), so k alpha_p(k) is an integer and so is every w_k.  The
-whole recurrence therefore runs on ints; the division by l is an exact
-``divmod`` whose remainder is asserted zero, which checks the
-integrality of the eta-quotient coefficients at every step.
+Every b_l(r+2h, r) comes from one integer table per prime (``b_table``):
+k alpha_p(k) is an integer (``arith.k_alpha``), so the recurrence runs on
+ints, and its exact division by l checks the integrality of the
+eta-quotient coefficients at every step (see ``bpoly.BTable``).
 
 Assembly does not need a full column for every point (r+2h, r).  The
 generating function sum_l b_l(u, v) q^l is exp(sum_k w_k q^k / k) and
 w_k is linear in (u, v), so b(u1+u2, v1+v2) is the product series
-b(u1, v1) b(u2, v2).  With the two series K = b(1, 1) and P = b(2, 0),
-b(r+2h, r) = K^r P^h, and row r contributes q^{mr} S_r to the master
-series, where
+b(u1, v1) b(u2, v2).  With K = b(1, 1) and P = b(2, 0), b(r+2h, r) =
+K^r P^h, K^{-1} = b(-1, -1) is an integer column of the same table, and
+the master series is
 
-    S_r = 2^{nr} K^r A_r(P),     A_r(P) = sum_h a_{r,h} P^h.
+    F = sum_i 2^{ni} q^{mi} K^i A_i(P),     A_i(P) = sum_h a_{i,h} P^h.
 
-Once row r is solved, ``assemble`` forms S_r once, to index m(m-r): an
-integer combination of the columns P^h = b(2h, 0), then one truncated
-product with the column K^r = b(r, r).  The right-hand side of a later
-row i is minus the sum over r < i of the windows S_r[m(i-r) + l],
-l = 0..m-i.  So assembly reads the m+1 columns b(2h, 0) to index m^2,
-the columns b(r, r) to index m(m-r), and the heads b(i+2h, i) to index
-m-i that the diagonal solve reads: ~3m^3/2 coefficients plus the
-heads, in ~m^5 multiply-adds, where one full column per point took
-~m^4/3 coefficients and ~m^6/8.  ``solve_row1`` solves row 1 on its own
-and needs only S_0 = A_0(P), to index 2m-1.
+The rows above i start at q^{m(i+1)} and K^{-i} is a unit series, so
+row i's equations are equally the coefficients mi..mi+(m-i) of
 
-The diagonal blocks are solved in ints too, through a factorization
-B(i,i) = L U.  In b_l(u, v) a partition J of l contributes a term of
-degree J_o <= |J| <= l in u, with equality only for the all-ones
-partition, whose term is (-n)^l u^l alpha_p(1)^l / l! = (-n)^l u^l / l!.
-Along row l of B(i,i) the point is (u, v) = (i+2h, i), so the row is a
-polynomial of degree l in h with leading term (-2n)^l h^l / l!; in the
-binomial basis C(h, j) its coefficients are its forward differences
-Delta_h^j B[l][0], zero for j > l and (-2n)^l at j = l.  Hence
+    K^{-i} F = G_i + 2^{ni} q^{mi} A_i(P) + O(q^{m(i+1)}),
+    G_1 = K^{-1} A_0(P),   G_{i+1} = K^{-1} (G_i + 2^{ni} q^{mi} A_i(P)).
 
-    B(i,i) = L U,    L[l][j] = Delta_h^j B[l][0],    U[j][h] = C(h, j),
+Row i therefore solves 2^{ni} C_i a'_i = -G_i[mi..mi+m-i], where C_i is
+the leading (m-i+1) block of the one matrix C = [b_l(2h, 0)] with
+l, h = 0..m.  The coefficients m(i-1)..mi-1 of G_i are row i-1's
+equations and the gap equations, which no solve reads: the row loop
+asserts that they vanish, and a nonzero one raises ``ArithmeticError``
+naming i, the index and the value.  Each step is one integer combination
+of the columns P^h = b(2h, 0) and one truncated product with the column
+K^{-1}, whose coefficients stay short.  ``assemble`` runs the loop to
+row m and reads b(2h, 0) to index m^2 and b(-1, -1) to index m^2 - m
+(each product skips the m entries the gap check cleared): ~m^3
+coefficients, and ~m^5/6 multiply-adds in the products.  ``solve_row1``
+stops after row 1 and reads the same columns to index 2m-1 and m-1.
+
+The blocks C_i are solved in ints too, through one factorization
+C = L U.  In b_l(u, v) a partition J of l contributes a term of degree
+J_o <= |J| <= l in u, with equality only for the all-ones partition,
+whose term is (-n)^l u^l alpha_p(1)^l / l! = (-n)^l u^l / l!.  Along row
+l of C the point is (u, v) = (2h, 0), so the row is a polynomial of
+degree l in h with leading term (-2n)^l h^l / l!; in the binomial basis
+C(h, j) its coefficients are its forward differences Delta_h^j C[l][0],
+zero for j > l and (-2n)^l at j = l.  Hence
+
+    C = L U,    L[l][j] = Delta_h^j C[l][0],    U[j][h] = C(h, j),
 
 with L lower triangular with diagonal (-2n)^l and U unit upper
-triangular.  ``_solve_diagonal`` does not assume this: it builds the forward
-differences of every row from the integer columns and checks that the
-l-th differences of row l all equal (-2n)^l.  Newton's formula on the
-m-i+1 points h = 0..m-i is exact, so that check proves B = L U for the
-block at hand, and a failure raises ``FactorizationError``.  The solve
-is then forward substitution with an exact division by (-2n)^l per
-row, binomial back-substitution, and an exact division by 2^{ni}; every
-division asserts a zero remainder.
+triangular, so C_i = L_i U_i for the leading blocks and one L serves
+every row.  ``_factor`` does not assume this: it builds the forward
+differences of every row of C from the integer columns and checks that
+the l-th differences of row l all equal (-2n)^l.  Newton's formula on
+the m+1 points h = 0..m is exact, so that check proves C = L U, and a
+failure raises ``FactorizationError``.  Each row is then forward
+substitution with an exact division by (-2n)^l per row, binomial
+back-substitution, and an exact division by 2^{ni}; every division
+asserts a zero remainder.
 
-The checks stay independent of the row series:
+The checks stay independent of the row loop:
 
 * ``verify_block_determinants`` reads each B(i,i) as an int grid from
-  the heads b(i+2h, i) and computes its determinant by fraction-free
-  Bareiss elimination (``exact.integer_det``), every division an exact
-  ``divmod``.  That is generic elimination: it never reads L or its
-  diagonal, which is the product formula det B(i,i) =
-  (-2n)^{(m+1-i)(m-i)/2} itself, so the check is not its own oracle.
+  the heads b(i+2h, i), blocks that assembly no longer reads, and
+  computes its determinant by fraction-free Bareiss elimination
+  (``exact.integer_det``), every division an exact ``divmod``.  That
+  is generic elimination: it never reads an L or its diagonal, which
+  is the product formula det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} itself,
+  so the check is not its own oracle.
 * ``verify_global_vanish`` recomputes the master series from the
   matrix entries alone, by Horner's rule in 2^n q^m K:
 
@@ -100,8 +103,8 @@ The checks stay independent of the row series:
   an integer combination of the columns P^h = b(2h, 0) plus one
   truncated product with the single column K = b(1, 1), of length
   order - m(i+1): ~m^5/6 multiply-adds, and no column b(i, i) with
-  i >= 2.  It never sees assembly's S_r, which put K^r in front of each
-  row separately, so a fault in them cannot cancel out.
+  i >= 2.  It never sees assembly's G_i or K^{-1}, and runs top-down
+  where assembly runs bottom-up, so a fault in them cannot cancel out.
 * ``row2_pipeline`` (theorem52) builds whole blocks from the direct
   columns b(r+2h, r) and solves them with ``Matrix.solve``, an
   independent elimination, then compares its row 2 with the matrix.
@@ -249,16 +252,10 @@ def block(params, i, r, table=None):
 def solve_row1(params):
     """Row 1 of A_p on its own: the m+1 ints a_{1,0}..a_{1,m}, the last 0.
 
-    The right-hand side is read off S_0 = A_0(P) to index 2m-1 (see the
-    module docstring) and 2^n B(1,1) a'_1 = rhs is solved in ints
-    through B(1,1) = L U, on a fresh b-table.  A non-integral solution
-    raises ``IntegralityError``, a block without the factorization
-    raises ``FactorizationError``.
+    It is the row loop of ``assemble`` stopped after row 1, on a fresh
+    b-table, and raises as ``assemble`` does (see the module docstring).
     """
-    m = params.m
-    table = b_table(params)
-    series = _row_series(params, 0, row0(m), table, 2 * m - 1)
-    return _solve_from_series(params, 1, [series], table) + (0,)
+    return _solve_rows(params, b_table(params), 1, 2 * params.m - 1)[1] + (0,)
 
 
 def _truncated_product(a, b, top):
@@ -267,44 +264,17 @@ def _truncated_product(a, b, top):
     return [sum(map(mul, a, reverse[top - t :])) for t in range(top + 1)]
 
 
-def _row_series(params, r, head, table, top):
-    """S_r = 2^{nr} K^r A_r(P) to index top, from the head of row r."""
-    weight = 2 ** (params.n * r)
-    series = [0] * (top + 1)
-    for h, a in enumerate(head):
-        if a:
-            coef = weight * a
-            power = table.column(2 * h, 0, top)
-            series = [acc + coef * b for acc, b in zip(series, power)]
-    if r:  # K^0 = b(0, 0) = 1
-        series = _truncated_product(table.column(r, r, top), series, top)
-    return series
-
-
-def _solve_from_series(params, i, series, table):
-    """Row i's head, with the right-hand side read off S_0..S_{i-1}."""
-    m = params.m
-    size = m - i + 1
-    rhs = [0] * size
-    for r in range(i):
-        shift = m * (i - r)
-        rhs = [acc - b for acc, b in zip(rhs, series[r][shift : shift + size])]
-    return _solve_diagonal(params, i, rhs, table)
-
-
 class FactorizationError(ArithmeticError):
-    """A diagonal block B(i,i) is not L U with diagonal (-2n)^l (never expected)."""
+    """C = [b_l(2h, 0)] is not L U with diagonal (-2n)^l (never expected)."""
 
 
-def _solve_diagonal(params, i, rhs, table):
-    """The int solution a of 2^{ni} B(i,i) a = rhs, through B(i,i) = L U."""
-    m, n, p = params.m, params.n, params.p
-    size = m - i + 1
-    columns = [table.column(i + 2 * h, i, m - i) for h in range(size)]
-    # row l of L: the forward differences Delta^0..Delta^{l-1} of row l of
-    # B(i,i) at h = 0; its l-th differences must all equal (-2n)^l
+def _factor(params, table):
+    """The rows of L in C = L U, C = [b_l(2h, 0)]: row l holds Delta^0..Delta^{l-1}
+    of row l of C at h = 0, and its l-th differences must all equal (-2n)^l."""
+    m, n = params.m, params.n
+    columns = [table.column(2 * h, 0, m) for h in range(m + 1)]
     lower = []
-    for l in range(size):
+    for l in range(m + 1):
         diffs = [column[l] for column in columns]
         row = []
         for _ in range(l):
@@ -314,14 +284,21 @@ def _solve_diagonal(params, i, rhs, table):
         bad = next((h for h, d in enumerate(diffs) if d != lead), None)
         if bad is not None:
             raise FactorizationError(
-                "B(%d,%d) of A_%d: row l=%d is not a degree-%d polynomial in h with "
-                "leading binomial coefficient (-2n)^l = %d; its %d-th forward "
-                "difference at h=%d is %d" % (i, i, p, l, l, lead, l, bad, diffs[bad])
+                "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial in h "
+                "with leading binomial coefficient (-2n)^l = %d; its %d-th forward "
+                "difference at h=%d is %d" % (params.p, l, l, lead, l, bad, diffs[bad])
             )
         lower.append(row)
+    return lower
+
+
+def _solve_leading(params, i, lower, rhs):
+    """The int solution a of 2^{ni} C_i a = rhs, C_i = L_i U_i the leading block of C."""
+    n, p = params.n, params.p
+    size = len(rhs)
     # forward substitution L y = rhs; y = U x is integral iff x is
     y = []
-    for l, row in enumerate(lower):
+    for l, row in enumerate(lower[:size]):
         value, rem = divmod(rhs[l] - sum(map(mul, row, y)), (-2 * n) ** l)
         if rem:
             raise IntegralityError(
@@ -334,35 +311,55 @@ def _solve_diagonal(params, i, rhs, table):
     for j in range(size - 1, -1, -1):
         x[j] = y[j] - sum([comb(h, j) * x[h] for h in range(j + 1, size)])
     scale = 2 ** (n * i)
-    head = []
-    for h, value in enumerate(x):
-        entry, rem = divmod(value, scale)
-        if rem:
-            raise IntegralityError(
-                "a_{%d,%d} of A_%d solved to the non-integer %d/2^%d" % (i, h, p, value, n * i)
+    bad = next((h for h, value in enumerate(x) if value % scale), None)
+    if bad is not None:
+        raise IntegralityError(
+            "a_{%d,%d} of A_%d solved to the non-integer %d/2^%d" % (i, bad, p, x[bad], n * i)
+        )
+    return tuple(value // scale for value in x)
+
+
+def _solve_rows(params, table, last, top):
+    """The heads of rows 0..last of A_p, bottom-up in K^{-1} (see the module docstring).
+
+    ``window`` holds G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index
+    m(i-1).  K^{-1} is a unit series, so the window and G_i = K^{-1} window
+    share their first nonzero entry, and checking the window's first m
+    entries is the gap check on G_i.
+    """
+    m, n, p = params.m, params.n, params.p
+    lower = _factor(params, table)
+    kernel = table.column(-1, -1, top - m)
+    heads = [row0(m)]
+    window = [0] * (top + 1)  # G_0 = 0, from index 0
+    for i in range(1, last + 1):
+        weight = 2 ** (n * (i - 1))
+        for h, a in enumerate(heads[-1]):
+            if a:
+                coef = weight * a
+                window = [x + coef * b for x, b in zip(window, table.column(2 * h, 0, top))]
+        bad = next((t for t in range(m) if window[t]), None)
+        if bad is not None:
+            raise ArithmeticError(
+                "before row %d of A_%d: coefficient %d of K^-%d F (an equation of row %d "
+                "or a gap equation) is %d, not 0"
+                % (i, p, m * (i - 1) + bad, i - 1, i - 1, window[bad])
             )
-        head.append(entry)
-    return tuple(head)
+        window = _truncated_product(kernel, window[m:], len(window) - m - 1)
+        heads.append(_solve_leading(params, i, lower, [-x for x in window[: m - i + 1]]))
+    return heads
 
 
 def assemble(p, table=None):
     """Build the full matrix A_p, asserting integrality of every entry.
 
-    ``table`` may be the prime's shared b-table.  Each row's series S_r
-    is formed once, right after the row is solved, and every later
-    right-hand side is read off it (see the module docstring).
+    ``table`` may be the prime's shared b-table; assembly reads only its
+    columns b(2h, 0) and b(-1, -1) (see the module docstring).
     """
     params = params_for(p)
     m = params.m
-    table = _table_for(params, table)
-    grid = [row0(m)]
-    series = [_row_series(params, 0, grid[0], table, m * m)]
-    for i in range(1, m + 1):
-        head = _solve_from_series(params, i, series, table)
-        grid.append(head + (0,) * i)
-        if i < m:
-            series.append(_row_series(params, i, head, table, m * (m - i)))
-    return ModularMatrix(params, tuple(grid))
+    heads = _solve_rows(params, _table_for(params, table), m, m * m)
+    return ModularMatrix(params, tuple(head + (0,) * i for i, head in enumerate(heads)))
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +628,11 @@ def to_doc(matrix, verification=None):
 def from_doc(doc):
     """Parse a structured document back into a ModularMatrix.
 
-    Every entry must be a JSON integer: a float, a string or a boolean
-    raises ``ValueError`` rather than being coerced.
+    The document must be a JSON object and every entry a JSON integer;
+    anything else raises ``ValueError`` rather than being coerced.
     """
+    if not isinstance(doc, dict):
+        raise ValueError("a structured document is a JSON object, not %s" % type(doc).__name__)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % (doc.get("schema_version"),))
     params = params_for(doc["p"])

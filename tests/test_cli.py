@@ -110,6 +110,26 @@ def test_matrix_cache_refuses_non_integer_entries(tmp_path, capsys, entry):
     assert json.loads(path.read_text())["matrix"][0][0] == 1  # rewritten
 
 
+# valid JSON that is not an object; "deep" nests past the recursion limit
+NON_OBJECTS = {"list": "[1, 2]", "string": '"x"', "int": "3", "deep": "[" * 10**5 + "]" * 10**5}
+
+
+@pytest.mark.parametrize("text", NON_OBJECTS.values(), ids=NON_OBJECTS.keys())
+def test_matrix_cache_treats_a_non_object_document_as_a_miss(tmp_path, capsys, text):
+    from test_modeq import REFERENCE
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "A13.schema1.json"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "matrix", "13", "--format", "structured", "--cache-dir", str(cache)
+    )
+    assert code == 0, err
+    assert tuple(map(tuple, json.loads(out)["matrix"])) == REFERENCE[13]
+    assert json.loads(path.read_text())["p"] == 13  # rewritten
+
+
 def test_matrix_out_in_a_missing_directory_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "a13.txt"
     code, out, err = run(capsys, "matrix", "13", "--out", str(target))
@@ -310,6 +330,26 @@ def test_scan_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_61_SHA256
 
 
+# stdout of large-m commands, whose matrices REFERENCE does not reach
+LARGE_M_SHA256 = {
+    ("matrix", "53", "--format", "structured"):
+        "cee0b2f3a989b7e7ee5d7b028dbcfcb5f8b13b745aa9871d3f9951d49d16f4ef",
+    ("verify", "53"): "4a8b54ada1f9328827d9855564e03bd071126007248074299b496f65d53f41d8",
+    ("verify", "23"): "465f9974c35ebb7c3b827cb4fb7863a8cb96e084d0e6bc6b53b6d3aed13ec058",
+    ("scan", "--max-p", "199"):
+        "7492ca7d57c703e0d01952a3a2bbac49b8375851a496223fade4a9ce0acb2c64",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_M_SHA256), ids=" ".join)
+def test_large_m_output_is_pinned(argv, capsys):
+    import hashlib
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_M_SHA256[argv]
+
+
 def test_scan_reports_a_mismatch(monkeypatch, capsys):
     import lambdaeq.cli as cli
 
@@ -370,23 +410,63 @@ def test_arithmetic_failure_exits_1_with_message(monkeypatch, capsys):
     assert err.startswith("error: b_2(1, 0) is not an integer")
 
 
-def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
+def _corrupt_column(monkeypatch, point, index):
+    """Make every b-table return ``point``'s column with entry ``index`` off by one."""
     from lambdaeq import BTable
 
     column = BTable.column
 
     def corrupted(self, u, v, top):
         values = column(self, u, v, top)
-        if (u, v) == (7, 1):  # column h = 3 of B(1,1) for p = 13
+        if (u, v) == point and len(values) > index:
             values = values[:]
-            values[2] += 1
+            values[index] += 1
         return values
 
     monkeypatch.setattr(BTable, "column", corrupted)
+
+
+def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
+    _corrupt_column(monkeypatch, (6, 0), 2)  # entry (l, h) = (2, 3) of C for p = 13
     code, out, err = run(capsys, "verify", "13")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: B(1,1) of A_13: row l=2 is not a degree-2 polynomial")
+    assert err.startswith(
+        "error: C of A_13: row l=2 of [b_l(2h, 0)] is not a degree-2 polynomial"
+    )
+
+
+def test_corrupted_block_head_fails_dets(monkeypatch, capsys):
+    # column h = 3 of B(1,1) for p = 13: assembly never reads it, dets does
+    _corrupt_column(monkeypatch, (7, 1), 2)
+    code, out, err = run(capsys, "verify", "13")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "symmetry: PASS", "rowsums: PASS", "dets: FAIL", "global: PASS"
+    ]
+    details = json.loads(lines[lines.index("dets: FAIL") + 1].split("details: ", 1)[1])
+    assert [b["i"] for b in details["blocks"] if not b["ok"]] == [1]
+
+
+def test_corrupted_inverse_kernel_exits_1(monkeypatch, capsys):
+    # assembly reads K^-1 = b(-1, -1) to index m^2 - m = 42 for p = 13; a
+    # coefficient past that multiplies only the zeros below q^m of every
+    # row's series, and test_verify_without_global_builds_only_what_assembly_needs
+    # pins the column's length
+    seen = set()
+    for index in range(1, 43):
+        with monkeypatch.context() as patch:
+            _corrupt_column(patch, (-1, -1), index)
+            code, out, err = run(capsys, "verify", "13")
+        assert code == 1, index
+        if err.startswith("error: before row "):
+            seen.add("gap")
+        elif err.startswith("error: ") and ("non-integer" in err or "no integral" in err):
+            seen.add("integrality")
+        else:
+            assert err == "" and "global: FAIL" in out, (index, err)
+    assert seen == {"gap", "integrality"}
 
 
 @pytest.fixture
@@ -409,18 +489,14 @@ def column_lengths(table):
     return {key: len(column) for key, column in table._columns.items()}
 
 
-def factored_layout(m, power_top, kernel_top):
-    """Column lengths of the factored route for one prime.
+def factored_layout(m, power_top):
+    """Column lengths of assembly's route for one prime, past its own reads.
 
-    The columns P^h = b(2h, 0) reach index power_top, each K^r = b(r, r)
-    reaches kernel_top(r), and the B(i,i) heads b(i+2h, i), h >= 1,
-    reach index m-i.  No other point has a column.
+    The columns P^h = b(2h, 0) reach index power_top and K^-1 = b(-1, -1)
+    reaches m^2 - m.  No other point has a column.
     """
     layout = {(2 * h, 0): power_top + 1 for h in range(m + 1)}
-    layout.update({(r, r): kernel_top(r) + 1 for r in range(1, m + 1)})
-    layout.update(
-        {(i + 2 * h, i): m - i + 1 for i in range(1, m + 1) for h in range(1, m - i + 1)}
-    )
+    layout[(-1, -1)] = m * m - m + 1
     return layout
 
 
@@ -430,9 +506,13 @@ def test_verify_order_grows_the_shared_table(tables, capsys):
     assert "global: PASS" in out and "dets: PASS" in out
     assert len(tables) == 1
     m = 7
-    # global extends P^h to its order and K = b(1, 1) to order - m; every
-    # other b(r, r) stays at assembly's m(m-r), and dets reads the heads
-    expected = factored_layout(m, 300, lambda r: 300 - m if r == 1 else m * (m - r))
+    # global extends P^h to its order and reads K = b(1, 1) to order - m;
+    # dets reads the B(i,i) heads b(i+2h, i) to index m-i
+    expected = factored_layout(m, 300)
+    expected.update(
+        {(i + 2 * h, i): m - i + 1 for i in range(1, m + 1) for h in range(m - i + 1)}
+    )
+    expected[(1, 1)] = 300 - m + 1
     assert column_lengths(tables[0]) == expected
 
 
@@ -446,11 +526,8 @@ def test_verify_order_below_m_squared_builds_no_table(tables, capsys):
 def test_verify_without_global_builds_only_what_assembly_needs(tables, capsys):
     code, _, _ = run(capsys, "verify", "13", "--checks", "symmetry")
     assert code == 0
-    m = 7
-    # row r's series S_r runs to index m(m-r); K^m is only read as the
-    # one-entry head of B(m,m)
-    expected = factored_layout(m, m * m, lambda r: m * (m - r))
-    assert column_lengths(tables[0]) == expected
+    # only the columns b(2h, 0) to index m^2 = 49 and b(-1, -1)
+    assert column_lengths(tables[0]) == factored_layout(7, 49)
 
 
 def test_matrix_refuses_oversize_prime_at_once(capsys):

@@ -39,7 +39,7 @@ from lambdaeq import (
     verify_row_moments,
     verify_symmetry,
 )
-from lambdaeq.modeq import _solve_diagonal
+from lambdaeq.modeq import _factor, _solve_leading, _solve_rows
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A11 = ((1, -3, 3, -1), (-3, -10, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -165,57 +165,89 @@ SMALL_PRIMES = [p for p in range(3, 60) if is_odd_prime(p)]
 assert {params_for(p).n for p in SMALL_PRIMES} == {1, 2, 4}
 
 
-def _diagonal_system(data):
-    """A prime, a row index i, its table, B(i,i), and a random integer head x."""
+def _leading_system(data):
+    """A prime, a row index i, its table, C_i, and a random integer head x.
+
+    C_i = [b_l(2h, 0)], l, h = 0..m-i, is the leading block of C that
+    row i solves against.
+    """
     params = params_for(data.draw(st.sampled_from(SMALL_PRIMES), label="p"))
     i = data.draw(st.integers(1, params.m), label="i")
     size = params.m - i + 1
     x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size), label="x")
     table = b_table(params)
-    return params, i, table, block(params, i, i, table), tuple(x)
+    columns = [table.column(2 * h, 0, size - 1)[:size] for h in range(size)]
+    return params, i, table, Matrix(list(zip(*columns))), tuple(x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_structured_solve_inverts_the_diagonal_block(data):
-    params, i, table, b, x = _diagonal_system(data)
+    params, i, table, c, x = _leading_system(data)
     scale = 2 ** (params.n * i)
-    rhs = [scale * int(v) for v in b.mul_vec(x)]
-    solved = _solve_diagonal(params, i, rhs, table)
+    rhs = [scale * int(v) for v in c.mul_vec(x)]
+    solved = _solve_leading(params, i, _factor(params, table), rhs)
     assert solved == x
     assert all(type(v) is int for v in solved)
-    assert tuple(v / scale for v in b.solve(rhs)) == solved
+    assert tuple(v / scale for v in c.solve(rhs)) == solved
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_structured_solve_refuses_rhs_outside_the_integral_image(data):
-    params, i, table, b, x = _diagonal_system(data)
+    params, i, table, c, x = _leading_system(data)
+    lower = _factor(params, table)
     scale = 2 ** (params.n * i)
-    off_lattice = [scale * int(v) for v in b.mul_vec(x)]
+    off_lattice = [scale * int(v) for v in c.mul_vec(x)]
     off_lattice[-1] += 1
     with pytest.raises(IntegralityError):
-        _solve_diagonal(params, i, off_lattice, table)
-    odd = [int(v) for v in b.mul_vec((1,) + x[1:])]
+        _solve_leading(params, i, lower, off_lattice)
+    odd = [int(v) for v in c.mul_vec((1,) + x[1:])]
     with pytest.raises(IntegralityError):
-        _solve_diagonal(params, i, odd, table)
+        _solve_leading(params, i, lower, odd)
 
 
 @pytest.mark.parametrize("p, i, h, l", [(13, 1, 3, 2), (13, 2, 0, 0), (17, 4, 5, 5), (7, 1, 0, 0)])
 def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
+    # entry (l, h) of C_i, the leading block of C that row i solves against
     params = params_for(p)
+    m = params.m
     table = b_table(params)
-    table.column(i + 2 * h, i, params.m - i)[l] += 1  # the table's own list
-    rhs = [0] * (params.m - i + 1)
-    with pytest.raises(FactorizationError, match=r"B\(%d,%d\) of A_%d: row l=%d " % (i, i, p, l)):
-        _solve_diagonal(params, i, rhs, table)
+    table.column(2 * h, 0, m)[l] += 1  # the table's own list
+    message = r"C of A_%d: row l=%d of \[b_l\(2h, 0\)\] " % (p, l)
+    with pytest.raises(FactorizationError, match=message):
+        _solve_rows(params, table, i, m * i + m - i)
+
+
+def test_gap_error_names_the_row_the_index_and_the_value(monkeypatch):
+    import lambdaeq.modeq as modeq
+
+    # a_{i,0} += 1 adds 2^{ni} q^{mi} to K^-i F, so the loop finds its
+    # coefficient mi nonzero before row i+1; every other row solves as usual
+    solve = modeq._solve_leading
+    for p, i in ((13, 1), (13, 4), (17, 8), (5, 2)):
+        params = params_for(p)
+        m, n = params.m, params.n
+
+        def perturbed(params, row, lower, rhs):
+            head = solve(params, row, lower, rhs)
+            return (head[0] + 1,) + head[1:] if row == i else head
+
+        monkeypatch.setattr(modeq, "_solve_leading", perturbed)
+        message = r"^before row %d of A_%d: coefficient %d of K\^-%d F .* is %d, not 0$" % (
+            i + 1, p, m * i, i, 2 ** (n * i)
+        )
+        with pytest.raises(ArithmeticError, match=message):
+            assemble(p)
 
 
 def _direct_route(p):
     """A_p with every right-hand side summed from the per-(r+2h, r) columns.
 
     This is the route without the K^r P^h factorization: one table
-    column for each point (r+2h, r), read as far as row i needs.
+    column for each point (r+2h, r), read as far as row i needs, and
+    each B(i,i) solved by ``Matrix.solve``, an elimination that shares
+    nothing with assembly's C = L U.
     """
     params = params_for(p)
     m, n = params.m, params.n
@@ -230,7 +262,9 @@ def _direct_route(p):
                 column = table.column(r + 2 * h, r, shift + size - 1)
                 for l in range(size):
                     rhs[l] -= 2 ** (n * r) * grid[r][h] * column[shift + l]
-        grid.append(_solve_diagonal(params, i, rhs, table) + (0,) * i)
+        head = [x / 2 ** (n * i) for x in block(params, i, i, table).solve(rhs)]
+        assert all(x.denominator == 1 for x in head), (p, i)
+        grid.append(tuple(int(x) for x in head) + (0,) * i)
     return tuple(grid)
 
 
@@ -533,6 +567,12 @@ def test_from_doc_validates():
         from_doc(doc)
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "x", 3, None])
+def test_from_doc_refuses_a_non_object(doc):
+    with pytest.raises(ValueError, match="JSON object"):
+        from_doc(doc)
+
+
 @pytest.mark.parametrize("entry", [1.7, -3.0, "-3", True, None])
 def test_from_doc_refuses_non_integer_entries(entry):
     doc = json.loads(json.dumps(to_doc(assemble(5))))
@@ -561,7 +601,10 @@ def test_one_table_serves_assembly_dets_and_global():
     assert matrix.entries == REFERENCE[19]
     grown = {key: len(col) for key, col in table._columns.items()}
     assert verify_block_determinants(params, table).passed
-    assert {key: len(col) for key, col in table._columns.items()} == grown
+    # dets adds the heads b(i+2h, i), i >= 1, and leaves assembly's columns as they were
+    after = {key: len(col) for key, col in table._columns.items()}
+    assert {key: after[key] for key in grown} == grown
+    assert all(i >= 1 and (u - i) % 2 == 0 for u, i in set(after) - set(grown))
     assert verify_global_vanish(matrix, table=table).passed
     fresh = verify_global_vanish(matrix)
     assert fresh.details == verify_global_vanish(matrix, table=table).details
