@@ -12,21 +12,8 @@ nonlinear differential equation satisfied by lambda itself.
 """
 
 from .arith import alpha, is_odd_prime, k_alpha, partition_weight, sigma1
-from .bpoly import (
-    ENUMERATION_THRESHOLD,
-    BTable,
-    b_eval,
-    b_series,
-    binomial_moment,
-    c_coeff,
-    p_poly,
-)
-from .exact import (
-    IntegralityError,
-    Matrix,
-    SingularMatrixError,
-    integer_det,
-)
+from .bpoly import ENUMERATION_THRESHOLD, BTable, b_eval, b_series, p_poly
+from .exact import IntegralityError, integer_det
 from .modeq import (
     SCHEMA_VERSION,
     CheckResult,

@@ -28,7 +28,6 @@ rational points.  Tests pin the three routes against each other.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from operator import index, mul
 
 from .arith import alpha, k_alpha, partition_weight
@@ -40,8 +39,6 @@ __all__ = [
     "BTable",
     "b_eval",
     "b_series",
-    "binomial_moment",
-    "c_coeff",
     "p_poly",
 ]
 
@@ -185,30 +182,3 @@ def p_poly(s, m):
     if m == 0:
         return Fraction(0)
     return Fraction(m, m + s) * (p_poly(s - 1, m) + p_poly(s, m - 1))
-
-
-@lru_cache(maxsize=None)
-def c_coeff(s, r):
-    """Coefficients expanding P_s over a binomial basis:
-
-        P_s(m) = sum_{r=0..s} c_{s,r} * C(m, r),
-
-    with c_{0,0} = 1 and c_{s,r} = r/(s+r) * (c_{s-1,r-1} + c_{s-1,r}).
-    """
-    if s < 0 or r < 0:
-        raise ValueError("c_coeff needs s >= 0 and r >= 0")
-    if s == 0 and r == 0:
-        return Fraction(1)
-    if r == 0 or r > s:
-        return Fraction(0)
-    return Fraction(r, s + r) * (c_coeff(s - 1, r - 1) + c_coeff(s - 1, r))
-
-
-def binomial_moment(N, m):
-    """sum_{h=0..m} h^N (-1)^{h-1} C(m, h), with the 0^0 = 1 convention.
-
-    Vanishes for 0 <= N < m; for N >= m it equals (-1)^{m-1} P_{N-m}(m) N!.
-    """
-    if N < 0 or m < 1:
-        raise ValueError("binomial_moment needs N >= 0 and m >= 1")
-    return sum(h ** N * (1 if h % 2 else -1) * comb(m, h) for h in range(m + 1))

@@ -86,8 +86,8 @@ asserts a zero remainder.
 
 The checks stay independent of the row loop:
 
-* ``verify_block_determinants`` reads each B(i,i) as an int grid from
-  the heads b(i+2h, i), blocks that assembly no longer reads, and
+* ``verify_block_determinants`` reads each B(i,i) with ``block``, an
+  int grid of the heads b(i+2h, i) that assembly never reads, and
   computes its determinant by fraction-free Bareiss elimination
   (``exact.integer_det``), every division an exact ``divmod``.  That
   is generic elimination: it never reads an L or its diagonal, which
@@ -105,11 +105,14 @@ The checks stay independent of the row loop:
   order - m(i+1): ~m^5/6 multiply-adds, and no column b(i, i) with
   i >= 2.  It never sees assembly's G_i or K^{-1}, and runs top-down
   where assembly runs bottom-up, so a fault in them cannot cancel out.
-* ``row2_pipeline`` (theorem52) builds whole blocks from the direct
-  columns b(r+2h, r) and solves them with ``Matrix.solve``, an
-  independent elimination, then compares its row 2 with the matrix.
+* ``row2_pipeline`` (theorem52) reads whole blocks from the direct
+  columns b(r+2h, r), solves B(1,1) and B(2,2) by Cramer's rule with
+  every determinant a Bareiss ``integer_det`` on ints, and compares its
+  row 2 with the matrix.  It never calls ``_factor``, ``_solve_leading``
+  or ``_solve_rows``, so it stays independent of the L U solve.
 
-``block`` and ``qseries.xy_normalized_lemma`` read direct columns too.
+``bordered_determinant`` and ``qseries.xy_normalized_lemma`` read direct
+columns too.
 """
 
 from dataclasses import dataclass
@@ -119,7 +122,7 @@ from operator import mul
 
 from .arith import alpha, is_odd_prime
 from .bpoly import BTable, p_poly
-from .exact import IntegralityError, Matrix, integer_det
+from .exact import IntegralityError, integer_det
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -195,12 +198,6 @@ class ModularMatrix:
         if any(not isinstance(x, int) for r in self.entries for x in r):
             raise ValueError("entries must be plain integers")
 
-    def with_entry(self, i, h, value):
-        """Copy with one entry replaced (used by negative-control checks)."""
-        grid = [list(r) for r in self.entries]
-        grid[i][h] = value
-        return ModularMatrix(self.params, tuple(tuple(r) for r in grid))
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -234,6 +231,7 @@ def _table_for(params, table):
 def block(params, i, r, table=None):
     """The block B(i, r) = [b_{l+m(i-r)}(r+2h, r)], l = 0..m-i, h = 0..m-r.
 
+    It is a tuple of int rows, laid out as ``ModularMatrix.entries``.
     ``table`` is the prime's shared b-table (see ``b_table``); without
     it a fresh one is made.
     """
@@ -246,7 +244,7 @@ def block(params, i, r, table=None):
     shift = m * (i - r)
     top = shift + (m - i)
     columns = [table.column(r + 2 * h, r, top)[shift : top + 1] for h in range(m - r + 1)]
-    return Matrix(list(zip(*columns)))
+    return tuple(zip(*columns))
 
 
 def solve_row1(params):
@@ -437,18 +435,15 @@ def verify_row_moments(params, row):
 def verify_block_determinants(params, table=None):
     """det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} for every 1 <= i <= m.
 
-    Each block is read as an int grid from the table columns
-    b(i+2h, i) and its determinant taken by Bareiss elimination
-    (``integer_det``), independent of how the rows are solved;
-    ``table`` may be the prime's shared b-table.
+    Each block is read with ``block`` and its determinant taken by
+    Bareiss elimination (``integer_det``), independent of how the rows
+    are solved; ``table`` may be the prime's shared b-table.
     """
     m, n = params.m, params.n
     table = _table_for(params, table)
     per_block = []
     for i in range(1, m + 1):
-        size = m - i + 1
-        columns = [table.column(i + 2 * h, i, m - i)[:size] for h in range(size)]
-        d = integer_det(zip(*columns))
+        d = integer_det(block(params, i, i, table))
         expected = (-2 * n) ** (((m + 1 - i) * (m - i)) // 2)
         per_block.append({"i": i, "det": str(d), "expected": str(expected), "ok": d == expected})
     return CheckResult("dets", all(b["ok"] for b in per_block), {"blocks": per_block})
@@ -543,6 +538,28 @@ def closed_form_row1(matrix):
     return CheckResult("row1-closed-forms", ok, details)
 
 
+def _times(grid, vector):
+    """The int vector grid @ vector."""
+    return [sum(map(mul, row, vector)) for row in grid]
+
+
+def _cramer(params, name, grid, rhs):
+    """(d, x) with d = det grid and x = d grid^{-1} rhs, all ints, by Cramer's rule.
+
+    x_j is the determinant of grid with column j replaced by rhs.  A zero
+    d raises ``ArithmeticError`` naming the block and p.
+    """
+    d = integer_det(grid)
+    if not d:
+        raise ArithmeticError(
+            "theorem52: block %s of p = %d is singular, so Cramer's rule cannot solve it"
+            % (name, params.p)
+        )
+    columns = list(zip(*grid))
+    x = [integer_det(zip(*columns[:j], rhs, *columns[j + 1 :])) for j in range(len(columns))]
+    return d, x
+
+
 def row2_pipeline(matrix, table=None):
     """Determine row 2 from row-1 data alone, for m = 3, and compare with ``matrix``.
 
@@ -553,22 +570,28 @@ def row2_pipeline(matrix, table=None):
     C = 2n * 2^{2n} * a_{2,0}; the simpler claim C = 2^{2n} a_{2,0}
     misses the 2n factor and is recorded as such.  ``table`` may be the
     prime's shared b-table.
+
+    Both solves are Cramer's rule on ints.  With d_1 = det B(1,1) the
+    vector d_1 R is integral, so every determinant is an ``integer_det``
+    and only C, a_{2,0} and a_{2,1} become fractions.  A singular B(1,1)
+    or B(2,2) raises ``ArithmeticError``.
     """
     params = matrix.params
     _require_m3(params, "row2_pipeline")
     n = params.n
     table = _table_for(params, table)
     a0 = row0(params.m)
-    v = block(params, 1, 0, table).mul_vec(a0)
-    w = block(params, 1, 1, table).solve(v)
-    t = block(params, 2, 1, table).mul_vec(w)
-    s = block(params, 2, 0, table).mul_vec(a0)
-    residual = tuple(ti - si for ti, si in zip(t, s))
+    v = _times(block(params, 1, 0, table), a0)
+    d1, w = _cramer(params, "B(1,1)", block(params, 1, 1, table), v)  # B(1,1)^{-1} v = w / d1
+    t = _times(block(params, 2, 1, table), w)
+    s = _times(block(params, 2, 0, table), a0)
+    residual = [ti - d1 * si for ti, si in zip(t, s)]  # d1 R
     first_zero = residual[0] == 0
-    c = residual[1]
-    head = block(params, 2, 2, table).solve(residual)
+    c = Fraction(residual[1], d1)
+    # B(2,2)^{-1} d1 R = head / d2
+    d2, head = _cramer(params, "B(2,2)", block(params, 2, 2, table), residual)
     scale = 2 ** (2 * n)
-    a20, a21 = (x / scale for x in head)
+    a20, a21 = (Fraction(x, d1 * d2 * scale) for x in head)
     reference = matrix.entries[2]
     ok = (
         first_zero
@@ -600,8 +623,8 @@ def bordered_determinant(p, table=None):
     table = _table_for(params, table)
     col_a = table.column(3, 1, 2)
     col_b = table.column(5, 1, 2)
-    col_c = block(params, 1, 0, table).mul_vec(row0(m))
-    det = Matrix([[col_a[l], col_b[l], col_c[l]] for l in range(3)]).det()
+    col_c = _times(block(params, 1, 0, table), row0(m))
+    det = integer_det([[col_a[l], col_b[l], col_c[l]] for l in range(3)])
     expected = m * (-2 * n) ** 3 * 2 ** n
     details = {"det": str(det), "expected": str(expected)}
     return CheckResult("bordered-det", det == expected, details)

@@ -1,0 +1,160 @@
+"""Test-only oracles: rational elimination and API with no production caller.
+
+``Matrix`` is a dense matrix of exact rationals with its own Gaussian
+``det`` and ``solve``.  The library eliminates only on integers
+(``exact.integer_det``); ``Matrix`` is the independent reference that
+``integer_det``, the row solves and the direct column route are
+compared against.  Pivoting picks the first nonzero entry in column
+order, as ``integer_det`` does.
+
+``c_coeff`` and ``binomial_moment`` are the moment-polynomial identities
+of the acceptance suite, and ``with_entry`` builds the perturbed
+matrices of the negative controls.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
+
+from lambdaeq import ModularMatrix
+
+
+class SingularMatrixError(ArithmeticError):
+    """A square system turned out singular during elimination."""
+
+
+class Matrix:
+    """Immutable dense matrix of exact rationals."""
+
+    __slots__ = ("entries", "rows", "cols")
+
+    def __init__(self, entries):
+        # tuple() of a list allocates at the final size; tuple() of a
+        # generator resizes, which moves the block to another size's
+        # free list and slowly inflates memory over many builds
+        grid = tuple([tuple([Fraction(x) for x in row]) for row in entries])
+        if not grid or not grid[0]:
+            raise ValueError("matrix needs at least one row and one column")
+        width = len(grid[0])
+        if any(len(row) != width for row in grid):
+            raise ValueError("matrix rows must all have the same length")
+        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "rows", len(grid))
+        object.__setattr__(self, "cols", width)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    def __getitem__(self, key):
+        i, j = key
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return "Matrix(%r)" % (self.entries,)
+
+    def mul_vec(self, v):
+        """Matrix-vector product, exact."""
+        if len(v) != self.cols:
+            raise ValueError("vector length %d != column count %d" % (len(v), self.cols))
+        return tuple(
+            sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in self.entries
+        )
+
+    def det(self):
+        """Exact determinant by rational Gaussian elimination."""
+        if self.rows != self.cols:
+            raise ValueError("determinant needs a square matrix")
+        n = self.rows
+        a = [list(row) for row in self.entries]
+        sign = 1
+        result = Fraction(1)
+        for c in range(n):
+            pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
+            if pivot_row is None:
+                return Fraction(0)
+            if pivot_row != c:
+                a[c], a[pivot_row] = a[pivot_row], a[c]
+                sign = -sign
+            pivot = a[c][c]
+            result *= pivot
+            for r in range(c + 1, n):
+                f = a[r][c]
+                if f == 0:
+                    continue
+                f = f / pivot
+                row, top = a[r], a[c]
+                for k in range(c + 1, n):
+                    row[k] -= f * top[k]
+        return result if sign > 0 else -result
+
+    def solve(self, rhs):
+        """Exact solution x of self @ x = rhs for a nonsingular square self."""
+        if self.rows != self.cols:
+            raise ValueError("solve needs a square matrix")
+        n = self.rows
+        if len(rhs) != n:
+            raise ValueError("right-hand side length %d != %d" % (len(rhs), n))
+        a = [list(row) + [Fraction(b)] for row, b in zip(self.entries, rhs)]
+        for c in range(n):
+            pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
+            if pivot_row is None:
+                raise SingularMatrixError("singular system (pivot column %d)" % c)
+            if pivot_row != c:
+                a[c], a[pivot_row] = a[pivot_row], a[c]
+            pivot = a[c][c]
+            for r in range(c + 1, n):
+                f = a[r][c]
+                if f == 0:
+                    continue
+                f = f / pivot
+                row, top = a[r], a[c]
+                for k in range(c + 1, n + 1):
+                    row[k] -= f * top[k]
+        x = [Fraction(0)] * n
+        for r in range(n - 1, -1, -1):
+            acc = a[r][n]
+            row = a[r]
+            for k in range(r + 1, n):
+                acc -= row[k] * x[k]
+            x[r] = acc / row[r]
+        return tuple(x)
+
+
+@lru_cache(maxsize=None)
+def c_coeff(s, r):
+    """Coefficients expanding P_s over a binomial basis:
+
+        P_s(m) = sum_{r=0..s} c_{s,r} * C(m, r),
+
+    with c_{0,0} = 1 and c_{s,r} = r/(s+r) * (c_{s-1,r-1} + c_{s-1,r}).
+    """
+    if s < 0 or r < 0:
+        raise ValueError("c_coeff needs s >= 0 and r >= 0")
+    if s == 0 and r == 0:
+        return Fraction(1)
+    if r == 0 or r > s:
+        return Fraction(0)
+    return Fraction(r, s + r) * (c_coeff(s - 1, r - 1) + c_coeff(s - 1, r))
+
+
+def binomial_moment(N, m):
+    """sum_{h=0..m} h^N (-1)^{h-1} C(m, h), with the 0^0 = 1 convention.
+
+    Vanishes for 0 <= N < m; for N >= m it equals (-1)^{m-1} P_{N-m}(m) N!.
+    """
+    if N < 0 or m < 1:
+        raise ValueError("binomial_moment needs N >= 0 and m >= 1")
+    return sum(h ** N * (1 if h % 2 else -1) * comb(m, h) for h in range(m + 1))
+
+
+def with_entry(matrix, i, h, value):
+    """Copy of a ``ModularMatrix`` with entry (i, h) replaced."""
+    grid = [list(r) for r in matrix.entries]
+    grid[i][h] = value
+    return ModularMatrix(matrix.params, tuple(tuple(r) for r in grid))

@@ -24,12 +24,11 @@ from lambdaeq import (
     params_for,
     b_eval,
     b_series,
-    binomial_moment,
-    c_coeff,
     p_poly,
     partition_weight,
     partitions_of,
 )
+from oracles import binomial_moment, c_coeff
 
 PRIMES_WITH_N = [(3, 2), (5, 4), (7, 1), (11, 2), (13, 4), (23, 1)]
 

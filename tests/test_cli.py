@@ -330,11 +330,14 @@ def test_scan_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_61_SHA256
 
 
-# stdout of large-m commands, whose matrices REFERENCE does not reach
+# stdout of large-m commands, whose matrices REFERENCE does not reach, and
+# of the m = 3 verifies, the only ones that run the theorem52 checks
 LARGE_M_SHA256 = {
     ("matrix", "53", "--format", "structured"):
         "cee0b2f3a989b7e7ee5d7b028dbcfcb5f8b13b745aa9871d3f9951d49d16f4ef",
     ("verify", "53"): "4a8b54ada1f9328827d9855564e03bd071126007248074299b496f65d53f41d8",
+    ("verify", "5"): "64145b5fe2a10fb25e7318ef37677a2fc3db50ca53a98984bebbdd3f4903b6f7",
+    ("verify", "11"): "08e6b5228db376109abef372c5ee126f1f59c400cbec2f1b6e490cba9ed8ad13",
     ("verify", "23"): "465f9974c35ebb7c3b827cb4fb7863a8cb96e084d0e6bc6b53b6d3aed13ec058",
     ("scan", "--max-p", "199"):
         "7492ca7d57c703e0d01952a3a2bbac49b8375851a496223fade4a9ce0acb2c64",
@@ -408,6 +411,19 @@ def test_arithmetic_failure_exits_1_with_message(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: b_2(1, 0) is not an integer")
+
+
+def test_singular_theorem52_block_exits_1_with_message(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+    from test_modeq import singular_block_table
+
+    monkeypatch.setattr(cli, "b_table", lambda params: singular_block_table(params.p, "B(2,2)"))
+    code, out, err = run(capsys, "verify", "23", "--checks", "theorem52")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: theorem52: block B(2,2) of p = 23 is singular")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def _corrupt_column(monkeypatch, point, index):

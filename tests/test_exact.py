@@ -1,8 +1,9 @@
 """Exact linear-algebra tests.
 
-The determinant and solver are checked against independent oracles:
-hand cofactor expansions, residual recomputation, and transposition.
-The integer Bareiss determinant is checked against ``Matrix.det``.
+``integer_det`` is the library's elimination.  It is checked against
+the rational Gaussian ``det`` of the test oracle ``oracles.Matrix``,
+whose determinant and solver are in turn checked against hand cofactor
+expansions, residual recomputation, and transposition.
 """
 
 import random
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaeq import IntegralityError, Matrix, SingularMatrixError
+from lambdaeq import IntegralityError
 from lambdaeq.exact import integer_det
+from oracles import Matrix, SingularMatrixError
 
 
 def test_det_identity():

@@ -6,6 +6,7 @@ entry for entry, and every structural check must hold on them.
 """
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from lambdaeq import (
     FactorizationError,
     IntegralityError,
-    Matrix,
     ModularMatrix,
     PrimeParams,
     assemble,
@@ -39,7 +39,9 @@ from lambdaeq import (
     verify_row_moments,
     verify_symmetry,
 )
+from lambdaeq.exact import integer_det
 from lambdaeq.modeq import _factor, _solve_leading, _solve_rows
+from oracles import Matrix, with_entry
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A11 = ((1, -3, 3, -1), (-3, -10, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -127,17 +129,18 @@ def test_block_p5_row1_matches_hand_table():
     # rows are b_0, b_1, b_2 at (1+2h, 1) for n = 4, alpha(2) = -3/2:
     # (1,1,1), (-4,-12,-20), (n^2 u^2/2 + 6) = (14, 78, 206)
     blk = block(params_for(5), 1, 1)
-    assert blk == Matrix([[1, 1, 1], [-4, -12, -20], [14, 78, 206]])
+    assert blk == ((1, 1, 1), (-4, -12, -20), (14, 78, 206))
+    assert all(type(x) is int for row in blk for x in row)
 
 
 def test_block_top_left_entry_is_one():
     for p in (5, 13, 23):
-        assert block(params_for(p), 1, 1)[0, 0] == 1
+        assert block(params_for(p), 1, 1)[0][0] == 1
 
 
 def test_block_p5_determinant_hand_cofactor():
     # cofactor expansion of the hand table gives -512 = (-2n)^{m(m-1)/2}
-    assert block(params_for(5), 1, 1).det() == -512
+    assert integer_det(block(params_for(5), 1, 1)) == -512
 
 
 def test_block_dimensions():
@@ -145,7 +148,8 @@ def test_block_dimensions():
     for i in range(1, 8):
         for r in range(i + 1):
             blk = block(params, i, r)
-            assert (blk.rows, blk.cols) == (7 - i + 1, 7 - r + 1)
+            assert len(blk) == 7 - i + 1
+            assert all(len(row) == 7 - r + 1 for row in blk)
     with pytest.raises(ValueError):
         block(params, 0, 0)
     with pytest.raises(ValueError):
@@ -246,8 +250,8 @@ def _direct_route(p):
 
     This is the route without the K^r P^h factorization: one table
     column for each point (r+2h, r), read as far as row i needs, and
-    each B(i,i) solved by ``Matrix.solve``, an elimination that shares
-    nothing with assembly's C = L U.
+    each B(i,i) solved by the test oracle ``Matrix.solve``, a rational
+    elimination that shares nothing with assembly's C = L U.
     """
     params = params_for(p)
     m, n = params.m, params.n
@@ -262,7 +266,7 @@ def _direct_route(p):
                 column = table.column(r + 2 * h, r, shift + size - 1)
                 for l in range(size):
                     rhs[l] -= 2 ** (n * r) * grid[r][h] * column[shift + l]
-        head = [x / 2 ** (n * i) for x in block(params, i, i, table).solve(rhs)]
+        head = [x / 2 ** (n * i) for x in Matrix(block(params, i, i, table)).solve(rhs)]
         assert all(x.denominator == 1 for x in head), (p, i)
         grid.append(tuple(int(x) for x in head) + (0,) * i)
     return tuple(grid)
@@ -290,7 +294,7 @@ def test_symmetry_holds_for_all_references():
 
 
 def test_symmetry_detects_perturbation():
-    bad = assemble(5).with_entry(2, 1, 7)
+    bad = with_entry(assemble(5), 2, 1, 7)
     result = verify_symmetry(bad)
     assert not result.passed
     assert result.details["transpose_violations"] or result.details["horizontal_violations"]
@@ -364,7 +368,7 @@ def test_global_vanish_detects_perturbation_with_index():
         matrix = assemble(p)
         m, n = matrix.params.m, matrix.params.n
         for i, h, delta in perturbations:
-            bad = matrix.with_entry(i, h, matrix.entries[i][h] + delta)
+            bad = with_entry(matrix, i, h, matrix.entries[i][h] + delta)
             result = verify_global_vanish(bad)
             assert not result.passed
             assert result.details["first_nonzero"] == {
@@ -423,7 +427,7 @@ def test_global_first_nonzero_matches_the_direct_column_sum(data):
         perturbations.append((i, data.draw(index.filter(lambda x: x != h), label="h'"), -d))
     bad = matrix
     for i, h, d in perturbations:
-        bad = bad.with_entry(i, h, bad.entries[i][h] + d)
+        bad = with_entry(bad, i, h, bad.entries[i][h] + d)
     order = m * m + data.draw(st.integers(0, 2 * m), label="order - m^2")
     result = verify_global_vanish(bad, order, _tables(p)[0])
     reported = result.details.get("first_nonzero")
@@ -443,7 +447,7 @@ def test_global_checks_the_coefficient_at_the_order_itself():
         matrix = assemble(p)
         m, n = matrix.params.m, matrix.params.n
         for h in (0, m):
-            bad = matrix.with_entry(m, h, matrix.entries[m][h] + 1)
+            bad = with_entry(matrix, m, h, matrix.entries[m][h] + 1)
             result = verify_global_vanish(bad, m * m)
             assert result.details["first_nonzero"] == {
                 "power": m * m,
@@ -498,7 +502,7 @@ def test_closed_form_row1_fails_on_a_perturbed_row1():
     # wrong a_{1,0} must fail even though the solve itself is sound
     for p in (5, 11, 23):
         matrix = assemble(p)
-        result = closed_form_row1(matrix.with_entry(1, 0, matrix.entries[1][0] + 1))
+        result = closed_form_row1(with_entry(matrix, 1, 0, matrix.entries[1][0] + 1))
         assert not result.passed
         matches = [e["matches_negated_entry"] for e in result.details["entries"]]
         assert matches == [False, True, True]
@@ -507,10 +511,70 @@ def test_closed_form_row1_fails_on_a_perturbed_row1():
 def test_row2_pipeline_fails_on_a_perturbed_row2():
     for p in (5, 11, 23):
         matrix = assemble(p)
-        result = row2_pipeline(matrix.with_entry(2, 0, matrix.entries[2][0] + 1))
+        result = row2_pipeline(with_entry(matrix, 2, 0, matrix.entries[2][0] + 1))
         assert not result.passed
         # the pipeline's own solve is unchanged; only the comparison fails
         assert result.details["a20"] == "3" and result.details["a21"] == "-3"
+
+
+def _theorem52_details(c, det, a11):
+    """The details of row2_pipeline, bordered_determinant and closed_form_row1 for m = 3."""
+    row2 = {
+        "first_coordinate_zero": True,
+        "C": c,
+        "a20": "3",
+        "a21": "-3",
+        "scale_claim_C_eq_4n_a20": False,
+        "scale_found_C_eq_2n_4n_a20": True,
+    }
+    bordered = {"det": det, "expected": det}
+    closed = {
+        "sign_flipped": True,
+        "entries": [
+            {"h": 0, "expression": "3", "entry": -3, "matches_negated_entry": True},
+            {"h": 1, "expression": str(-a11), "entry": a11, "matches_negated_entry": True},
+            {"h": 2, "expression": "3", "entry": -3, "matches_negated_entry": True},
+        ],
+    }
+    return row2, bordered, closed
+
+
+# recorded from the rational-elimination route that the Cramer route replaced
+THEOREM52_DETAILS = {
+    5: _theorem52_details("6144", "-24576", -26),
+    11: _theorem52_details("192", "-768", -10),
+    23: _theorem52_details("24", "-48", 2),
+}
+
+
+@pytest.mark.parametrize("p", sorted(THEOREM52_DETAILS))
+def test_theorem52_details_are_pinned(p):
+    matrix = assemble(p)
+    results = (row2_pipeline(matrix), bordered_determinant(p), closed_form_row1(matrix))
+    assert all(result.passed for result in results)
+    assert tuple(result.details for result in results) == THEOREM52_DETAILS[p]
+
+
+def singular_block_table(p, name):
+    """A b-table of p whose block ``name`` of row2_pipeline has two equal columns.
+
+    B(1,1) gets b_l(3, 1) := b_l(1, 1) for l = 1, 2, and B(2,2) gets
+    b_1(4, 2) := b_1(2, 2); no other block of the pipeline reads them.
+    """
+    table = b_table(params_for(p))
+    if name == "B(1,1)":
+        table.column(3, 1, 2)[1:3] = table.column(1, 1, 2)[1:3]  # the table's own list
+    else:
+        table.column(4, 2, 1)[1] = table.column(2, 2, 1)[1]
+    return table
+
+
+@pytest.mark.parametrize("name", ["B(1,1)", "B(2,2)"])
+def test_row2_pipeline_refuses_a_singular_block(name):
+    table = singular_block_table(23, name)
+    message = r"^theorem52: block %s of p = 23 is singular" % re.escape(name)
+    with pytest.raises(ArithmeticError, match=message):
+        row2_pipeline(assemble(23), table)
 
 
 def test_m3_checks_share_the_verified_table():
@@ -617,7 +681,9 @@ def test_block_from_table_matches_rational_columns():
     for i, r in ((1, 0), (3, 1), (7, 7), (5, 2)):
         shift, top = m * (i - r), m * (i - r) + m - i
         columns = [b_series(13, params.n, top, r + 2 * h, r)[shift:] for h in range(m - r + 1)]
-        assert block(params, i, r, table) == Matrix(list(zip(*columns)))
+        blk = block(params, i, r, table)
+        assert blk == tuple(zip(*columns))
+        assert all(type(x) is int for row in blk for x in row)
 
 
 def test_table_of_another_prime_is_refused():
