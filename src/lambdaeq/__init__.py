@@ -11,7 +11,7 @@ row-moment formulas, the emergent symmetries of the matrix, and the
 nonlinear differential equation satisfied by lambda itself.
 """
 
-from .arith import alpha, is_odd_prime, k_alpha, partition_weight, sigma1
+from .arith import alpha, is_odd_prime, k_alpha, partition_weight, reduced, sigma1
 from .bpoly import ENUMERATION_THRESHOLD, BTable, b_eval, b_series, p_poly
 from .exact import IntegralityError, integer_det
 from .modeq import (
@@ -21,7 +21,6 @@ from .modeq import (
     ModularMatrix,
     PrimeParams,
     assemble,
-    b_table,
     block,
     bordered_determinant,
     closed_form_row1,
@@ -39,7 +38,7 @@ from .modeq import (
     verify_row_moments,
     verify_symmetry,
 )
-from .ode import OdeResidual, ode_residual
+from .ode import ode_residual
 from .partitions import Partition, partitions_of
 from .qseries import (
     Series,

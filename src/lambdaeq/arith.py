@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 from operator import index
 
-__all__ = ["alpha", "is_odd_prime", "k_alpha", "partition_weight", "sigma1"]
+__all__ = ["alpha", "is_odd_prime", "k_alpha", "partition_weight", "reduced", "sigma1"]
 
 
 def sigma1(n):
@@ -40,6 +40,17 @@ def is_odd_prime(p):
         if p % d == 0:
             return False
     return True
+
+
+def reduced(p):
+    """(m, n) with (p+1)/8 = m/n in lowest terms; n is 1, 2 or 4.
+
+    Everything prime-specific in A_p is fixed by p through (m, n).  p must
+    be an odd integer >= 3; like ``k_alpha`` it is not tested for primality.
+    """
+    if not isinstance(p, int) or p < 3 or p % 2 == 0:
+        raise ValueError("p must be an odd prime, got %r" % (p,))
+    return Fraction(p + 1, 8).as_integer_ratio()
 
 
 def k_alpha(p, k):

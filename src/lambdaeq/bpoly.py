@@ -4,9 +4,11 @@ b_l(u, v) is the sum over all partitions J of l of
 
     (-n)^{|J|} * u^{J_o} * v^{J_e} * W_p(J)
 
-where |J| counts parts, J_o/J_e count odd/even parts, and W_p is the
-alpha-weight of the partition.  Summing the partition generating
-function gives the series-exponential recurrence
+where |J| counts parts, J_o/J_e count odd/even parts, W_p is the
+alpha-weight of the partition, and n is fixed by p through
+(p+1)/8 = m/n (``arith.reduced``), so every route takes p alone.
+Summing the partition generating function gives the series-exponential
+recurrence
 
     l * b_l = sum_{k=1..l} w_k * b_{l-k},   w_k = -n * k * g(k),
 
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import index, mul
 
-from .arith import alpha, k_alpha, partition_weight
+from .arith import alpha, k_alpha, partition_weight, reduced
 from .exact import IntegralityError
 from .partitions import partitions_of
 
@@ -47,18 +49,13 @@ __all__ = [
 ENUMERATION_THRESHOLD = 30
 
 
-def _check_n(n):
-    if n not in (1, 2, 4):
-        raise ValueError("n must be one of 1, 2, 4, got %r" % (n,))
-
-
-def b_eval(p, n, l, u, v):
-    """b_l(u, v) of the prime p and scale n, summed over all partitions of l.
+def b_eval(p, l, u, v):
+    """b_l(u, v) of the prime p, summed over all partitions of l.
 
     Exists as the independent oracle for ``b_series`` and for small
     structural checks; raises for l above ``ENUMERATION_THRESHOLD``.
     """
-    _check_n(n)
+    n = reduced(p)[1]
     if l < 0:
         raise ValueError("l must be nonnegative")
     if l > ENUMERATION_THRESHOLD:
@@ -75,13 +72,13 @@ def b_eval(p, n, l, u, v):
     return total
 
 
-def b_series(p, n, max_l, u, v):
+def b_series(p, max_l, u, v):
     """The prefix [b_0, ..., b_max_l] at (u, v), via the exponential recurrence.
 
     Works at any rational (u, v); at integer points ``BTable`` computes
     the same values in integer arithmetic.
     """
-    _check_n(n)
+    n = reduced(p)[1]
     if max_l < 0:
         raise ValueError("max_l must be nonnegative")
     # w[k] = -n * k * g(k); zero factors (u or v zero) are skipped below.
@@ -102,7 +99,7 @@ def b_series(p, n, max_l, u, v):
 
 
 class BTable:
-    """Integer columns [b_0(u, v), b_1(u, v), ...] of one (p, n), grown on demand.
+    """Integer columns [b_0(u, v), b_1(u, v), ...] of one prime p, grown on demand.
 
     Each column is computed once and extended only when a longer prefix
     is asked for, so every consumer of one table shares the work.  At
@@ -124,10 +121,9 @@ class BTable:
 
     __slots__ = ("p", "n", "_g", "_columns")
 
-    def __init__(self, p, n):
-        _check_n(n)
+    def __init__(self, p):
         self.p = p
-        self.n = n
+        self.n = reduced(p)[1]
         self._g = [0]          # k * alpha_p(k) at index k; index 0 unused
         self._columns = {}
 

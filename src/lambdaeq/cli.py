@@ -25,14 +25,12 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import gcd
 
-from .arith import alpha, is_odd_prime
-from .bpoly import b_eval, b_series, p_poly
+from .arith import alpha, is_odd_prime, reduced
+from .bpoly import BTable, b_eval, b_series, p_poly
 from .modeq import (
     SCHEMA_VERSION,
     assemble,
-    b_table,
     bordered_determinant,
     closed_form_row1,
     from_doc,
@@ -68,8 +66,8 @@ DEFAULT_MAX_M = 48
 MAX_ORDER = 2500
 
 # scan solves one row-1 block per odd prime, ~m^3 work with m up to
-# (p+1)/2, so its time grows like max-p^4; --max-p 400 took 21.5 s on a
-# 2-core VM (see README).
+# (p+1)/2, so its time grows like max-p^4; --max-p 400 took 21.5-22.2 s
+# on a 2-core VM (see README).
 MAX_SCAN_P = 400
 
 # p_poly(s, m) recurses ~2(s+m) frames deep; under Python's default
@@ -260,12 +258,12 @@ def _sized_prime(p):
 def _sized_params(args):
     """The prime's parameters; m above --max-m is refused before any work.
 
-    m is read off p + 1 before the primality test, which is trial
-    division up to sqrt(p) and would take minutes for p near 10^18.
+    m is read off with ``reduced`` before the primality test, which is
+    trial division up to sqrt(p) and would take minutes for p near 10^18.
     """
     p = args.p
     if p > 2 and p % 2:
-        m = (p + 1) // gcd(p + 1, 8)
+        m = reduced(p)[0]
         if m > args.max_m:
             raise ValueError(
                 "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
@@ -338,7 +336,7 @@ def _cmd_verify(args):
     # one b-table for every check: assembly grows b(2h, 0) and b(-1, -1),
     # global extends b(2h, 0) to its order and adds K = b(1, 1), dets adds
     # the B(i,i) heads, and the m = 3 checks read direct columns from it
-    table = b_table(params)
+    table = BTable(params.p)
     matrix = assemble(args.p, table)
     results = []
     for name in selected:
@@ -405,9 +403,9 @@ def _cmd_bpoly(args):
         )
     params = params_for(args.p)
     if args.method == "partition":
-        value = b_eval(params.p, params.n, args.l, args.u, args.v)
+        value = b_eval(params.p, args.l, args.u, args.v)
     else:
-        value = b_series(params.p, params.n, args.l, args.u, args.v)[args.l]
+        value = b_series(params.p, args.l, args.u, args.v)[args.l]
     print(value)
     return EXIT_OK
 
@@ -434,14 +432,15 @@ def _cmd_ode_check(args):
         "--order", args.order, MAX_ODE_ORDER,
         "the residual multiplies series of that length, ~order^2 bignum multiply-adds",
     )
-    result = ode_residual(args.order)
-    if result.vanishes:
+    residual = ode_residual(args.order)
+    bad = residual.first_nonzero()
+    if bad is None:
         print(
             "lambda ODE residual vanishes identically through q^%d (input order %d): PASS"
-            % (result.effective_order, args.order)
+            % (residual.order, args.order)
         )
         return EXIT_OK
-    power, coeff = result.first_nonzero()
+    power, coeff = bad
     print("lambda ODE residual has nonzero coefficient %s at q^%d: FAIL" % (coeff, power))
     return EXIT_CHECK_FAILED
 

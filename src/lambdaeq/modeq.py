@@ -1,9 +1,9 @@
 """Construction and verification of the modular-equation matrices A_p.
 
 For an odd prime p write (p+1)/8 = m/n in lowest terms (n is always 1,
-2 or 4).  With X = (lambda(t) lambda(pt))^{n/8} and
-Y = ((1-lambda(t)) (1-lambda(pt)))^{n/8} there is an (m+1) x (m+1)
-integer matrix A_p = (a_{i,h}) such that
+2 or 4; ``arith.reduced``), so p alone fixes everything below.  With
+X = (lambda(t) lambda(pt))^{n/8} and Y = ((1-lambda(t)) (1-lambda(pt)))^{n/8}
+there is an (m+1) x (m+1) integer matrix A_p = (a_{i,h}) such that
 
     sum_{i,h} a_{i,h} X^i Y^h = 0,     a_{i,h} = 0 for i + h > m,
 
@@ -29,7 +29,7 @@ a_{i,h} = (-1)^{m(i-1)} a_{i,m-i-h}, and the vanishing of all master
 coefficients beyond the ones used in solving are emergent facts that
 the verify_* functions check after the fact.
 
-Every b_l(r+2h, r) comes from one integer table per prime (``b_table``):
+Every b_l(r+2h, r) comes from one integer table per prime, ``BTable(p)``:
 k alpha_p(k) is an integer (``arith.k_alpha``), so the recurrence runs on
 ints, and its exact division by l checks the integrality of the
 eta-quotient coefficients at every step (see ``bpoly.BTable``).
@@ -115,14 +115,15 @@ The checks stay independent of the row loop:
 columns too.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from operator import mul
 
-from .arith import alpha, is_odd_prime
+from .arith import alpha, is_odd_prime, reduced
 from .bpoly import BTable, p_poly
 from .exact import IntegralityError, integer_det
+from .qseries import _truncated_product
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -131,7 +132,6 @@ __all__ = [
     "ModularMatrix",
     "PrimeParams",
     "assemble",
-    "b_table",
     "block",
     "bordered_determinant",
     "closed_form_row1",
@@ -155,33 +155,25 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class PrimeParams:
-    """(p, m, n) with (p+1)/8 = m/n in lowest terms and n in {1, 2, 4}."""
+    """The odd prime p with (m, n) = ``arith.reduced(p)``: (p+1)/8 = m/n, n in {1, 2, 4}."""
 
     p: int
-    m: int
-    n: int
+    m: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ValueError("p must be an odd prime, got %r" % (self.p,))
-        reduced = _reduced(self.p)
-        if (self.m, self.n) != reduced:
-            raise ValueError(
-                "inconsistent parameters: (%d+1)/8 reduces to %d/%d, not %d/%d"
-                % (self.p, *reduced, self.m, self.n)
-            )
-
-
-def _reduced(p):
-    g = gcd(p + 1, 8)
-    return (p + 1) // g, 8 // g
+        m, n = reduced(self.p)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
 def params_for(p):
     """Reduced parameters (m, n) for an odd prime p; ``PrimeParams`` tests the primality."""
     if not isinstance(p, int):
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    return PrimeParams(p, *_reduced(p))
+    return PrimeParams(p)
 
 
 @dataclass(frozen=True)
@@ -215,16 +207,11 @@ def row0(m):
     return tuple([(-1) ** h * comb(m, h) for h in range(m + 1)])
 
 
-def b_table(params):
-    """An empty integer b-table for one prime; its columns grow as they are read."""
-    return BTable(params.p, params.n)
-
-
 def _table_for(params, table):
     if table is None:
-        return b_table(params)
-    if (table.p, table.n) != (params.p, params.n):
-        raise ValueError("b-table of p=%d, n=%d used for p=%d" % (table.p, table.n, params.p))
+        return BTable(params.p)
+    if table.p != params.p:
+        raise ValueError("b-table of p=%d used for p=%d" % (table.p, params.p))
     return table
 
 
@@ -232,8 +219,8 @@ def block(params, i, r, table=None):
     """The block B(i, r) = [b_{l+m(i-r)}(r+2h, r)], l = 0..m-i, h = 0..m-r.
 
     It is a tuple of int rows, laid out as ``ModularMatrix.entries``.
-    ``table`` is the prime's shared b-table (see ``b_table``); without
-    it a fresh one is made.
+    ``table`` is the prime's shared ``BTable``; without it a fresh one
+    is made.
     """
     m = params.m
     if not 1 <= i <= m:
@@ -253,13 +240,7 @@ def solve_row1(params):
     It is the row loop of ``assemble`` stopped after row 1, on a fresh
     b-table, and raises as ``assemble`` does (see the module docstring).
     """
-    return _solve_rows(params, b_table(params), 1, 2 * params.m - 1)[1] + (0,)
-
-
-def _truncated_product(a, b, top):
-    """Coefficients 0..top of the product of the series a and b (int lists)."""
-    reverse = b[top::-1]  # b_top, ..., b_0
-    return [sum(map(mul, a, reverse[top - t :])) for t in range(top + 1)]
+    return _solve_rows(params, BTable(params.p), 1, 2 * params.m - 1)[1] + (0,)
 
 
 class FactorizationError(ArithmeticError):

@@ -20,36 +20,20 @@ normalization 3 (f''/f'^2)^2 - 2 f'''/f'^3 = (1 - f + f^2)/(f^2(1-f)^2);
 verifying one form verifies the other.
 """
 
-from dataclasses import dataclass
+from .qseries import lambda_series
 
-from .qseries import Series, lambda_series
-
-__all__ = ["OdeResidual", "ode_residual"]
-
-
-@dataclass(frozen=True)
-class OdeResidual:
-    """Residual of the cleared identity with its certified order."""
-
-    residual: Series
-    effective_order: int
-
-    @property
-    def vanishes(self):
-        return self.residual.is_zero()
-
-    def first_nonzero(self):
-        return self.residual.first_nonzero()
+__all__ = ["ode_residual"]
 
 
 def ode_residual(order, f=None):
-    """Residual series of the cleared differential identity.
+    """The residual ``Series`` of the cleared differential identity.
 
     ``f`` defaults to the lambda expansion through the given order;
     passing any other series (say 2*lambda) gives the negative control;
     a series with rational coefficients gives a rational residual.
     The residual's own truncation order is the certified range: the
-    valuation-aware products typically push it beyond the input order.
+    valuation-aware products typically push it beyond the input order,
+    and the identity holds there iff ``is_zero()``.
     """
     if order < 10:
         raise ValueError("order must be at least 10 for a meaningful check")
@@ -60,9 +44,8 @@ def ode_residual(order, f=None):
     d3 = d2.qderiv()
     one_minus = 1 - f
     weight = f * f * one_minus * one_minus
-    residual = (
+    return (
         2 * (d3 * d1 * weight)
         - 3 * (d2 * d2 * weight)
         + (f * f - f + 1) * (d1 ** 4)
     )
-    return OdeResidual(residual, residual.order)

@@ -8,7 +8,9 @@ rationals.  Every operation records how far its output can be trusted:
 sums keep the smaller order, while products use valuations, so that a
 product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
-order + valuation of the other factor).  This bookkeeping is what lets
+order + valuation of the other factor).  A product strips both
+valuations and runs one kernel, ``_truncated_product``, which ``modeq``
+shares.  This bookkeeping is what lets
 the differential-equation residual be certified coefficient by
 coefficient with no hand analysis.
 
@@ -48,6 +50,15 @@ __all__ = [
 
 def _is_scalar(x):
     return isinstance(x, int) or hasattr(x, "denominator")
+
+
+def _truncated_product(a, b, top):
+    """Coefficients 0..top of the product of the series a and b (sequences).
+
+    Both must hold at least top + 1 coefficients; a negative top gives [].
+    """
+    reverse = b[top::-1]  # b_top, ..., b_0
+    return [sum(map(mul, a, reverse[top - t :])) for t in range(top + 1)]
 
 
 class Series:
@@ -132,17 +143,8 @@ class Series:
             return Series([c * other for c in self.coeffs], self.order)
         va, vb = self.valuation(), other.valuation()
         order = min(self.order + vb, other.order + va)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for t in range(order + 1):
-            lo = max(va, t - other.order)
-            hi = min(self.order, t - vb)
-            if lo > hi:  # t below a valuation: b[t - hi :] would wrap around
-                out.append(0)
-            else:
-                terms = map(mul, a[lo : hi + 1], reversed(b[t - hi : t - lo + 1]))
-                out.append(sum(terms))
-        return Series(out, order)
+        product = _truncated_product(self.coeffs[va:], other.coeffs[vb:], order - va - vb)
+        return Series([0] * (va + vb) + product, order)
 
     __rmul__ = __mul__
 
@@ -274,4 +276,4 @@ def xy_normalized_lemma(params, i, h, order):
     """Same series as ``xy_normalized_direct`` with coefficient b_l(i+2h, i) at q^l."""
     if i < 0 or h < 0:
         raise ValueError("exponents i, h must be nonnegative")
-    return Series(BTable(params.p, params.n).column(i + 2 * h, i, order), order)
+    return Series(BTable(params.p).column(i + 2 * h, i, order), order)

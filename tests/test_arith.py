@@ -5,7 +5,17 @@ from math import gcd
 
 import pytest
 
-from lambdaeq import Partition, alpha, is_odd_prime, k_alpha, partition_weight, sigma1
+from lambdaeq import (
+    BTable,
+    Partition,
+    alpha,
+    is_odd_prime,
+    k_alpha,
+    params_for,
+    partition_weight,
+    reduced,
+    sigma1,
+)
 
 
 def brute_sigma1(n):
@@ -45,6 +55,20 @@ def test_is_odd_prime():
         3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     ]
     assert not is_odd_prime(2)
+
+
+def test_reduced_is_the_one_reduction_of_p():
+    for p in filter(is_odd_prime, range(1000)):
+        m, n = reduced(p)
+        assert Fraction(p + 1, 8) == Fraction(m, n)
+        assert gcd(m, n) == 1 and n in (1, 2, 4)
+        params = params_for(p)
+        assert (params.m, params.n) == (m, n)
+        assert BTable(p).n == n
+    assert reduced(9) == (5, 4)  # like k_alpha, it does not test primality
+    for bad in (2, 4, 8, 1000, 0, 1, -2, -3, 7.0, "7"):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            reduced(bad)
 
 
 def test_alpha_fixed_values():

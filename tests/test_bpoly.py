@@ -77,16 +77,17 @@ def closed_forms(p, n):
 
 def test_b0_is_one():
     for p, n in PRIMES_WITH_N:
-        assert b_eval(p, n, 0, 17, -2) == 1
-        assert b_series(p, n, 0, 17, -2) == [1]
+        assert params_for(p).n == n
+        assert b_eval(p, 0, 17, -2) == 1
+        assert b_series(p, 0, 17, -2) == [1]
 
 
 def test_b1_example():
-    assert b_eval(3, 2, 1, 5, 1) == -10
+    assert b_eval(3, 1, 5, 1) == -10  # n = 2
 
 
 def test_b2_hand_value():
-    assert b_eval(5, 4, 2, 1, 1) == 14  # 16/2 - 4*(-3/2)
+    assert b_eval(5, 2, 1, 1) == 14  # n = 4: 16/2 - 4*(-3/2)
 
 
 def test_closed_form_table_at_random_rational_points():
@@ -98,9 +99,9 @@ def test_closed_form_table_at_random_rational_points():
             u = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             v = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             for l in range(6):
-                assert b_eval(p, n, l, u, v) == table[l](u, v), (p, l, u, v)
+                assert b_eval(p, l, u, v) == table[l](u, v), (p, l, u, v)
             for l in (6, 7):  # odd-only forms: second variable zero
-                assert b_eval(p, n, l, u, 0) == table[l](u, 0), (p, l, u)
+                assert b_eval(p, l, u, 0) == table[l](u, 0), (p, l, u)
 
 
 def _partition_terms(p, l):
@@ -112,62 +113,63 @@ def _partition_terms(p, l):
 
 def test_recurrence_matches_partition_sum_full_grid():
     # same grid the module contract names: l <= 25, u,v in {0,1,3,5,-2}^2,
-    # p in {3,5,7,11,13}, every legal n
+    # p in {3,5,7,11,13}, whose n = 2, 4, 1, 2, 4 cover every legal n
     points = (0, 1, 3, 5, -2)
     for p in (3, 5, 7, 11, 13):
         terms = {l: _partition_terms(p, l) for l in range(26)}
-        for n in (1, 2, 4):
-            for u in points:
-                for v in points:
-                    got = b_series(p, n, 25, u, v)
-                    for l in range(26):
-                        expected = sum(
-                            ((-n) ** norm) * (u ** jo) * (v ** je) * w
-                            for norm, jo, je, w in terms[l]
-                        )
-                        assert got[l] == expected, (p, n, u, v, l)
+        n = params_for(p).n
+        for u in points:
+            for v in points:
+                got = b_series(p, 25, u, v)
+                for l in range(26):
+                    expected = sum(
+                        ((-n) ** norm) * (u ** jo) * (v ** je) * w
+                        for norm, jo, je, w in terms[l]
+                    )
+                    assert got[l] == expected, (p, n, u, v, l)
 
 
 def test_recurrence_matches_b_eval_directly():
-    for p, n in ((3, 1), (5, 4), (13, 2)):
+    for p in (7, 5, 3):  # n = 1, 4, 2
         for u, v in ((0, 0), (1, 1), (3, 1), (Fraction(5, 2), Fraction(-1, 3))):
-            series = b_series(p, n, 12, u, v)
+            series = b_series(p, 12, u, v)
             for l in range(13):
-                assert series[l] == b_eval(p, n, l, u, v)
+                assert series[l] == b_eval(p, l, u, v)
 
 
 def test_leading_term_by_divided_differences():
     # b_l(u, 0) is degree l in u with top coefficient (-n)^l / l!; the l-th
     # finite difference over u = 0..l therefore equals (-n)^l exactly.
-    for p in (5, 11):
-        for n in (1, 2, 4):
-            for l in range(9):
-                diff = sum(
-                    (-1) ** (l - j) * comb(l, j) * b_eval(p, n, l, j, 0)
-                    for j in range(l + 1)
-                )
-                assert diff == (-n) ** l, (p, n, l)
+    for p in (23, 11, 5):  # n = 1, 2, 4
+        n = params_for(p).n
+        for l in range(9):
+            diff = sum(
+                (-1) ** (l - j) * comb(l, j) * b_eval(p, l, j, 0)
+                for j in range(l + 1)
+            )
+            assert diff == (-n) ** l, (p, n, l)
 
 
 def test_series_exp_zero_input():
-    assert b_series(5, 4, 2, 0, 0) == [1, 0, 0]
+    assert b_series(5, 2, 0, 0) == [1, 0, 0]
 
 
 def test_enumeration_threshold_enforced():
     top = ENUMERATION_THRESHOLD
     with pytest.raises(ValueError, match="enumeration threshold"):
-        b_eval(5, 4, top + 1, 1, 1)
-    assert b_eval(5, 4, top, 1, 1) == b_series(5, 4, top, 1, 1)[top]
+        b_eval(5, top + 1, 1, 1)
+    assert b_eval(5, top, 1, 1) == b_series(5, top, 1, 1)[top]
 
 
-def test_b_routes_reject_bad_n():
-    for bad in (0, 3, 8, -1):
-        with pytest.raises(ValueError, match="n must be one of"):
-            b_eval(5, bad, 2, 1, 1)
-        with pytest.raises(ValueError, match="n must be one of"):
-            b_series(5, bad, 2, 1, 1)
-        with pytest.raises(ValueError, match="n must be one of"):
-            BTable(5, bad)
+def test_b_routes_reject_p_without_a_scale():
+    # n comes from p alone, so a p with no reduction (p+1)/8 = m/n is refused
+    for bad in (4, 2, 1, -3, 7.0):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            b_eval(bad, 2, 1, 1)
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            b_series(bad, 2, 1, 1)
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            BTable(bad)
 
 
 def test_p_poly_base_cases():
@@ -226,16 +228,12 @@ ODD_PRIMES = [p for p in range(3, 200) if is_odd_prime(p)]
 assert {params_for(p).n for p in ODD_PRIMES} == {1, 2, 4}
 
 
-def _prime_table(p):
-    return BTable(p, params_for(p).n)
-
-
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from(ODD_PRIMES), r=st.integers(0, 12), h=st.integers(0, 12))
 def test_table_matches_b_series_at_integer_points(p, r, h):
-    table = _prime_table(p)
+    table = BTable(p)
     column = table.column(r + 2 * h, r, 60)
-    assert column[:61] == b_series(table.p, table.n, 60, r + 2 * h, r)
+    assert column[:61] == b_series(table.p, 60, r + 2 * h, r)
     assert all(type(b) is int for b in column)
 
 
@@ -247,8 +245,8 @@ def test_table_matches_b_series_at_integer_points(p, r, h):
     l=st.integers(0, ENUMERATION_THRESHOLD),
 )
 def test_table_matches_b_eval_at_integer_points(p, r, h, l):
-    table = _prime_table(p)
-    assert table.column(r + 2 * h, r, l)[l] == b_eval(table.p, table.n, l, r + 2 * h, r)
+    table = BTable(p)
+    assert table.column(r + 2 * h, r, l)[l] == b_eval(table.p, l, r + 2 * h, r)
 
 
 def _truncated_convolution(a, b, top):
@@ -259,7 +257,7 @@ def _truncated_convolution(a, b, top):
 @given(p=st.sampled_from(ODD_PRIMES), r=st.integers(0, 12), h=st.integers(0, 12))
 def test_columns_factor_as_k_power_times_p_power(p, r, h):
     # the weights are linear in (u, v), so b(r+2h, r) = b(r, r) b(2h, 0) = K^r P^h
-    table = _prime_table(p)
+    table = BTable(p)
     product = _truncated_convolution(table.column(r, r, 40), table.column(2 * h, 0, 40), 40)
     assert product == table.column(r + 2 * h, r, 40)[:41]
 
@@ -267,26 +265,26 @@ def test_columns_factor_as_k_power_times_p_power(p, r, h):
 @pytest.mark.parametrize("p", [23, 11, 13])  # n = 1, 2, 4
 def test_table_v0_branch_matches_b_series(p):
     # at v = 0 the table skips the even-k weights; grow each column in two steps
-    table = _prime_table(p)
+    table = BTable(p)
     for h in (0, 1, 2, 5):
-        assert table.column(2 * h, 0, 7) == b_series(table.p, table.n, 7, 2 * h, 0)
-        assert table.column(2 * h, 0, 60) == b_series(table.p, table.n, 60, 2 * h, 0)
+        assert table.column(2 * h, 0, 7) == b_series(table.p, 7, 2 * h, 0)
+        assert table.column(2 * h, 0, 60) == b_series(table.p, 60, 2 * h, 0)
 
 
 def test_table_grows_columns_in_place():
-    table = _prime_table(13)
+    table = BTable(13)
     short = table.column(5, 1, 4)
     assert len(short) == 5
     longer = table.column(5, 1, 40)
     assert longer is short and len(longer) == 41
     assert table.column(5, 1, 10) is short  # a shorter request reuses the column
-    assert longer == b_series(table.p, table.n, 40, 5, 1)
+    assert longer == b_series(table.p, 40, 5, 1)
 
 
 def test_table_raises_at_the_first_non_integer_coefficient():
     # p = 7 has n = 1, and b_2(1, 0) = n^2/2 = 1/2 is off the points (r+2h, r)
-    table = _prime_table(7)
-    assert b_series(table.p, table.n, 2, 1, 0)[2] == Fraction(1, 2)
+    table = BTable(7)
+    assert b_series(table.p, 2, 1, 0)[2] == Fraction(1, 2)
     assert table.column(1, 0, 1) == [1, -1]
     with pytest.raises(IntegralityError, match="b_2"):
         table.column(1, 0, 2)
@@ -295,4 +293,4 @@ def test_table_raises_at_the_first_non_integer_coefficient():
 @pytest.mark.parametrize("u, v", [(Fraction(1, 2), 1), (3, Fraction(2, 3)), (1.0, 0)])
 def test_table_refuses_non_integer_points(u, v):
     with pytest.raises(ValueError):
-        _prime_table(5).column(u, v, 3)
+        BTable(5).column(u, v, 3)

@@ -221,7 +221,7 @@ def test_verify_refuses_an_empty_check_selection(monkeypatch, capsys, checks):
     def no_table_work(*args, **kwargs):
         raise AssertionError("table work before the selection was refused")
 
-    monkeypatch.setattr(cli, "b_table", no_table_work)
+    monkeypatch.setattr(cli, "BTable", no_table_work)
     monkeypatch.setattr(cli, "assemble", no_table_work)
     code, out, err = run(capsys, "verify", "13", "--checks", checks)
     assert code == 2 and out == ""
@@ -353,6 +353,54 @@ def test_large_m_output_is_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_M_SHA256[argv]
 
 
+# stdout of the series, ODE and b-polynomial routes; the ode-check lines
+# pin the certified order (q^53 for --order 50), not only the PASS
+ROUTE_SHA256 = {
+    ("ode-check", "--order", "10"):
+        "4c8a9abba1a2b41a874fd4d2d8a17877b0b2bacab0e4dde1f86b35d807262547",
+    ("ode-check", "--order", "50"):
+        "a77c8feacb4c6e8e64d79b9c5a8b5286aae0b4852ea06283051f799917079111",
+    ("ode-check", "--order", "200"):
+        "ec28e8eb78e1aac6484074a6b4cc3f9c50ddec5e5f440e5669998dd51f50be9f",
+    ("series", "lambda", "--order", "30"):
+        "9c74eb604128fd398d2b8c0f281c9d3ad77f3bfbf7e39607efbca9431f082467",
+    ("series", "xy", "--p", "13", "--i", "1", "--h", "2", "--order", "40"):
+        "3e5cca8e41b3caf540ca2eda9f7bfe6774bcc95eaf6b9801f99b90c9792ba927",
+    ("bpoly", "5", "6", "--u", "5/2", "--v=-1/3"):
+        "720cce8e882aadd27341a26ac670bb823425feb55914d6f5c35a0b6827c9b2e5",
+    ("bpoly", "5", "6", "--u", "5/2", "--v=-1/3", "--method", "partition"):
+        "720cce8e882aadd27341a26ac670bb823425feb55914d6f5c35a0b6827c9b2e5",
+    ("bpoly", "13", "40", "--u", "3", "--v", "1"):
+        "a110b5600974156482040de3412b1cac401295e06f6b8e3660f4684ae78f8b4c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ROUTE_SHA256), ids=" ".join)
+def test_route_output_is_pinned(argv, capsys):
+    import hashlib
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ROUTE_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "command, p",
+    [
+        ("bpoly 9 4 --u 1 --v 1", 9),
+        ("bpoly 4 2 --u 1 --v 1", 4),
+        ("alpha 9 2", 9),
+        ("series xy --p 9 --order 3", 9),
+    ],
+)
+def test_p_only_routes_refuse_non_primes(command, p, capsys):
+    # the b routes read n off p without testing primality, so each
+    # command tests it first
+    code, out, err = run(capsys, *command.split())
+    assert code == 2 and out == ""
+    assert err == "error: p must be an odd prime, got %d\n" % p
+
+
 def test_scan_reports_a_mismatch(monkeypatch, capsys):
     import lambdaeq.cli as cli
 
@@ -417,7 +465,7 @@ def test_singular_theorem52_block_exits_1_with_message(monkeypatch, capsys):
     import lambdaeq.cli as cli
     from test_modeq import singular_block_table
 
-    monkeypatch.setattr(cli, "b_table", lambda params: singular_block_table(params.p, "B(2,2)"))
+    monkeypatch.setattr(cli, "BTable", lambda p: singular_block_table(p, "B(2,2)"))
     code, out, err = run(capsys, "verify", "23", "--checks", "theorem52")
     assert code == 1
     assert out == ""
@@ -491,13 +539,13 @@ def tables(monkeypatch):
     import lambdaeq.cli as cli
 
     built = []
-    make = cli.b_table
+    make = cli.BTable
 
-    def recording(params):
-        built.append(make(params))
+    def recording(p):
+        built.append(make(p))
         return built[-1]
 
-    monkeypatch.setattr(cli, "b_table", recording)
+    monkeypatch.setattr(cli, "BTable", recording)
     return built
 
 

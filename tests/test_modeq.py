@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import (
+    BTable,
     FactorizationError,
     IntegralityError,
     ModularMatrix,
     PrimeParams,
     assemble,
     b_series,
-    b_table,
     block,
     bordered_determinant,
     closed_form_row1,
@@ -107,14 +107,15 @@ def test_prime_params_test_primality_once(monkeypatch):
         return is_odd_prime(p)
 
     monkeypatch.setattr(modeq, "is_odd_prime", counting)
-    assert params_for(13) == PrimeParams(13, 7, 4)
+    assert params_for(13) == PrimeParams(13)
     assert calls == [13, 13]  # one test for params_for, one for the direct construction
+    assert (PrimeParams(13).m, PrimeParams(13).n) == (7, 4)
     # direct construction stays validated
     for bad in (2, 4, 9, 1, 0, -7, 15):
         with pytest.raises(ValueError, match="odd prime"):
-            PrimeParams(bad, 1, 1)
-    with pytest.raises(ValueError, match="inconsistent"):
-        PrimeParams(13, 7, 2)
+            PrimeParams(bad)
+    with pytest.raises(TypeError):  # m and n are derived, never passed
+        PrimeParams(13, 7, 4)
 
 
 def test_row0():
@@ -179,7 +180,7 @@ def _leading_system(data):
     i = data.draw(st.integers(1, params.m), label="i")
     size = params.m - i + 1
     x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size), label="x")
-    table = b_table(params)
+    table = BTable(params.p)
     columns = [table.column(2 * h, 0, size - 1)[:size] for h in range(size)]
     return params, i, table, Matrix(list(zip(*columns))), tuple(x)
 
@@ -216,7 +217,7 @@ def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
     # entry (l, h) of C_i, the leading block of C that row i solves against
     params = params_for(p)
     m = params.m
-    table = b_table(params)
+    table = BTable(params.p)
     table.column(2 * h, 0, m)[l] += 1  # the table's own list
     message = r"C of A_%d: row l=%d of \[b_l\(2h, 0\)\] " % (p, l)
     with pytest.raises(FactorizationError, match=message):
@@ -255,7 +256,7 @@ def _direct_route(p):
     """
     params = params_for(p)
     m, n = params.m, params.n
-    table = b_table(params)
+    table = BTable(params.p)
     grid = [row0(m)]
     for i in range(1, m + 1):
         size = m - i + 1
@@ -339,7 +340,7 @@ def test_block_determinant_lemma_small():
 @pytest.mark.parametrize("p, i, h, l", [(5, 1, 2, 1), (13, 1, 0, 3), (13, 3, 2, 4), (17, 6, 1, 2)])
 def test_block_determinants_flag_a_corrupted_head_column(p, i, h, l):
     params = params_for(p)
-    table = b_table(params)
+    table = BTable(params.p)
     table.column(i + 2 * h, i, params.m - i)[l] += 1  # the table's own list
     result = verify_block_determinants(params, table)
     assert not result.passed
@@ -385,7 +386,7 @@ def _assembled(p):
 @lru_cache(maxsize=None)
 def _tables(p):
     """Two b-tables per prime, shared across examples: (global's, the direct route's)."""
-    return b_table(params_for(p)), b_table(params_for(p))
+    return BTable(p), BTable(p)
 
 
 def _direct_master_series(matrix, order):
@@ -561,7 +562,7 @@ def singular_block_table(p, name):
     B(1,1) gets b_l(3, 1) := b_l(1, 1) for l = 1, 2, and B(2,2) gets
     b_1(4, 2) := b_1(2, 2); no other block of the pipeline reads them.
     """
-    table = b_table(params_for(p))
+    table = BTable(p)
     if name == "B(1,1)":
         table.column(3, 1, 2)[1:3] = table.column(1, 1, 2)[1:3]  # the table's own list
     else:
@@ -579,14 +580,14 @@ def test_row2_pipeline_refuses_a_singular_block(name):
 
 def test_m3_checks_share_the_verified_table():
     params = params_for(23)
-    table = b_table(params)
+    table = BTable(params.p)
     matrix = assemble(23, table)
     assert row2_pipeline(matrix, table) == row2_pipeline(matrix)
     assert bordered_determinant(23, table) == bordered_determinant(23)
     with pytest.raises(ValueError):
-        row2_pipeline(matrix, b_table(params_for(11)))
+        row2_pipeline(matrix, BTable(11))
     with pytest.raises(ValueError):
-        bordered_determinant(23, b_table(params_for(5)))
+        bordered_determinant(23, BTable(5))
 
 
 def test_bordered_determinant_values():
@@ -601,7 +602,7 @@ def test_bordered_determinant_inner_identity():
     # the same matrix with third column b_l(1,1) has determinant (-2n)^3
     for p in (5, 11, 23):
         params = params_for(p)
-        cols = [b_series(p, params.n, 2, u, 1) for u in (3, 5, 1)]
+        cols = [b_series(p, 2, u, 1) for u in (3, 5, 1)]
         det = Matrix([[c[l] for c in cols] for l in range(3)]).det()
         assert det == (-2 * params.n) ** 3
 
@@ -660,7 +661,7 @@ def test_render_typeset():
 
 def test_one_table_serves_assembly_dets_and_global():
     params = params_for(19)
-    table = b_table(params)
+    table = BTable(params.p)
     matrix = assemble(19, table)
     assert matrix.entries == REFERENCE[19]
     grown = {key: len(col) for key, col in table._columns.items()}
@@ -676,11 +677,11 @@ def test_one_table_serves_assembly_dets_and_global():
 
 def test_block_from_table_matches_rational_columns():
     params = params_for(13)
-    table = b_table(params)
+    table = BTable(params.p)
     m = params.m
     for i, r in ((1, 0), (3, 1), (7, 7), (5, 2)):
         shift, top = m * (i - r), m * (i - r) + m - i
-        columns = [b_series(13, params.n, top, r + 2 * h, r)[shift:] for h in range(m - r + 1)]
+        columns = [b_series(13, top, r + 2 * h, r)[shift:] for h in range(m - r + 1)]
         blk = block(params, i, r, table)
         assert blk == tuple(zip(*columns))
         assert all(type(x) is int for row in blk for x in row)
@@ -688,6 +689,6 @@ def test_block_from_table_matches_rational_columns():
 
 def test_table_of_another_prime_is_refused():
     with pytest.raises(ValueError):
-        assemble(13, b_table(params_for(17)))
+        assemble(13, BTable(17))
     with pytest.raises(ValueError):
-        verify_global_vanish(assemble(5), table=b_table(params_for(11)))
+        verify_global_vanish(assemble(5), table=BTable(11))
