@@ -26,7 +26,6 @@ from .modeq import (
     closed_form_row1,
     from_doc,
     global_order,
-    params_for,
     render_text,
     render_typeset,
     row0,

@@ -17,9 +17,9 @@ evaluation routes exist on purpose:
 
 * ``b_eval`` sums over the explicit partition list (the oracle; only
   feasible for small l),
-* ``b_series`` runs the recurrence over exact rationals, at any
-  rational (u, v),
-* ``BTable`` runs the same recurrence on plain ints at integer (u, v):
+* ``b_series`` runs it at any rational (u, v) = (a/d, c/d), scaled by
+  l! d^l to ints, and divides each b_l once at the end,
+* ``BTable`` runs the recurrence itself on plain ints at integer (u, v):
   k * alpha_p(k) is an integer (``arith.k_alpha``), so every w_k is,
   and the division by l is an exact ``divmod`` whose remainder must be
   zero.  It keeps each column and grows it on demand.
@@ -29,10 +29,10 @@ rational points.  Tests pin the three routes against each other.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from math import comb, factorial, lcm
 from operator import index, mul
 
-from .arith import alpha, k_alpha, partition_weight, reduced
+from .arith import k_alpha, partition_weight, reduced
 from .exact import IntegralityError
 from .partitions import partitions_of
 
@@ -73,29 +73,30 @@ def b_eval(p, l, u, v):
 
 
 def b_series(p, max_l, u, v):
-    """The prefix [b_0, ..., b_max_l] at (u, v), via the exponential recurrence.
+    """The prefix [b_0, ..., b_max_l] at any rational (u, v), via the recurrence.
 
-    Works at any rational (u, v); at integer points ``BTable`` computes
-    the same values in integer arithmetic.
+    With u = a/d and v = c/d over one denominator d, e_l = l! d^l b_l is
+    an integer and e_l = sum_k V_k (l-1)!/(l-k)! e_{l-k}, with
+    V_k = d^k w_k = -n (a or c) d^{k-1} k alpha_p(k).  The loop runs on
+    ints, and each b_l is the one division e_l / (l! d^l).
     """
     n = reduced(p)[1]
     if max_l < 0:
         raise ValueError("max_l must be nonnegative")
-    # w[k] = -n * k * g(k); zero factors (u or v zero) are skipped below.
-    w = [Fraction(0)] * (max_l + 1)
-    for k in range(1, max_l + 1):
-        scale = u if k % 2 else v
-        if scale:
-            w[k] = -n * k * scale * alpha(p, k)
-    b = [Fraction(1)]
+    u, v = Fraction(u), Fraction(v)
+    d = lcm(u.denominator, v.denominator)
+    a, c = u.numerator * (d // u.denominator), v.numerator * (d // v.denominator)
+    weights = [0] + [
+        -n * (a if k % 2 else c) * d ** (k - 1) * k_alpha(p, k) for k in range(1, max_l + 1)
+    ]
+    e = [1]
     for l in range(1, max_l + 1):
-        acc = Fraction(0)
-        for k in range(1, l + 1):
-            wk = w[k]
-            if wk:
-                acc += wk * b[l - k]
-        b.append(acc / l)
-    return b
+        # Horner in the falling factorial (l-1)!/(l-k)!, from k = l down to 1
+        acc = 0
+        for k in range(l, 0, -1):
+            acc = acc * (l - k) + weights[k] * e[l - k]
+        e.append(acc)
+    return [Fraction(e_l, factorial(l) * d ** l) for l, e_l in enumerate(e)]
 
 
 class BTable:
@@ -164,17 +165,20 @@ class BTable:
             column.append(b_l)
 
 
-@lru_cache(maxsize=None)
 def p_poly(s, m):
     """P_s(m), the degree-s moment polynomial.
 
-    Defined by P_0 = 1 and (m+s) P_s(m) = m (P_{s-1}(m) + P_s(m-1)).
-    The boundary P_s(0) = 0 for s >= 1 is forced by P_1(1) = 1/2.
+    Defined by P_0 = 1 and (m+s) P_s(m) = m (P_{s-1}(m) + P_s(m-1)), with
+    P_s(0) = 0 for s >= 1 (forced by P_1(1) = 1/2).  Its closed form is
+
+        P_s(m) = sum_{j=0..m} (-1)^{m-j} C(m, j) j^{s+m} / (s+m)!,
+
+    that is m! S(s+m, m) / (s+m)!, the coefficient of x^s in E(x)^m with
+    E(x) = (e^x - 1)/x.  The recurrence is x E' = 1 + (x - 1) E times
+    m E^{m-1}.  The sum runs on ints and divides once, at the end.
     """
     if s < 0 or m < 0:
         raise ValueError("p_poly needs s >= 0 and m >= 0")
-    if s == 0:
-        return Fraction(1)
-    if m == 0:
-        return Fraction(0)
-    return Fraction(m, m + s) * (p_poly(s - 1, m) + p_poly(s, m - 1))
+    N = s + m
+    total = sum((-1) ** (m - j) * comb(m, j) * j ** N for j in range(m + 1))
+    return Fraction(total, factorial(N))

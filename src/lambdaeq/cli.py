@@ -15,8 +15,8 @@ symmetries; nothing else about it is re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh
-namespace.  Memoized math (``alpha``, ``p_poly``) lives in the
-library's functools caches, not here.
+namespace.  The one memoized function, ``arith.alpha``, keeps its
+functools cache in the library, not here.
 """
 
 import argparse
@@ -30,12 +30,12 @@ from .arith import alpha, is_odd_prime, reduced
 from .bpoly import BTable, b_eval, b_series, p_poly
 from .modeq import (
     SCHEMA_VERSION,
+    PrimeParams,
     assemble,
     bordered_determinant,
     closed_form_row1,
     from_doc,
     global_order,
-    params_for,
     render_text,
     render_typeset,
     row2_pipeline,
@@ -70,11 +70,9 @@ MAX_ORDER = 2500
 # on a 2-core VM (see README).
 MAX_SCAN_P = 400
 
-# p_poly(s, m) recurses ~2(s+m) frames deep; under Python's default
-# recursion limit of 1000 it fails from s + m ~ 497 at the command line
-# and from ~477 under pytest's deeper stack.  s + m <= 400 leaves ~150
-# frames of margin, and p_poly(200, 200), the costliest admitted pair,
-# takes 0.6-0.9 s on a 2-core VM.
+# P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits
+# long, and divides once by (s+m)!; at s + m = 400 the costliest pair,
+# m = 400, takes ~5 ms in-process on a 2-core VM.
 MAX_PVALS_SUM = 400
 
 # Each budget below keeps the costliest admitted input within a few
@@ -88,10 +86,9 @@ MAX_ODE_ORDER = 1000
 MAX_SERIES_ORDER = 2000
 MAX_XY_EXPONENT = 1000
 
-# bpoly runs the rational recurrence, ~l^2/2 Fraction products whose
-# numerators and denominators lengthen with l and with the size of u
-# and v: l = 200 with 32-bit numerators and denominators took 3.3 s,
-# l = 500 with one 32-bit fraction 44 s.
+# bpoly runs the recurrence scaled to ints, ~l^2/2 bignum products whose
+# length grows with l and with the size of u and v: l = 200 with both
+# u and v 32-bit fractions took 0.44-0.46 s.
 MAX_BPOLY_L = 200
 MAX_BPOLY_BITS = 32
 
@@ -224,13 +221,16 @@ def _load_cached_matrix(path, p):
 
     An entry that does not parse (nested past the recursion limit
     included), holds another prime's matrix or is not symmetric is a miss.
+    The document's p is compared before ``from_doc`` tests its primality,
+    which is trial division and would hang on a large p.
     """
     try:
         with open(path) as fh:
-            matrix = from_doc(json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or doc.get("p") != p:
+            return None
+        matrix = from_doc(doc)
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
-        return None
-    if matrix.params.p != p:
         return None
     # cheap re-check on load; a symmetric but wrong entry passes it
     symmetry = verify_symmetry(matrix)
@@ -262,15 +262,14 @@ def _sized_params(args):
     trial division up to sqrt(p) and would take minutes for p near 10^18.
     """
     p = args.p
-    if p > 2 and p % 2:
-        m = reduced(p)[0]
-        if m > args.max_m:
-            raise ValueError(
-                "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
-                "(under a minute for m <= %d), so pass a larger --max-m to run it"
-                % (p, m, args.max_m, DEFAULT_MAX_M)
-            )
-    return params_for(p)
+    m = reduced(p)[0]
+    if m > args.max_m:
+        raise ValueError(
+            "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
+            "(under a minute for m <= %d), so pass a larger --max-m to run it"
+            % (p, m, args.max_m, DEFAULT_MAX_M)
+        )
+    return PrimeParams(p)
 
 
 def _sized_order(params, order):
@@ -386,7 +385,7 @@ def _cmd_series(args):
             "i + h =", args.i + args.h, MAX_XY_EXPONENT,
             "the coefficients of X^i Y^h lengthen with i + h",
         )
-        params = params_for(_sized_prime(args.p))
+        params = PrimeParams(_sized_prime(args.p))
         series = xy_normalized_lemma(params, args.i, args.h, args.order)
     print(series.to_text())
     return EXIT_OK
@@ -394,14 +393,14 @@ def _cmd_series(args):
 
 def _cmd_bpoly(args):
     _sized_prime(args.p)
-    _refuse_above("l =", args.l, MAX_BPOLY_L, "the recurrence runs ~l^2/2 rational products")
+    _refuse_above("l =", args.l, MAX_BPOLY_L, "the recurrence runs ~l^2/2 bignum products")
     bits = max(abs(x).bit_length() for r in (args.u, args.v) for x in r.as_integer_ratio())
     if bits > MAX_BPOLY_BITS:
         raise ValueError(
             "--u/--v have a %d-bit numerator or denominator, above the budget %d "
             "bits; b_l is about l times as long" % (bits, MAX_BPOLY_BITS)
         )
-    params = params_for(args.p)
+    params = PrimeParams(args.p)
     if args.method == "partition":
         value = b_eval(params.p, args.l, args.u, args.v)
     else:
@@ -414,14 +413,14 @@ def _cmd_alpha(args):
     if args.k < 1:
         raise ValueError("k must be >= 1")
     _refuse_above("k =", args.k, MAX_ALPHA_K, "sigma_1 is summed by trial division up to sqrt(k)")
-    params = params_for(_sized_prime(args.p))
+    params = PrimeParams(_sized_prime(args.p))
     print(alpha(params.p, args.k))
     return EXIT_OK
 
 
 def _cmd_pvals(args):
     _refuse_above(
-        "s + m =", args.s + args.m, MAX_PVALS_SUM, "P_s(m) recurses about 2(s+m) frames deep"
+        "s + m =", args.s + args.m, MAX_PVALS_SUM, "P_s(m) sums m + 1 powers j^(s+m)"
     )
     print(p_poly(args.s, args.m))
     return EXIT_OK
@@ -453,7 +452,7 @@ def _cmd_scan(args):
     for p in range(3, args.max_p + 1, 2):
         if not is_odd_prime(p):
             continue
-        params = params_for(p)
+        params = PrimeParams(p)
         check = verify_row_moments(params, solve_row1(params))
         if not check.passed:
             failures += 1

@@ -137,7 +137,6 @@ __all__ = [
     "closed_form_row1",
     "from_doc",
     "global_order",
-    "params_for",
     "render_text",
     "render_typeset",
     "row0",
@@ -167,13 +166,6 @@ class PrimeParams:
         m, n = reduced(self.p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-
-
-def params_for(p):
-    """Reduced parameters (m, n) for an odd prime p; ``PrimeParams`` tests the primality."""
-    if not isinstance(p, int):
-        raise ValueError("p must be an odd prime, got %r" % (p,))
-    return PrimeParams(p)
 
 
 @dataclass(frozen=True)
@@ -335,7 +327,7 @@ def assemble(p, table=None):
     ``table`` may be the prime's shared b-table; assembly reads only its
     columns b(2h, 0) and b(-1, -1) (see the module docstring).
     """
-    params = params_for(p)
+    params = PrimeParams(p)
     m = params.m
     heads = _solve_rows(params, _table_for(params, table), m, m * m)
     return ModularMatrix(params, tuple(head + (0,) * i for i, head in enumerate(heads)))
@@ -598,7 +590,7 @@ def bordered_determinant(p, table=None):
     the determinant must equal m (-2n)^3 2^n.  ``table`` may be the
     prime's shared b-table.
     """
-    params = params_for(p)
+    params = PrimeParams(p)
     _require_m3(params, "bordered_determinant")
     m, n = params.m, params.n
     table = _table_for(params, table)
@@ -639,7 +631,7 @@ def from_doc(doc):
         raise ValueError("a structured document is a JSON object, not %s" % type(doc).__name__)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("unsupported schema_version %r" % (doc.get("schema_version"),))
-    params = params_for(doc["p"])
+    params = PrimeParams(doc["p"])
     if params.m != doc["m"] or params.n != doc["n"]:
         raise ValueError("inconsistent (p, m, n) in document")
     grid = tuple(tuple(row) for row in doc["matrix"])

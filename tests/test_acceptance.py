@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 from lambdaeq import (
+    PrimeParams,
     assemble,
     bordered_determinant,
     closed_form_row1,
@@ -16,7 +17,6 @@ from lambdaeq import (
     lambda_series,
     ode_residual,
     p_poly,
-    params_for,
     row2_pipeline,
     solve_row1,
     verify_block_determinants,
@@ -54,7 +54,7 @@ def test_criterion_02_partition_vs_eta_expansions():
     start = time.perf_counter()
     ok = True
     for p in (3, 5, 7, 11, 13):
-        params = params_for(p)
+        params = PrimeParams(p)
         order = 2 * params.m + 10
         for i in range(params.m + 1):
             for h in range(params.m + 1 - i):
@@ -70,13 +70,13 @@ def test_criterion_03_row1_moments_all_primes_to_97():
     for p in range(3, 98, 2):
         if not is_odd_prime(p):
             continue
-        params = params_for(p)
+        params = PrimeParams(p)
         # all three moments, the third in its corrected form
         ok = ok and verify_row_moments(params, solve_row1(params)).passed
     # the sign-flipped third moment must fail against the reference matrices
     flipped_values = {}
     for p in (5, 11, 23):
-        params = params_for(p)
+        params = PrimeParams(p)
         check = verify_row_moments(params, solve_row1(params))
         row = REFERENCE[p][1]
         actual = sum((1 + 2 * h) ** 2 * a for h, a in enumerate(row))
@@ -92,7 +92,7 @@ def test_criterion_03_row1_moments_all_primes_to_97():
 def test_criterion_04_block_determinants():
     start = time.perf_counter()
     ok = all(
-        verify_block_determinants(params_for(p)).passed
+        verify_block_determinants(PrimeParams(p)).passed
         for p in (5, 11, 13, 19, 23, 31, 47)
     )
     _report(4, "block determinant formula", ok, time.perf_counter() - start)
@@ -157,7 +157,7 @@ def test_criterion_08_second_row_and_bordered_determinant():
         pipeline = row2_pipeline(assemble(p))
         ok = ok and pipeline.passed
         ok = ok and pipeline.details["a20"] == "3" and pipeline.details["a21"] == "-3"
-        n = params_for(p).n
+        n = PrimeParams(p).n
         border = bordered_determinant(p)
         ok = ok and border.passed
         ok = ok and int(border.details["det"]) == 3 * (-2 * n) ** 3 * 2 ** n

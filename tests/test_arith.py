@@ -8,10 +8,10 @@ import pytest
 from lambdaeq import (
     BTable,
     Partition,
+    PrimeParams,
     alpha,
     is_odd_prime,
     k_alpha,
-    params_for,
     partition_weight,
     reduced,
     sigma1,
@@ -62,7 +62,7 @@ def test_reduced_is_the_one_reduction_of_p():
         m, n = reduced(p)
         assert Fraction(p + 1, 8) == Fraction(m, n)
         assert gcd(m, n) == 1 and n in (1, 2, 4)
-        params = params_for(p)
+        params = PrimeParams(p)
         assert (params.m, params.n) == (m, n)
         assert BTable(p).n == n
     assert reduced(9) == (5, 4)  # like k_alpha, it does not test primality

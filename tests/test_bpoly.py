@@ -19,11 +19,11 @@ from lambdaeq import (
     ENUMERATION_THRESHOLD,
     BTable,
     IntegralityError,
+    PrimeParams,
     alpha,
-    is_odd_prime,
-    params_for,
     b_eval,
     b_series,
+    is_odd_prime,
     p_poly,
     partition_weight,
     partitions_of,
@@ -77,7 +77,7 @@ def closed_forms(p, n):
 
 def test_b0_is_one():
     for p, n in PRIMES_WITH_N:
-        assert params_for(p).n == n
+        assert PrimeParams(p).n == n
         assert b_eval(p, 0, 17, -2) == 1
         assert b_series(p, 0, 17, -2) == [1]
 
@@ -117,7 +117,7 @@ def test_recurrence_matches_partition_sum_full_grid():
     points = (0, 1, 3, 5, -2)
     for p in (3, 5, 7, 11, 13):
         terms = {l: _partition_terms(p, l) for l in range(26)}
-        n = params_for(p).n
+        n = PrimeParams(p).n
         for u in points:
             for v in points:
                 got = b_series(p, 25, u, v)
@@ -137,11 +137,24 @@ def test_recurrence_matches_b_eval_directly():
                 assert series[l] == b_eval(p, l, u, v)
 
 
+def test_recurrence_matches_b_eval_at_32_bit_rationals():
+    rng = random.Random(2016)
+
+    def rational():
+        return Fraction(rng.randint(-(2**32) + 1, 2**32 - 1), rng.randint(1, 2**32 - 1))
+
+    for p in (7, 5):  # n = 1, 4
+        u, v = rational(), rational()
+        series = b_series(p, ENUMERATION_THRESHOLD, u, v)
+        for l in range(ENUMERATION_THRESHOLD + 1):
+            assert series[l] == b_eval(p, l, u, v), (p, u, v, l)
+
+
 def test_leading_term_by_divided_differences():
     # b_l(u, 0) is degree l in u with top coefficient (-n)^l / l!; the l-th
     # finite difference over u = 0..l therefore equals (-n)^l exactly.
     for p in (23, 11, 5):  # n = 1, 2, 4
-        n = params_for(p).n
+        n = PrimeParams(p).n
         for l in range(9):
             diff = sum(
                 (-1) ** (l - j) * comb(l, j) * b_eval(p, l, j, 0)
@@ -177,6 +190,21 @@ def test_p_poly_base_cases():
         assert p_poly(0, m) == 1
     assert p_poly(1, 3) == Fraction(3, 2)
     assert p_poly(2, 3) == Fraction(5, 4)
+
+
+def test_p_poly_satisfies_its_recurrence():
+    # the defining recurrence and boundaries, independent of the closed form
+    for m in range(40):
+        assert p_poly(0, m) == 1
+    for s in range(1, 15):
+        assert p_poly(s, 0) == 0
+        for m in range(1, 40):
+            assert (m + s) * p_poly(s, m) == m * (p_poly(s - 1, m) + p_poly(s, m - 1)), (s, m)
+
+
+def test_p_poly_has_no_depth_limit():
+    # s + m = 601 is deeper than Python's recursion limit lets a recursive route go
+    assert p_poly(1, 600) == 300
 
 
 def test_p_poly_closed_form_table():
@@ -216,6 +244,9 @@ def test_binomial_moment_vanishes_below_degree():
 
 
 def test_binomial_moment_matches_p_poly():
+    # p_poly is this same alternating sum divided by (s+m)!, so this pins
+    # the normalisation only; the recurrence and c_coeff tests are the
+    # independent checks of p_poly
     for m in range(1, 11):
         for N in range(m, m + 5):
             expected = (-1) ** (m - 1) * p_poly(N - m, m) * factorial(N)
@@ -225,7 +256,7 @@ def test_binomial_moment_matches_p_poly():
 # the integer table route, pinned against the rational and partition routes
 
 ODD_PRIMES = [p for p in range(3, 200) if is_odd_prime(p)]
-assert {params_for(p).n for p in ODD_PRIMES} == {1, 2, 4}
+assert {PrimeParams(p).n for p in ODD_PRIMES} == {1, 2, 4}
 
 
 @settings(max_examples=40, deadline=None)

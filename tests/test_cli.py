@@ -95,6 +95,23 @@ def test_matrix_cache_refuses_another_primes_matrix(tmp_path, capsys):
     assert json.loads(path.read_text())["p"] == 13  # rewritten
 
 
+def test_matrix_cache_with_a_large_p_is_a_miss_without_a_primality_test(tmp_path, capsys):
+    # trial division of 2^61 - 1 would run for minutes; p is compared first
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "A13.schema1.json"
+    _, cold, _ = run(capsys, "matrix", "13")
+    doc = to_doc(assemble(13))
+    doc["p"] = 2**61 - 1
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "matrix", "13", "--cache-dir", str(cache))
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out == cold
+    assert json.loads(path.read_text())["p"] == 13  # rewritten
+
+
 @pytest.mark.parametrize("entry", [1.7, "-3318"])
 def test_matrix_cache_refuses_non_integer_entries(tmp_path, capsys, entry):
     cache = tmp_path / "cache"
@@ -284,10 +301,7 @@ def test_pvals(capsys):
 
 def test_pvals_budget_boundary(capsys):
     import lambdaeq.cli as cli
-    from lambdaeq import p_poly
 
-    # a cold cache makes the admitted side recurse to its full depth
-    p_poly.cache_clear()
     top = cli.MAX_PVALS_SUM
     code, out, _ = run(capsys, "pvals", "1", str(top - 1))
     assert code == 0 and out.strip() == "%d/2" % (top - 1)
@@ -372,6 +386,9 @@ ROUTE_SHA256 = {
         "720cce8e882aadd27341a26ac670bb823425feb55914d6f5c35a0b6827c9b2e5",
     ("bpoly", "13", "40", "--u", "3", "--v", "1"):
         "a110b5600974156482040de3412b1cac401295e06f6b8e3660f4684ae78f8b4c",
+    # u and v both 32-bit fractions, with distinct denominators
+    ("bpoly", "5", "120", "--u", "4294967291/4294967279", "--v=-4294967231/4294967197"):
+        "249407a5399152fd490404468ad65d2e88c506b52400733080e7178cd9485987",
 }
 
 

@@ -27,7 +27,6 @@ from lambdaeq import (
     closed_form_row1,
     from_doc,
     is_odd_prime,
-    params_for,
     render_text,
     render_typeset,
     row0,
@@ -85,16 +84,17 @@ REFERENCE = {5: A5, 11: A11, 23: A23, 31: A31, 19: A19, 47: A47, 13: A13}
 
 
 def test_params_for_examples():
-    assert params_for(5).m == 3 and params_for(5).n == 4
-    assert params_for(19).m == 5 and params_for(19).n == 2
-    assert params_for(7).m == 1 and params_for(7).n == 1
-    assert params_for(3).m == 1 and params_for(3).n == 2
+    assert PrimeParams(5).m == 3 and PrimeParams(5).n == 4
+    assert PrimeParams(19).m == 5 and PrimeParams(19).n == 2
+    assert PrimeParams(7).m == 1 and PrimeParams(7).n == 1
+    assert PrimeParams(3).m == 1 and PrimeParams(3).n == 2
 
 
 @pytest.mark.parametrize("bad", [4, 2, 9, 1, 0, -5, 15, 25, 13.0, "13"])
 def test_params_for_rejects_non_odd_primes(bad):
-    with pytest.raises(ValueError):
-        params_for(bad)
+    # non-ints included: is_odd_prime refuses them, with the same message
+    with pytest.raises(ValueError, match=re.escape("p must be an odd prime, got %r" % (bad,))):
+        PrimeParams(bad)
 
 
 def test_prime_params_test_primality_once(monkeypatch):
@@ -107,8 +107,8 @@ def test_prime_params_test_primality_once(monkeypatch):
         return is_odd_prime(p)
 
     monkeypatch.setattr(modeq, "is_odd_prime", counting)
-    assert params_for(13) == PrimeParams(13)
-    assert calls == [13, 13]  # one test for params_for, one for the direct construction
+    assert PrimeParams(13) == PrimeParams(13)
+    assert calls == [13, 13]  # one test per construction
     assert (PrimeParams(13).m, PrimeParams(13).n) == (7, 4)
     # direct construction stays validated
     for bad in (2, 4, 9, 1, 0, -7, 15):
@@ -129,23 +129,23 @@ def test_row0():
 def test_block_p5_row1_matches_hand_table():
     # rows are b_0, b_1, b_2 at (1+2h, 1) for n = 4, alpha(2) = -3/2:
     # (1,1,1), (-4,-12,-20), (n^2 u^2/2 + 6) = (14, 78, 206)
-    blk = block(params_for(5), 1, 1)
+    blk = block(PrimeParams(5), 1, 1)
     assert blk == ((1, 1, 1), (-4, -12, -20), (14, 78, 206))
     assert all(type(x) is int for row in blk for x in row)
 
 
 def test_block_top_left_entry_is_one():
     for p in (5, 13, 23):
-        assert block(params_for(p), 1, 1)[0][0] == 1
+        assert block(PrimeParams(p), 1, 1)[0][0] == 1
 
 
 def test_block_p5_determinant_hand_cofactor():
     # cofactor expansion of the hand table gives -512 = (-2n)^{m(m-1)/2}
-    assert integer_det(block(params_for(5), 1, 1)) == -512
+    assert integer_det(block(PrimeParams(5), 1, 1)) == -512
 
 
 def test_block_dimensions():
-    params = params_for(13)  # m = 7
+    params = PrimeParams(13)  # m = 7
     for i in range(1, 8):
         for r in range(i + 1):
             blk = block(params, i, r)
@@ -160,14 +160,14 @@ def test_block_dimensions():
 def test_solve_row_examples():
     examples = ((5, (-3, -26, -3, 0)), (23, (-3, 2, -3, 0)), (7, (-1, 0)))
     for p, row in examples:
-        solved = solve_row1(params_for(p))
+        solved = solve_row1(PrimeParams(p))
         assert solved == row
         assert all(type(x) is int for x in solved)
 
 
 # the odd primes below 60: every n, and m up to 27 (p = 53)
 SMALL_PRIMES = [p for p in range(3, 60) if is_odd_prime(p)]
-assert {params_for(p).n for p in SMALL_PRIMES} == {1, 2, 4}
+assert {PrimeParams(p).n for p in SMALL_PRIMES} == {1, 2, 4}
 
 
 def _leading_system(data):
@@ -176,7 +176,7 @@ def _leading_system(data):
     C_i = [b_l(2h, 0)], l, h = 0..m-i, is the leading block of C that
     row i solves against.
     """
-    params = params_for(data.draw(st.sampled_from(SMALL_PRIMES), label="p"))
+    params = PrimeParams(data.draw(st.sampled_from(SMALL_PRIMES), label="p"))
     i = data.draw(st.integers(1, params.m), label="i")
     size = params.m - i + 1
     x = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size), label="x")
@@ -215,7 +215,7 @@ def test_structured_solve_refuses_rhs_outside_the_integral_image(data):
 @pytest.mark.parametrize("p, i, h, l", [(13, 1, 3, 2), (13, 2, 0, 0), (17, 4, 5, 5), (7, 1, 0, 0)])
 def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
     # entry (l, h) of C_i, the leading block of C that row i solves against
-    params = params_for(p)
+    params = PrimeParams(p)
     m = params.m
     table = BTable(params.p)
     table.column(2 * h, 0, m)[l] += 1  # the table's own list
@@ -231,7 +231,7 @@ def test_gap_error_names_the_row_the_index_and_the_value(monkeypatch):
     # coefficient mi nonzero before row i+1; every other row solves as usual
     solve = modeq._solve_leading
     for p, i in ((13, 1), (13, 4), (17, 8), (5, 2)):
-        params = params_for(p)
+        params = PrimeParams(p)
         m, n = params.m, params.n
 
         def perturbed(params, row, lower, rhs):
@@ -254,7 +254,7 @@ def _direct_route(p):
     each B(i,i) solved by the test oracle ``Matrix.solve``, a rational
     elimination that shares nothing with assembly's C = L U.
     """
-    params = params_for(p)
+    params = PrimeParams(p)
     m, n = params.m, params.n
     table = BTable(params.p)
     grid = [row0(m)]
@@ -329,17 +329,17 @@ def test_row_moments_a11_and_a23():
 
 def test_block_determinant_lemma_small():
     for p in (5, 13):
-        result = verify_block_determinants(params_for(p))
+        result = verify_block_determinants(PrimeParams(p))
         assert result.passed, result.details
     # the corner cases by hand: i = m gives exponent 0, i = 1 gives -512 for p=5
-    blocks = verify_block_determinants(params_for(5)).details["blocks"]
+    blocks = verify_block_determinants(PrimeParams(5)).details["blocks"]
     assert blocks[0]["det"] == "-512"
     assert blocks[-1]["det"] == "1"
 
 
 @pytest.mark.parametrize("p, i, h, l", [(5, 1, 2, 1), (13, 1, 0, 3), (13, 3, 2, 4), (17, 6, 1, 2)])
 def test_block_determinants_flag_a_corrupted_head_column(p, i, h, l):
-    params = params_for(p)
+    params = PrimeParams(p)
     table = BTable(params.p)
     table.column(i + 2 * h, i, params.m - i)[l] += 1  # the table's own list
     result = verify_block_determinants(params, table)
@@ -458,7 +458,7 @@ def test_global_checks_the_coefficient_at_the_order_itself():
 
 def test_solve_row1_matches_reference_and_passes_moments():
     for p in (3, 5, 7, 13, 19, 31, 47):
-        params = params_for(p)
+        params = PrimeParams(p)
         row = solve_row1(params)
         if p in REFERENCE:
             assert row == REFERENCE[p][1]
@@ -579,7 +579,7 @@ def test_row2_pipeline_refuses_a_singular_block(name):
 
 
 def test_m3_checks_share_the_verified_table():
-    params = params_for(23)
+    params = PrimeParams(23)
     table = BTable(params.p)
     matrix = assemble(23, table)
     assert row2_pipeline(matrix, table) == row2_pipeline(matrix)
@@ -601,14 +601,14 @@ def test_bordered_determinant_values():
 def test_bordered_determinant_inner_identity():
     # the same matrix with third column b_l(1,1) has determinant (-2n)^3
     for p in (5, 11, 23):
-        params = params_for(p)
+        params = PrimeParams(p)
         cols = [b_series(p, 2, u, 1) for u in (3, 5, 1)]
         det = Matrix([[c[l] for c in cols] for l in range(3)]).det()
         assert det == (-2 * params.n) ** 3
 
 
 def test_modular_matrix_validation():
-    params = params_for(5)
+    params = PrimeParams(5)
     with pytest.raises(ValueError):
         ModularMatrix(params, ((1, 2), (3, 4)))
     with pytest.raises(ValueError):
@@ -660,7 +660,7 @@ def test_render_typeset():
 
 
 def test_one_table_serves_assembly_dets_and_global():
-    params = params_for(19)
+    params = PrimeParams(19)
     table = BTable(params.p)
     matrix = assemble(19, table)
     assert matrix.entries == REFERENCE[19]
@@ -676,7 +676,7 @@ def test_one_table_serves_assembly_dets_and_global():
 
 
 def test_block_from_table_matches_rational_columns():
-    params = params_for(13)
+    params = PrimeParams(13)
     table = BTable(params.p)
     m = params.m
     for i, r in ((1, 0), (3, 1), (7, 7), (5, 2)):

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import (
+    PrimeParams,
     Series,
     euler_product,
     lambda_series,
     one_minus_lambda_series,
-    params_for,
     xy_normalized_direct,
     xy_normalized_lemma,
 )
@@ -260,7 +260,7 @@ def test_integral_expansions_stay_on_ints():
     for series in (
         lambda_series(50),
         one_minus_lambda_series(50),
-        xy_normalized_direct(params_for(13), 1, 2, 30),
+        xy_normalized_direct(PrimeParams(13), 1, 2, 30),
     ):
         assert all(type(c) is int for c in series.coeffs)
 
@@ -276,21 +276,21 @@ def test_lambda_plus_complement_is_one():
 
 
 def test_xy_trivial_cases():
-    params = params_for(5)
+    params = PrimeParams(5)
     assert xy_normalized_direct(params, 0, 0, 6).coeffs == (1, 0, 0, 0, 0, 0, 0)
     assert xy_normalized_direct(params, 1, 0, 6)[0] == 1
     assert xy_normalized_lemma(params, 1, 0, 6)[0] == 1
 
 
 def test_xy_first_coefficient_is_minus_nu():
-    params = params_for(11)  # n = 2
+    params = PrimeParams(11)  # n = 2
     series = xy_normalized_lemma(params, 1, 1, 4)
     assert series[1] == -6  # -n (i + 2h) = -2 * 3
 
 
 def test_xy_routes_agree_small_primes():
     for p in (3, 5, 7):
-        params = params_for(p)
+        params = PrimeParams(p)
         order = 2 * params.m + 10
         for i in range(params.m + 1):
             for h in range(params.m + 1 - i):
@@ -300,7 +300,7 @@ def test_xy_routes_agree_small_primes():
 
 
 def test_xy_route_agreement_at_eleven_sampled():
-    params = params_for(11)
+    params = PrimeParams(11)
     direct = xy_normalized_direct(params, 2, 0, 10)
     partition = xy_normalized_lemma(params, 2, 0, 10)
     assert direct.coeffs[:11] == partition.coeffs[:11]
