@@ -5,13 +5,12 @@ failed (a check reported FAIL, or an exact step such as an integrality,
 factorization or gap assertion raised ``ArithmeticError``), 2 invalid
 input, including an ``--out`` file or ``--cache-dir`` that cannot be
 written (``OSError``).  Every input whose cost grows without bound is
-refused with exit 2 before any work: ``matrix`` and ``verify`` refuse
-primes whose m exceeds ``--max-m`` (assembly time grows like m^5 bignum
-multiply-adds), and each other budget is a ``MAX_*`` constant below.  All configuration
-is by flags; the only state on disk is the optional matrix cache.  A
-cached matrix is recomputed unless it is a JSON object whose entries are
-JSON integers, its prime is the one asked for and it passes the two
-symmetries; nothing else about it is re-checked.
+refused with exit 2 before any work; each budget is a ``MAX_*``
+constant below.  All configuration is by flags; the only state on disk
+is the optional matrix cache.  A cached matrix is recomputed unless it
+is a JSON object whose entries are JSON integers, its prime is the one
+asked for and it passes the two symmetries; nothing else about it is
+re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh
@@ -54,15 +53,13 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 # Assembly runs ~m^5 bignum multiply-adds; every m <= 48 assembles in
-# under a minute on a 2-core VM (see README), so larger m needs an
-# explicit --max-m.
-DEFAULT_MAX_M = 48
+# under a minute on a 2-core VM (see README).
+MAX_M = 48
 
 # Past the default order the global check runs ~(m+1) order^2 bignum
 # multiply-adds; at order 2500 the costliest admitted m is 48, whose
-# default order is 2400, so no admitted order costs much more than a
-# full verify at m = 48 (see README).  The default order m^2 + 2m is
-# always admitted: --max-m already bounds it.
+# default order m^2 + 2m = 2400 is below it, so no admitted order costs
+# much more than a full verify at m = 48 (see README).
 MAX_ORDER = 2500
 
 # scan solves one row-1 block per odd prime, ~m^3 work with m up to
@@ -109,17 +106,6 @@ def _rational_arg(text):
         raise argparse.ArgumentTypeError("not an exact rational: %r" % (text,))
 
 
-def _add_max_m(parser):
-    parser.add_argument(
-        "--max-m",
-        type=int,
-        default=DEFAULT_MAX_M,
-        metavar="M",
-        help="refuse primes with m > M (default %d: under a minute of assembly)"
-        % DEFAULT_MAX_M,
-    )
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lambdaeq",
@@ -134,7 +120,6 @@ def _build_parser():
     )
     p_matrix.add_argument("--out", metavar="FILE")
     p_matrix.add_argument("--cache-dir", metavar="DIR")
-    _add_max_m(p_matrix)
 
     p_verify = sub.add_parser("verify", help="run verification checks for one prime")
     p_verify.add_argument("p", type=int)
@@ -147,10 +132,8 @@ def _build_parser():
     p_verify.add_argument(
         "--order",
         type=int,
-        help="q-order for the global check (default m^2+2m; at most %d otherwise)"
-        % MAX_ORDER,
+        help="q-order for the global check (default m^2+2m; at most %d)" % MAX_ORDER,
     )
-    _add_max_m(p_verify)
 
     p_series = sub.add_parser("series", help="print exact q-expansions")
     p_series.add_argument("kind", choices=("lambda", "xy"))
@@ -255,35 +238,31 @@ def _sized_prime(p):
     return p
 
 
-def _sized_params(args):
-    """The prime's parameters; m above --max-m is refused before any work.
+def _sized_params(p):
+    """The prime's parameters; m above MAX_M is refused before any work.
 
     m is read off with ``reduced`` before the primality test, which is
     trial division up to sqrt(p) and would take minutes for p near 10^18.
     """
-    p = args.p
-    m = reduced(p)[0]
-    if m > args.max_m:
-        raise ValueError(
-            "p = %d has m = %d, above --max-m %d; assembly grows like m^5 "
-            "(under a minute for m <= %d), so pass a larger --max-m to run it"
-            % (p, m, args.max_m, DEFAULT_MAX_M)
-        )
+    _refuse_above(
+        "p = %d: m =" % p, reduced(p)[0], MAX_M,
+        "assembly grows like m^5 bignum multiply-adds",
+    )
     return PrimeParams(p)
 
 
 def _sized_order(params, order):
-    """The global check's order; one above MAX_ORDER and the default is refused."""
+    """The global check's order; one above MAX_ORDER is refused."""
     order = global_order(params, order)
     _refuse_above(
-        "--order", order, max(MAX_ORDER, global_order(params)),
+        "--order", order, MAX_ORDER,
         "the global check grows like (m+1) order^2 bignum multiply-adds",
     )
     return order
 
 
 def _cmd_matrix(args):
-    _sized_params(args)
+    _sized_params(args.p)
     cached = None
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
@@ -315,9 +294,11 @@ def _print_check(result):
 
 
 def _cmd_verify(args):
-    params = _sized_params(args)
+    params = _sized_params(args.p)
     if args.checks is not None:
-        selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        # a repeated name runs once, where it first appears
+        names = (c.strip() for c in args.checks.split(","))
+        selected = list(dict.fromkeys(c for c in names if c))
         if not selected:
             raise ValueError("--checks %r selects no check" % (args.checks,))
         unknown = [c for c in selected if c not in _CHECK_NAMES]

@@ -179,7 +179,7 @@ class ModularMatrix:
         m = self.params.m
         if len(self.entries) != m + 1 or any(len(r) != m + 1 for r in self.entries):
             raise ValueError("entries must form an (m+1) x (m+1) grid")
-        if any(not isinstance(x, int) for r in self.entries for x in r):
+        if any(type(x) is not int for r in self.entries for x in r):
             raise ValueError("entries must be plain integers")
 
 

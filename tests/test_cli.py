@@ -231,6 +231,23 @@ def test_verify_unknown_check(capsys):
     assert code == 2
 
 
+def test_verify_runs_a_repeated_check_once(monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    calls = []
+    check = cli.verify_global_vanish
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(cli, "verify_global_vanish", counting)
+    code, out, _ = run(capsys, "verify", "13", "--checks", "global,global,dets, global")
+    assert code == 0
+    assert out == "global: PASS\ndets: PASS\n"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("checks", [",", "", " , ,"])
 def test_verify_refuses_an_empty_check_selection(monkeypatch, capsys, checks):
     import lambdaeq.cli as cli
@@ -616,20 +633,50 @@ def test_matrix_refuses_oversize_prime_at_once(capsys):
     code, out, err = run(capsys, "matrix", "1000003")
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert err.startswith("error: p = 1000003 has m = 250001, above --max-m 48;")
+    assert err.startswith("error: p = 1000003: m = 250001 is above the budget 48;")
     assert "Traceback" not in err
 
 
-def test_max_m_bounds_matrix_and_verify(tables, capsys):
-    code, out, err = run(capsys, "verify", "13", "--max-m", "6")
+def test_max_m_bounds_matrix_and_verify(tables, monkeypatch, capsys):
+    import lambdaeq.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_M", 6)
+    code, out, err = run(capsys, "verify", "13")
     assert code == 2 and out == "" and tables == []
-    assert err.startswith("error: p = 13 has m = 7, above --max-m 6;")
-    code, _, _ = run(capsys, "matrix", "13", "--max-m", "6")
+    assert err.startswith("error: p = 13: m = 7 is above the budget 6;")
+    code, _, _ = run(capsys, "matrix", "13")
     assert code == 2
-    code, out, _ = run(capsys, "matrix", "13", "--max-m", "7")
+    monkeypatch.setattr(cli, "MAX_M", 7)
+    code, out, _ = run(capsys, "matrix", "13")
     assert code == 0 and "-60980" in out
-    code, _, _ = run(capsys, "matrix", "5", "--max-m", "0")
+    monkeypatch.setattr(cli, "MAX_M", 0)
+    code, _, _ = run(capsys, "matrix", "5")
     assert code == 2
+    # the budget is a constant, not a flag
+    for command in ("matrix", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "13", "--max-m", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-m 7" in capsys.readouterr().err
+
+
+def test_m_above_the_budget_is_refused_before_any_table(monkeypatch, capsys):
+    from lambdaeq import BTable
+
+    def no_table_work(*args, **kwargs):
+        raise AssertionError("table work before the prime was refused")
+
+    monkeypatch.setattr(BTable, "__init__", no_table_work)
+    # p = 97 has m = 49, one above the budget
+    for command in ("matrix", "verify"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "97")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == (
+            "error: p = 97: m = 49 is above the budget 48; "
+            "assembly grows like m^5 bignum multiply-adds\n"
+        )
 
 
 def test_verify_refuses_an_oversize_order_at_once(tables, capsys):
@@ -651,14 +698,19 @@ def test_order_budget_bounds_only_an_explicit_order(tables, monkeypatch, capsys)
     assert err.startswith("error: --order 21 is above the budget 20;")
     code, out, _ = run(capsys, "verify", "5", "--checks", "global", "--order", "20")
     assert code == 0 and "global: PASS" in out
-    # the default order is always admitted, spelled out or not
-    monkeypatch.setattr(cli, "MAX_ORDER", 10)
-    for extra in ([], ["--order", "15"]):
-        code, out, _ = run(capsys, "verify", "5", "--checks", "global", *extra)
-        assert code == 0 and "global: PASS" in out
     # without the global check the order is never read
     code, _, _ = run(capsys, "verify", "5", "--checks", "symmetry", "--order", "21")
     assert code == 0
+
+
+def test_order_budget_admits_every_default_order():
+    import lambdaeq.cli as cli
+    from lambdaeq import PrimeParams
+
+    # the default order m^2 + 2m of the largest admitted m is within budget
+    assert cli.MAX_M**2 + 2 * cli.MAX_M <= cli.MAX_ORDER
+    # p = 383 has m = 48
+    assert cli._sized_order(PrimeParams(383), None) == 2400
 
 
 def test_scan_refuses_an_oversize_range_at_once(monkeypatch, capsys):
@@ -767,10 +819,10 @@ def test_matrix_refuses_a_huge_prime_before_the_primality_test(capsys):
     code, out, err = run(capsys, "matrix", str(p))
     assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert err.startswith("error: p = %d has m = %d, above --max-m 48;" % (p, (p + 1) // 2))
+    assert err.startswith("error: p = %d: m = %d is above the budget 48;" % (p, (p + 1) // 2))
     assert "Traceback" not in err
     code, out, err = run(capsys, "verify", str(p))
-    assert code == 2 and out == "" and "above --max-m 48" in err
+    assert code == 2 and out == "" and "is above the budget 48;" in err
     # a small composite still gets the primality error
     code, _, err = run(capsys, "matrix", "15")
     assert code == 2 and err.startswith("error: p must be an odd prime, got 15")

@@ -613,6 +613,10 @@ def test_modular_matrix_validation():
         ModularMatrix(params, ((1, 2), (3, 4)))
     with pytest.raises(ValueError):
         ModularMatrix(params, tuple((Fraction(1),) * 4 for _ in range(4)))
+    # bool is an int subclass: render_text would print True and to_doc
+    # write JSON true, a document from_doc refuses
+    with pytest.raises(ValueError, match="plain integers"):
+        ModularMatrix(PrimeParams(3), ((True, -1), (-1, 0)))
 
 
 def test_serialization_round_trip():
