@@ -43,7 +43,6 @@ from .qseries import (
     Series,
     euler_product,
     lambda_series,
-    one_minus_lambda_series,
     xy_normalized_direct,
     xy_normalized_lemma,
 )

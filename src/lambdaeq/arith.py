@@ -11,7 +11,6 @@ it is multiplicative in k.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, isqrt
 from operator import index
 
@@ -72,9 +71,8 @@ def k_alpha(p, k):
     return total
 
 
-@lru_cache(maxsize=None)
 def alpha(p, k):
-    """alpha_p(k) = k_alpha(p, k) / k as a Fraction, memoized per (p, k).
+    """alpha_p(k) = k_alpha(p, k) / k as a Fraction.
 
     Equals sigma_1(k)/k when gcd(k, 2p) = 1, and is multiplicative in k.
     """

@@ -14,8 +14,7 @@ re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh
-namespace.  The one memoized function, ``arith.alpha``, keeps its
-functools cache in the library, not here.
+namespace.  The library it calls keeps no state between calls either.
 """
 
 import argparse
@@ -179,7 +178,7 @@ _PARSER = _build_parser()
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
     else:
         print(text)
 

@@ -1,10 +1,9 @@
 """Truncated formal power series in q with exact coefficients.
 
 A ``Series`` stores coefficients c_0..c_T; terms beyond q^T are unknown
-(not zero).  Coefficients are plain ints when the input is integral:
-products accumulate in ints, and the inverse of a series with constant
-term +-1 stays integral.  Only a non-unit constant term brings in exact
-rationals.  Every operation records how far its output can be trusted:
+(not zero).  Coefficients are plain ints: products accumulate in ints,
+and only a series with constant term +-1 is inverted, so its inverse
+stays integral.  Every operation records how far its output can be trusted:
 sums keep the smaller order, while products use valuations, so that a
 product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
@@ -14,10 +13,9 @@ shares.  This bookkeeping is what lets
 the differential-equation residual be certified coefficient by
 coefficient with no hand analysis.
 
-The module also builds the eta-quotient expansions in q = e^{i pi t}:
+The module also builds the eta-quotient expansion in q = e^{i pi t}
 
-    lambda(t)     = 16 q Q(t)^8  Q(4t)^16 / Q(2t)^24
-    1 - lambda(t) =      Q(t)^16 Q(4t)^8  / Q(2t)^24
+    lambda(t) = 16 q Q(t)^8 Q(4t)^16 / Q(2t)^24
 
 with Q(at) = prod_{k>=1} (1 - q^{ak}), and the normalized expansions of
 X^i Y^h for X = (lambda(t) lambda(pt))^{n/8},
@@ -30,10 +28,9 @@ forms gives
 since (p+1)/8 = m/n makes the q-power exponent ni(p+1)/8 = mi.  That
 product is the brute-force oracle; the same series has coefficient
 b_l(i+2h, i) at q^l, which is the production route.  Every Euler product
-has constant term 1, so lambda, 1 - lambda and the oracle run on ints.
+has constant term 1, so lambda and the oracle run on ints.
 """
 
-from fractions import Fraction
 from operator import mul
 
 from .bpoly import BTable
@@ -42,7 +39,6 @@ __all__ = [
     "Series",
     "euler_product",
     "lambda_series",
-    "one_minus_lambda_series",
     "xy_normalized_direct",
     "xy_normalized_lemma",
 ]
@@ -62,10 +58,10 @@ def _truncated_product(a, b, top):
 
 
 class Series:
-    """Truncated power series with int coefficients, or exact rationals.
+    """Truncated power series with int coefficients.
 
-    Integral input gives integral output for every operation except the
-    inverse of a series whose constant term is not +-1.
+    Integral input gives integral output for every operation; ``inverse``
+    accepts only a constant term of +-1.
     """
 
     __slots__ = ("coeffs", "order")
@@ -164,19 +160,21 @@ class Series:
         return result
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be nonzero.
+        """Multiplicative inverse of a series with constant term +1 or -1.
 
-        A unit constant term (+1 or -1) is its own inverse, so an integral
-        series has an integral inverse; any other constant makes it rational.
+        A unit constant term is its own inverse, so the inverse of an
+        integral series is integral.  A zero constant term raises
+        ``ZeroDivisionError``, any other ``ValueError``.
         """
         c0 = self.coeffs[0]
         if c0 == 0:
             raise ZeroDivisionError("cannot invert a series with zero constant term")
-        inv0 = c0 if c0 in (1, -1) else Fraction(1) / c0
+        if c0 not in (1, -1):
+            raise ValueError("only a constant term of +1 or -1 is inverted, got %s" % (c0,))
         a = self.coeffs
-        b = [inv0]
+        b = [c0]
         for k in range(1, self.order + 1):
-            b.append(-sum(map(mul, a[1 : k + 1], reversed(b))) * inv0)
+            b.append(-sum(map(mul, a[1 : k + 1], reversed(b))) * c0)
         return Series(b, self.order)
 
     def shift(self, k):
@@ -189,7 +187,7 @@ class Series:
         """The operator D = q d/dq: coefficient c_k becomes k c_k."""
         return Series([k * c for k, c in enumerate(self.coeffs)], self.order)
 
-    def to_text(self, var="q"):
+    def to_text(self):
         """Exact human-readable listing, e.g. '16*q - 128*q^2 + O(q^3)'."""
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -199,14 +197,14 @@ class Series:
             if k == 0:
                 body = str(mag)
             else:
-                power = var if k == 1 else "%s^%d" % (var, k)
+                power = "q" if k == 1 else "q^%d" % k
                 body = power if mag == 1 else "%s*%s" % (mag, power)
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         head = " ".join(parts) if parts else "0"
-        return "%s + O(%s^%d)" % (head, var, self.order + 1)
+        return "%s + O(q^%d)" % (head, self.order + 1)
 
 
 def euler_product(a, order):
@@ -235,17 +233,6 @@ def lambda_series(order):
         * euler_product(2, t) ** -24
     )
     return (unit * 16).shift(1)
-
-
-def one_minus_lambda_series(order):
-    """q-expansion of 1 - lambda, built from its own eta quotient."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return (
-        euler_product(1, order) ** 16
-        * euler_product(4, order) ** 8
-        * euler_product(2, order) ** -24
-    )
 
 
 def _xy_exponents(n, i, h):

@@ -9,14 +9,15 @@ order, as ``integer_det`` does.
 
 ``c_coeff`` and ``binomial_moment`` are the moment-polynomial identities
 of the acceptance suite, and ``with_entry`` builds the perturbed
-matrices of the negative controls.
+matrices of the negative controls.  ``one_minus_lambda_series`` is
+1 - lambda from its own eta quotient, the oracle for lambda + (1 - lambda) = 1.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from lambdaeq import ModularMatrix
+from lambdaeq import ModularMatrix, euler_product
 
 
 class SingularMatrixError(ArithmeticError):
@@ -158,3 +159,14 @@ def with_entry(matrix, i, h, value):
     grid = [list(r) for r in matrix.entries]
     grid[i][h] = value
     return ModularMatrix(matrix.params, tuple(tuple(r) for r in grid))
+
+
+def one_minus_lambda_series(order):
+    """q-expansion of 1 - lambda, built from its own eta quotient."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return (
+        euler_product(1, order) ** 16
+        * euler_product(4, order) ** 8
+        * euler_product(2, order) ** -24
+    )

@@ -82,6 +82,37 @@ def test_matrix_cache_never_trusted(tmp_path, capsys):
     assert json.loads(path.read_text())["matrix"][2][1] == -3  # rewritten
 
 
+def test_matrix_cache_serves_a_symmetric_tampering_and_rebuilds_an_asymmetric_one(
+    tmp_path, capsys
+):
+    # README: only the symmetries are re-checked, so the cache has to be trusted
+    from test_modeq import REFERENCE
+
+    cache = tmp_path / "cache"
+    argv = ("matrix", "13", "--format", "structured", "--cache-dir", str(cache))
+    code, fresh, _ = run(capsys, *argv)
+    assert code == 0
+    path = cache / "A13.schema1.json"
+    doc = json.loads(path.read_text())
+    grid = doc["matrix"]
+    grid[2][2] += 1
+    grid[2][3] -= 1
+    grid[3][2] -= 1
+    tampered = tuple(map(tuple, grid))
+    assert tampered != REFERENCE[13]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert tuple(map(tuple, json.loads(out)["matrix"])) == tampered
+
+    grid[2][3] += 5  # breaks both symmetries: a miss
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == fresh
+    assert tuple(map(tuple, json.loads(path.read_text())["matrix"])) == REFERENCE[13]
+
+
 def test_matrix_cache_refuses_another_primes_matrix(tmp_path, capsys):
     cache = tmp_path / "cache"
     _, cold, _ = run(capsys, "matrix", "13")

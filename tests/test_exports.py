@@ -29,3 +29,18 @@ def test_every_export_exists_and_imports_from_the_package(name):
         if getattr(lambdaeq, export, None) is not getattr(module, export)
     ]
     assert stale == []
+
+
+def test_the_library_keeps_no_memo():
+    # no functools cache: every call recomputes, and no state outlives a call
+    modules = [
+        importlib.import_module("lambdaeq." + info.name)
+        for info in pkgutil.iter_modules(lambdaeq.__path__)
+    ]
+    memos = [
+        "%s.%s" % (module.__name__, name)
+        for module in [lambdaeq, *modules]
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_clear")
+    ]
+    assert memos == []

@@ -646,7 +646,7 @@ def test_from_doc_refuses_a_non_object(doc):
 def test_from_doc_refuses_non_integer_entries(entry):
     doc = json.loads(json.dumps(to_doc(assemble(5))))
     doc["matrix"][1][0] = entry
-    with pytest.raises(ValueError, match="JSON integers"):
+    with pytest.raises(ValueError, match="entries must be plain integers"):
         from_doc(doc)
 
 
