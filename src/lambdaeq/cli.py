@@ -61,9 +61,10 @@ MAX_M = 48
 # much more than a full verify at m = 48 (see README).
 MAX_ORDER = 2500
 
-# scan solves one row-1 block per odd prime, ~m^3 work with m up to
-# (p+1)/2, so its time grows like max-p^4; --max-p 400 took 21.5-22.2 s
-# on a 2-core VM (see README).
+# scan solves one row-1 block per odd prime, with m up to (p+1)/2: its
+# b-table columns to index m cost ~m^3/4 multiply-adds and the forward
+# differences of the factorization ~m^3/3, so its time grows like
+# max-p^4; --max-p 400 took 4.9-6.7 s on a 2-core VM (see README).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits

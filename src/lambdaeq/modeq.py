@@ -59,8 +59,21 @@ of the columns P^h = b(2h, 0) and one truncated product with the column
 K^{-1}, whose coefficients stay short.  ``assemble`` runs the loop to
 row m and reads b(2h, 0) to index m^2 and b(-1, -1) to index m^2 - m
 (each product skips the m entries the gap check cleared): ~m^3
-coefficients, and ~m^5/6 multiply-adds in the products.  ``solve_row1``
-stops after row 1 and reads the same columns to index 2m-1 and m-1.
+coefficients, and ~m^5/6 multiply-adds in the products.
+
+``solve_row1`` stops after row 1, whose equations are the coefficients
+m..2m-1 of A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times
+E^m to index m - 1, a power of the coefficients P_1..P_m on the integer
+``Series`` ring: O(m^2 log m) multiply-adds and no division.  So every
+column b(2h, 0) it reads stops at index m, where ``_factor`` reads it
+anyway, and b(-1, -1) at m - 1.  The m + 1 columns cost ~m^3/4
+multiply-adds and ``_factor``'s differences ~m^3/3 subtractions; summing
+A_0(P) from the columns would grow them to index 2m - 1 for ~m^3.  The
+gap check before row 1 reads m zeros by construction.  What the column
+sum had to show there, sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m, is
+an m-th difference of row t of C, which ``_factor`` proves has degree t.
+``assemble`` keeps the column sum for row 0, since its later rows read
+those columns to index m^2 anyway.
 
 The blocks C_i are solved in ints too, through one factorization
 C = L U.  In b_l(u, v) a partition J of l contributes a term of degree
@@ -123,7 +136,7 @@ from operator import mul
 from .arith import alpha, is_odd_prime, reduced
 from .bpoly import BTable, p_poly
 from .exact import IntegralityError, integer_det
-from .qseries import _truncated_product
+from .qseries import Series, _truncated_product
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -231,8 +244,11 @@ def solve_row1(params):
 
     It is the row loop of ``assemble`` stopped after row 1, on a fresh
     b-table, and raises as ``assemble`` does (see the module docstring).
+    Row 0's series comes from ``_row0_power``, so every column it reads
+    stops at index m: b(2h, 0) to m and b(-1, -1) to m - 1.
     """
-    return _solve_rows(params, BTable(params.p), 1, 2 * params.m - 1)[1] + (0,)
+    table = BTable(params.p)
+    return _solve_rows(params, table, 1, _row0_power(params, table))[1] + (0,)
 
 
 class FactorizationError(ArithmeticError):
@@ -290,25 +306,50 @@ def _solve_leading(params, i, lower, rhs):
     return tuple(value // scale for value in x)
 
 
-def _solve_rows(params, table, last, top):
+def _add_row_series(window, weight, head, table):
+    """window + weight A(P), A(P) = sum_h head[h] P^h, to the window's last index.
+
+    Each P^h is the column b(2h, 0), read to that index.
+    """
+    top = len(window) - 1
+    for h, a in enumerate(head):
+        if a:
+            coef = weight * a
+            window = [x + coef * b for x, b in zip(window, table.column(2 * h, 0, top))]
+    return window
+
+
+def _row0_power(params, table):
+    """Row 0's series A_0(P) = (1 - P)^m to index 2m - 1, from P to index m.
+
+    With E = (P - 1)/q, (1 - P)^m = (-1)^m q^m E^m: coefficients 0..m-1
+    are 0, and m..2m-1 are (-1)^m times E^m to index m - 1, a power of
+    the m coefficients P_1..P_m on the integer ``Series`` ring.
+    """
+    m = params.m
+    power = Series(table.column(2, 0, m)[1 : m + 1]) ** m
+    return [0] * m + [(-1) ** m * c for c in power.coeffs]
+
+
+def _solve_rows(params, table, last, window):
     """The heads of rows 0..last of A_p, bottom-up in K^{-1} (see the module docstring).
 
-    ``window`` holds G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index
-    m(i-1).  K^{-1} is a unit series, so the window and G_i = K^{-1} window
-    share their first nonzero entry, and checking the window's first m
-    entries is the gap check on G_i.
+    The caller passes row 0's series A_0(P) to some index top, which
+    bounds every equation the loop reads: ``assemble`` sums it from the
+    columns b(2h, 0) (``_add_row_series``), ``solve_row1`` takes it as a
+    power (``_row0_power``).  ``window`` holds
+    G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index m(i-1).  K^{-1}
+    is a unit series, so the window and G_i = K^{-1} window share their
+    first nonzero entry, and checking the window's first m entries is the
+    gap check on G_i.
     """
     m, n, p = params.m, params.n, params.p
     lower = _factor(params, table)
-    kernel = table.column(-1, -1, top - m)
+    kernel = table.column(-1, -1, len(window) - 1 - m)
     heads = [row0(m)]
-    window = [0] * (top + 1)  # G_0 = 0, from index 0
     for i in range(1, last + 1):
-        weight = 2 ** (n * (i - 1))
-        for h, a in enumerate(heads[-1]):
-            if a:
-                coef = weight * a
-                window = [x + coef * b for x, b in zip(window, table.column(2 * h, 0, top))]
+        if i > 1:
+            window = _add_row_series(window, 2 ** (n * (i - 1)), heads[-1], table)
         bad = next((t for t in range(m) if window[t]), None)
         if bad is not None:
             raise ArithmeticError(
@@ -329,7 +370,9 @@ def assemble(p, table=None):
     """
     params = PrimeParams(p)
     m = params.m
-    heads = _solve_rows(params, _table_for(params, table), m, m * m)
+    table = _table_for(params, table)
+    window = _add_row_series([0] * (m * m + 1), 1, row0(m), table)
+    heads = _solve_rows(params, table, m, window)
     return ModularMatrix(params, tuple(head + (0,) * i for i, head in enumerate(heads)))
 
 

@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 
-def _is_scalar(x):
-    return isinstance(x, int) or hasattr(x, "denominator")
-
-
 def _truncated_product(a, b, top):
     """Coefficients 0..top of the product of the series a and b (sequences).
 
@@ -60,8 +56,10 @@ def _truncated_product(a, b, top):
 class Series:
     """Truncated power series with int coefficients.
 
-    Integral input gives integral output for every operation; ``inverse``
-    accepts only a constant term of +-1.
+    Integral input gives integral output for every operation.  The only
+    scalar operands are ints: adding or multiplying by anything else that
+    is not a ``Series`` raises ``TypeError``.  ``inverse`` accepts only a
+    constant term of +-1.
     """
 
     __slots__ = ("coeffs", "order")
@@ -117,10 +115,12 @@ class Series:
         return Series([-c for c in self.coeffs], self.order)
 
     def __add__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             c = list(self.coeffs)
             c[0] = c[0] + other
             return Series(c, self.order)
+        if not isinstance(other, Series):
+            return NotImplemented
         order = min(self.order, other.order)
         return Series(
             [a + b for a, b in zip(self.coeffs, other.coeffs)], order
@@ -135,8 +135,10 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_scalar(other):
+        if isinstance(other, int):
             return Series([c * other for c in self.coeffs], self.order)
+        if not isinstance(other, Series):
+            return NotImplemented
         va, vb = self.valuation(), other.valuation()
         order = min(self.order + vb, other.order + va)
         product = _truncated_product(self.coeffs[va:], other.coeffs[vb:], order - va - vb)

@@ -9,6 +9,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from lambdaeq import (
     verify_symmetry,
 )
 from lambdaeq.exact import integer_det
-from lambdaeq.modeq import _factor, _solve_leading, _solve_rows
+from lambdaeq.modeq import _add_row_series, _factor, _row0_power, _solve_leading, _solve_rows
 from oracles import Matrix, with_entry
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -218,10 +219,13 @@ def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
     params = PrimeParams(p)
     m = params.m
     table = BTable(params.p)
+    # row 0's series from the intact columns: a perturbed entry would make
+    # their later coefficients fail the table's own integrality check
+    window = _add_row_series([0] * (m * i + m - i + 1), 1, row0(m), table)
     table.column(2 * h, 0, m)[l] += 1  # the table's own list
     message = r"C of A_%d: row l=%d of \[b_l\(2h, 0\)\] " % (p, l)
     with pytest.raises(FactorizationError, match=message):
-        _solve_rows(params, table, i, m * i + m - i)
+        _solve_rows(params, table, i, window)
 
 
 def test_gap_error_names_the_row_the_index_and_the_value(monkeypatch):
@@ -457,15 +461,54 @@ def test_global_checks_the_coefficient_at_the_order_itself():
 
 
 def test_solve_row1_matches_reference_and_passes_moments():
-    for p in (3, 5, 7, 13, 19, 31, 47):
+    for p in SMALL_PRIMES:
         params = PrimeParams(p)
         row = solve_row1(params)
         if p in REFERENCE:
             assert row == REFERENCE[p][1]
+        assert row == _assembled(p).entries[1]
         check = verify_row_moments(params, row)
         assert check.passed
         third = check.details["third"]["actual"]
         assert check.details["third_alpha2_sign_flipped"]["value"] != third
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])  # n = 1, 2, 4
+def test_row0_power_matches_the_column_sum(p):
+    # (-1)^m q^m E^m, E = (P - 1)/q, against sum_h (-1)^h C(m, h) b(2h, 0)
+    params = PrimeParams(p)
+    m = params.m
+    reference = BTable(p)
+    columns = [reference.column(2 * h, 0, 2 * m - 1) for h in range(m + 1)]
+    column_sum = [
+        sum((-1) ** h * comb(m, h) * column[t] for h, column in enumerate(columns))
+        for t in range(2 * m)
+    ]
+    power = _row0_power(params, BTable(p))
+    assert power == column_sum
+    assert all(type(c) is int for c in power)
+
+
+def test_solve_row1_reads_no_column_past_index_m(monkeypatch):
+    import lambdaeq.modeq as modeq
+
+    built = []
+    make = modeq.BTable
+
+    def recording(p):
+        built.append(make(p))
+        return built[-1]
+
+    monkeypatch.setattr(modeq, "BTable", recording)
+    for p in (7, 11, 13, 53):
+        params = PrimeParams(p)
+        m = params.m
+        solve_row1(params)
+        lengths = {key: len(column) for key, column in built[-1]._columns.items()}
+        layout = {(2 * h, 0): m + 1 for h in range(m + 1)}
+        layout[(-1, -1)] = m
+        assert lengths == layout, p
+    assert len(built) == 4
 
 
 def test_closed_form_row1_negates_entries():

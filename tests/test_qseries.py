@@ -95,6 +95,17 @@ def test_add_sub_scalars():
     assert (s - s).is_zero()
 
 
+def test_only_int_scalars_enter_the_ring():
+    s = Series([1, 2], 1)
+    with pytest.raises(TypeError):
+        s * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * s
+    with pytest.raises(TypeError):
+        s + 0.5
+    assert (2 * s).coeffs == (2, 4) and (s * -3).coeffs == (-3, -6)
+
+
 def test_inverse_requires_unit():
     with pytest.raises(ZeroDivisionError):
         Series([0, 1], 3).inverse()
