@@ -30,6 +30,7 @@ from .modeq import (
     render_typeset,
     row0,
     row2_pipeline,
+    scan_row1,
     solve_row1,
     to_doc,
     verify_block_determinants,

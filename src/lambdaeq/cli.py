@@ -37,7 +37,7 @@ from .modeq import (
     render_text,
     render_typeset,
     row2_pipeline,
-    solve_row1,
+    scan_row1,
     to_doc,
     verify_block_determinants,
     verify_global_vanish,
@@ -61,10 +61,12 @@ MAX_M = 48
 # much more than a full verify at m = 48 (see README).
 MAX_ORDER = 2500
 
-# scan solves one row-1 block per odd prime, with m up to (p+1)/2: its
-# b-table columns to index m cost ~m^3/4 multiply-adds and the forward
-# differences of the factorization ~m^3/3, so its time grows like
-# max-p^4; --max-p 400 took 4.9-6.7 s on a 2-core VM (see README).
+# scan solves one row-1 block per odd prime, with m up to (p+1)/2.  Each
+# class n shares one b-table and one factorization, built to the class's
+# largest m = M: ~M^3/4 multiply-adds for the columns and ~M^3/3
+# subtractions for the forward differences, once per class, so its time
+# grows like max-p^3; each prime adds O(m^2 log m).  --max-p 400 took
+# 1.9 s on a 2-core VM (see README).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits
@@ -428,19 +430,17 @@ def _cmd_ode_check(args):
 def _cmd_scan(args):
     if args.max_p < 3:
         raise ValueError("--max-p must be at least 3")
-    _refuse_above("--max-p", args.max_p, MAX_SCAN_P, "scan time grows like max-p^4")
+    _refuse_above("--max-p", args.max_p, MAX_SCAN_P, "scan time grows like max-p^3")
     failures = 0
-    for p in range(3, args.max_p + 1, 2):
-        if not is_odd_prime(p):
-            continue
-        params = PrimeParams(p)
-        check = verify_row_moments(params, solve_row1(params))
+    primes = [p for p in range(3, args.max_p + 1, 2) if is_odd_prime(p)]
+    for params, row in scan_row1(primes):
+        check = verify_row_moments(params, row)
         if not check.passed:
             failures += 1
         moments = [check.details[k]["actual"] for k in ("first", "second", "third")]
         print(
             "p=%-4d m=%-3d n=%d  moments=%s, %s, %s  %s"
-            % (p, params.m, params.n, *moments, "ok" if check.passed else "MISMATCH")
+            % (params.p, params.m, params.n, *moments, "ok" if check.passed else "MISMATCH")
         )
     print(
         "scan complete: row-1 moment identities %s"

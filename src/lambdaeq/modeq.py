@@ -66,14 +66,27 @@ m..2m-1 of A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times
 E^m to index m - 1, a power of the coefficients P_1..P_m on the integer
 ``Series`` ring: O(m^2 log m) multiply-adds and no division.  So every
 column b(2h, 0) it reads stops at index m, where ``_factor`` reads it
-anyway, and b(-1, -1) at m - 1.  The m + 1 columns cost ~m^3/4
-multiply-adds and ``_factor``'s differences ~m^3/3 subtractions; summing
-A_0(P) from the columns would grow them to index 2m - 1 for ~m^3.  The
-gap check before row 1 reads m zeros by construction.  What the column
-sum had to show there, sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m, is
-an m-th difference of row t of C, which ``_factor`` proves has degree t.
-``assemble`` keeps the column sum for row 0, since its later rows read
-those columns to index m^2 anyway.
+anyway, and b(-1, -1) at m - 1.  The gap check before row 1 reads m
+zeros by construction.  What the column sum had to show there,
+sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m, is an m-th difference of
+row t of C, which ``_factor`` proves has degree t.  ``assemble`` keeps
+the column sum for row 0, since its later rows read those columns to
+index m^2 anyway.
+
+``solve_row1`` is the one-prime case of ``scan_row1``, which solves row
+1 for a list of primes and shares one b-table and one ``_factor`` per
+class n among them.  k alpha_p(k) has no p-term below k = p
+(``arith.k_alpha``), so b_l(u, v) with l < p depends on n alone: the
+tables of two primes p < p' of one class agree through index p - 1, and
+at index p, b_p(u, v) of p minus that of p' is -n u.  Every index a
+prime's row 1 reads is at most m < p: P and the columns b(2h, 0) to m,
+K^{-1} to m - 1.  So the table of the class's largest prime p_top, which
+``_factor`` reads to M = m(p_top) < p_top, equals the table of p at every
+index p reads.  ``_factor`` on p_top checks rows l <= M over h <= M, and
+each prime's C is the leading (m+1) block of that C, so each prime's
+factorization is still proved, by the same numbers.  The M + 1 columns
+cost ~M^3/4 multiply-adds and the differences ~M^3/3 subtractions, once
+per class; each prime adds its power and its solve, O(m^2 log m).
 
 The blocks C_i are solved in ints too, through one factorization
 C = L U.  In b_l(u, v) a partition J of l contributes a term of degree
@@ -154,6 +167,7 @@ __all__ = [
     "render_typeset",
     "row0",
     "row2_pipeline",
+    "scan_row1",
     "solve_row1",
     "to_doc",
     "verify_block_determinants",
@@ -239,16 +253,44 @@ def block(params, i, r, table=None):
     return tuple(zip(*columns))
 
 
+def scan_row1(primes):
+    """Yield (params, row 1 of A_p) for each odd prime p of ``primes``, in order.
+
+    Each row equals ``solve_row1``'s, but each class n shares one b-table
+    and one factorization: both come from the class's largest prime
+    p_top, built at its first prime.  The sharing is exact because every
+    index a prime's route reads is at most m < p <= p_top, and below p its
+    table and p_top's agree (see the module docstring).  Each prime then
+    pays only for its power ``_row0_power`` and its solve, O(m^2 log m);
+    the columns and differences cost ~M^3/4 and ~M^3/3 once per class,
+    with M = m(p_top).  A ``FactorizationError`` of a class names p_top.
+    """
+    primes = [PrimeParams(p) for p in primes]
+    tops = {params.n: params for params in sorted(primes, key=lambda q: q.p)}
+    shared = {}
+    for params in primes:
+        if params.n not in shared:
+            top = tops[params.n]
+            table = BTable(top.p)
+            shared[params.n] = table, _factor(top, table)
+        table, lower = shared[params.n]
+        # row 1 reads indices <= m < p, and below p the table of p_top is p's
+        assert table.n == params.n and params.m < params.p <= table.p
+        window = _row0_power(params, table)
+        yield params, _solve_rows(params, table, 1, window, lower)[1] + (0,)
+
+
 def solve_row1(params):
     """Row 1 of A_p on its own: the m+1 ints a_{1,0}..a_{1,m}, the last 0.
 
-    It is the row loop of ``assemble`` stopped after row 1, on a fresh
-    b-table, and raises as ``assemble`` does (see the module docstring).
-    Row 0's series comes from ``_row0_power``, so every column it reads
-    stops at index m: b(2h, 0) to m and b(-1, -1) to m - 1.
+    It is the row loop of ``assemble`` stopped after row 1, and raises as
+    ``assemble`` does (see the module docstring): the one-prime case of
+    ``scan_row1``, on a fresh b-table of p.  Row 0's series comes from
+    ``_row0_power``, so every column it reads stops at index m: b(2h, 0)
+    to m and b(-1, -1) to m - 1, ~m^3/4 multiply-adds, and ``_factor``'s
+    differences ~m^3/3 subtractions.
     """
-    table = BTable(params.p)
-    return _solve_rows(params, table, 1, _row0_power(params, table))[1] + (0,)
+    return next(scan_row1([params.p]))[1]
 
 
 class FactorizationError(ArithmeticError):
@@ -331,20 +373,22 @@ def _row0_power(params, table):
     return [0] * m + [(-1) ** m * c for c in power.coeffs]
 
 
-def _solve_rows(params, table, last, window):
+def _solve_rows(params, table, last, window, lower):
     """The heads of rows 0..last of A_p, bottom-up in K^{-1} (see the module docstring).
 
     The caller passes row 0's series A_0(P) to some index top, which
     bounds every equation the loop reads: ``assemble`` sums it from the
-    columns b(2h, 0) (``_add_row_series``), ``solve_row1`` takes it as a
-    power (``_row0_power``).  ``window`` holds
-    G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index m(i-1).  K^{-1}
-    is a unit series, so the window and G_i = K^{-1} window share their
-    first nonzero entry, and checking the window's first m entries is the
-    gap check on G_i.
+    columns b(2h, 0) (``_add_row_series``), ``scan_row1`` takes it as a
+    power (``_row0_power``).  ``lower`` is L of C = L U from ``_factor``:
+    ``assemble`` factors its own table, ``scan_row1`` passes its class's
+    shared one, whose rows 0..m are this prime's.  Past the factorization
+    the loop costs ~m^5/6 multiply-adds to row m and O(m^2) for row 1.
+    ``window`` holds G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index
+    m(i-1).  K^{-1} is a unit series, so the window and G_i = K^{-1} window
+    share their first nonzero entry, and checking the window's first m
+    entries is the gap check on G_i.
     """
     m, n, p = params.m, params.n, params.p
-    lower = _factor(params, table)
     kernel = table.column(-1, -1, len(window) - 1 - m)
     heads = [row0(m)]
     for i in range(1, last + 1):
@@ -372,7 +416,7 @@ def assemble(p, table=None):
     m = params.m
     table = _table_for(params, table)
     window = _add_row_series([0] * (m * m + 1), 1, row0(m), table)
-    heads = _solve_rows(params, table, m, window)
+    heads = _solve_rows(params, table, m, window, _factor(params, table))
     return ModularMatrix(params, tuple(head + (0,) * i for i, head in enumerate(heads)))
 
 

@@ -469,13 +469,13 @@ def test_p_only_routes_refuse_non_primes(command, p, capsys):
 def test_scan_reports_a_mismatch(monkeypatch, capsys):
     import lambdaeq.cli as cli
 
-    solve_row1 = cli.solve_row1
+    scan_row1 = cli.scan_row1
 
-    def perturbed(params):
-        row = solve_row1(params)
-        return (row[0] + 1,) + row[1:] if params.p == 13 else row
+    def perturbed(primes):
+        for params, row in scan_row1(primes):
+            yield params, (row[0] + 1,) + row[1:] if params.p == 13 else row
 
-    monkeypatch.setattr(cli, "solve_row1", perturbed)
+    monkeypatch.setattr(cli, "scan_row1", perturbed)
     code, out, _ = run(capsys, "scan", "--max-p", "23")
     assert code == 1
     lines = [l for l in out.splitlines() if l.startswith("p=")]
@@ -563,6 +563,40 @@ def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
     assert err.startswith(
         "error: C of A_13: row l=2 of [b_l(2h, 0)] is not a degree-2 polynomial"
     )
+
+
+def test_scan_stops_at_the_first_prime_of_a_broken_class(monkeypatch, capsys):
+    # column h = 8 of C: of the classes of --max-p 23, only n = 4 reads it
+    # (p_top = 17, m = 9), and its first prime, 5, comes right after 3 (n = 2)
+    _corrupt_column(monkeypatch, (16, 0), 2)
+    code, out, err = run(capsys, "scan", "--max-p", "23")
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines()] == ["p=3"]
+    assert err.startswith(
+        "error: C of A_17: row l=2 of [b_l(2h, 0)] is not a degree-2 polynomial"
+    )
+
+
+def test_scan_shares_one_table_and_one_factorization_per_class(monkeypatch, capsys):
+    import lambdaeq.modeq as modeq
+
+    # one per class n = 2, 4, 1, each of the class's largest prime
+    built, factored = [], []
+    make, factor = modeq.BTable, modeq._factor
+
+    def recording_table(p):
+        built.append(p)
+        return make(p)
+
+    def recording_factor(params, table):
+        factored.append(params.p)
+        return factor(params, table)
+
+    monkeypatch.setattr(modeq, "BTable", recording_table)
+    monkeypatch.setattr(modeq, "_factor", recording_factor)
+    code, out, _ = run(capsys, "scan", "--max-p", "61")
+    assert code == 0 and "hold for every prime" in out
+    assert built == factored == [59, 61, 47]
 
 
 def test_corrupted_block_head_fails_dets(monkeypatch, capsys):

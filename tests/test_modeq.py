@@ -32,6 +32,7 @@ from lambdaeq import (
     render_typeset,
     row0,
     row2_pipeline,
+    scan_row1,
     solve_row1,
     to_doc,
     verify_block_determinants,
@@ -225,7 +226,7 @@ def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
     table.column(2 * h, 0, m)[l] += 1  # the table's own list
     message = r"C of A_%d: row l=%d of \[b_l\(2h, 0\)\] " % (p, l)
     with pytest.raises(FactorizationError, match=message):
-        _solve_rows(params, table, i, window)
+        _solve_rows(params, table, i, window, _factor(params, table))
 
 
 def test_gap_error_names_the_row_the_index_and_the_value(monkeypatch):
@@ -509,6 +510,40 @@ def test_solve_row1_reads_no_column_past_index_m(monkeypatch):
         layout[(-1, -1)] = m
         assert lengths == layout, p
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("p, later", [(13, 61), (11, 59), (7, 47)])  # n = 4, 2, 1
+def test_tables_of_one_class_agree_below_the_smaller_prime(p, later):
+    # k alpha_p(k) has no p-term below k = p, so the two tables agree through
+    # index p - 1; at k = p it gains p sigma_1(1) = p, so b_p(u, v) of p is
+    # that of the later prime plus -n u
+    params = PrimeParams(p)
+    n = params.n
+    assert PrimeParams(later).n == n
+    small, large = BTable(p), BTable(later)
+    points = [(2 * h, 0) for h in range(PrimeParams(later).m + 1)] + [(-1, -1), (1, 1)]
+    for u, v in points:
+        a, b = small.column(u, v, p), large.column(u, v, p)
+        assert a[:p] == b[:p], (u, v)
+        assert a[p] - b[p] == -n * u, (u, v)
+        assert (a[p] != b[p]) == (u != 0), (u, v)
+
+
+def test_scan_row1_matches_the_per_prime_route():
+    # the reference is the per-prime route: a fresh table of p and its own _factor
+    primes = [p for p in range(3, 200) if is_odd_prime(p)]
+    solved = list(scan_row1(primes))
+    assert [params.p for params, _ in solved] == primes
+    for params, row in solved:
+        table = BTable(params.p)
+        window = _row0_power(params, table)
+        reference = _solve_rows(params, table, 1, window, _factor(params, table))[1] + (0,)
+        assert row == reference, params.p
+    # any order: each class shares the table of its largest prime all the same
+    mixed = [61, 5, 47, 13, 7, 59, 11]
+    assert [(params.p, row) for params, row in scan_row1(mixed)] == [
+        (p, solve_row1(PrimeParams(p))) for p in mixed
+    ]
 
 
 def test_closed_form_row1_negates_entries():
