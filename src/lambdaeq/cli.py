@@ -65,8 +65,8 @@ MAX_ORDER = 2500
 # class n shares one b-table and one factorization, built to the class's
 # largest m = M: ~M^3/4 multiply-adds for the columns and ~M^3/3
 # subtractions for the forward differences, once per class, so its time
-# grows like max-p^3; each prime adds O(m^2 log m).  --max-p 400 took
-# 1.9 s on a 2-core VM (see README).
+# grows like max-p^3; each prime adds O(m^2).  --max-p 400 took
+# 0.9-1.1 s on a 2-core VM (see README).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits
@@ -77,11 +77,13 @@ MAX_PVALS_SUM = 400
 # Each budget below keeps the costliest admitted input within a few
 # seconds on a 2-core VM, timed as one CLI process each.
 
-# ode-check multiplies series of length order: --order 1000 took 1.8 s.
+# ode-check multiplies series of length order and raises one to the 4th
+# power: --order 1000 took 1.0-1.1 s.
 MAX_ODE_ORDER = 1000
 
-# series lambda --order 2000 took 3.3 s; series xy at order 2000 with
-# i + h = 1000 took 1.3 s, and its coefficients lengthen with i + h.
+# series lambda --order 2000 took 0.6-0.7 s (three Euler-product powers
+# and two products); series xy at order 2000 with i + h = 1000 took
+# 1.3 s, and its coefficients lengthen with i + h.
 MAX_SERIES_ORDER = 2000
 MAX_XY_EXPONENT = 1000
 

@@ -64,10 +64,11 @@ coefficients, and ~m^5/6 multiply-adds in the products.
 ``solve_row1`` stops after row 1, whose equations are the coefficients
 m..2m-1 of A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times
 E^m to index m - 1, a power of the coefficients P_1..P_m on the integer
-``Series`` ring: O(m^2 log m) multiply-adds and no division.  So every
-column b(2h, 0) it reads stops at index m, where ``_factor`` reads it
-anyway, and b(-1, -1) at m - 1.  The gap check before row 1 reads m
-zeros by construction.  What the column sum had to show there,
+``Series`` ring: ~m^2/2 multiply-adds by Miller's recurrence, each step
+an exact division.  So every column b(2h, 0) it reads stops at index m,
+where ``_factor`` reads it anyway, and b(-1, -1) at m - 1.  The gap
+check before row 1 reads m zeros by construction.  What the column sum
+had to show there,
 sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m, is an m-th difference of
 row t of C, which ``_factor`` proves has degree t.  ``assemble`` keeps
 the column sum for row 0, since its later rows read those columns to
@@ -86,7 +87,7 @@ index p reads.  ``_factor`` on p_top checks rows l <= M over h <= M, and
 each prime's C is the leading (m+1) block of that C, so each prime's
 factorization is still proved, by the same numbers.  The M + 1 columns
 cost ~M^3/4 multiply-adds and the differences ~M^3/3 subtractions, once
-per class; each prime adds its power and its solve, O(m^2 log m).
+per class; each prime adds its power and its solve, O(m^2).
 
 The blocks C_i are solved in ints too, through one factorization
 C = L U.  In b_l(u, v) a partition J of l contributes a term of degree
@@ -261,7 +262,7 @@ def scan_row1(primes):
     p_top, built at its first prime.  The sharing is exact because every
     index a prime's route reads is at most m < p <= p_top, and below p its
     table and p_top's agree (see the module docstring).  Each prime then
-    pays only for its power ``_row0_power`` and its solve, O(m^2 log m);
+    pays only for its power ``_row0_power`` and its solve, O(m^2);
     the columns and differences cost ~M^3/4 and ~M^3/3 once per class,
     with M = m(p_top).  A ``FactorizationError`` of a class names p_top.
     """

@@ -9,9 +9,14 @@ product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
 order + valuation of the other factor).  A product strips both
 valuations and runs one kernel, ``_truncated_product``, which ``modeq``
-shares.  This bookkeeping is what lets
-the differential-equation residual be certified coefficient by
-coefficient with no hand analysis.
+shares.  Powers, the inverse among them, run J.C.P. Miller's recurrence
+instead: one pass over the base's nonzero terms, O(L nnz) multiply-adds
+and an exact division per coefficient, so the power of an Euler product
+(O(sqrt L) nonzero terms) costs O(L^1.5), less than one product.  A power
+keeps the order the valuation-aware product would give it: order +
+(e - 1) v for e >= 1 and a base of valuation v, order for e <= 0.  This
+bookkeeping is what lets the differential-equation residual be
+certified coefficient by coefficient with no hand analysis.
 
 The module also builds the eta-quotient expansion in q = e^{i pi t}
 
@@ -34,6 +39,7 @@ has constant term 1, so lambda and the oracle run on ints.
 from operator import mul
 
 from .bpoly import BTable
+from .exact import IntegralityError
 
 __all__ = [
     "Series",
@@ -58,8 +64,10 @@ class Series:
 
     Integral input gives integral output for every operation.  The only
     scalar operands are ints: adding or multiplying by anything else that
-    is not a ``Series`` raises ``TypeError``.  ``inverse`` accepts only a
-    constant term of +-1.
+    is not a ``Series`` raises ``TypeError``.  ``**`` takes any integer
+    exponent by Miller's recurrence, whose exact divisions raise
+    ``IntegralityError`` on a non-integral base; a negative exponent, and
+    so ``inverse``, accepts only a constant term of +-1.
     """
 
     __slots__ = ("coeffs", "order")
@@ -147,37 +155,62 @@ class Series:
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        """self^e for an integer e, by J.C.P. Miller's recurrence.
+
+        Write self = q^v g with c = g_0 != 0.  Then u = g^e has u_0 = c^e
+        and, for l >= 1 (Knuth, TAOCP vol. 2, 4.7),
+
+            l c u_l = sum_{1 <= k <= l, g_k != 0} ((e+1) k - l) g_k u_{l-k}.
+
+        One pass reads only the nonzero terms of g: O(L nnz) multiply-adds
+        for L = order - v, so O(L^1.5) for an Euler product and about two
+        products' worth for a dense base.  Each step is an exact ``divmod``
+        by l c, since g^e is integral; a remainder (a non-integral base)
+        raises ``IntegralityError`` naming l and e.  The order is the one
+        the valuation-aware product gives e factors from ``Series([1],
+        order)``: order + (e - 1) v for e >= 1, and order for e <= 0.  A
+        negative e needs a constant term of +1 or -1 (see ``inverse``).
+        """
         if not isinstance(e, int):
             raise TypeError("series powers must be integers")
+        if e == 0:
+            return Series([1], self.order)
         if e < 0:
-            return self.inverse() ** (-e)
-        result = Series([1], self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+            c0 = self.coeffs[0]
+            if c0 == 0:
+                raise ZeroDivisionError("cannot invert a series with zero constant term")
+            if c0 not in (1, -1):
+                raise ValueError("only a constant term of +1 or -1 is inverted, got %s" % (c0,))
+        v = self.valuation()  # 0 when e < 0
+        order = self.order + (e - 1) * v
+        if v > self.order:  # the zero series
+            return Series([0], order)
+        g = self.coeffs[v:]
+        c = g[0]
+        step = e + 1
+        u = [c ** abs(e)]  # c = +-1 when e < 0
+        terms = []  # (k, (e+1) k g_k, g_k) for the nonzero g_k, 1 <= k <= l
+        for l in range(1, len(g)):
+            if g[l]:
+                terms.append((l, step * l * g[l], g[l]))
+            value, rem = divmod(sum([(a - l * b) * u[l - k] for k, a, b in terms]), l * c)
+            if rem:
+                raise IntegralityError(
+                    "power step l = %d of the exponent e = %d left a remainder" % (l, e)
+                )
+            u.append(value)
+        return Series([0] * (e * v) + u, order)
 
     def inverse(self):
-        """Multiplicative inverse of a series with constant term +1 or -1.
+        """Multiplicative inverse ``self ** -1`` of a series with constant term +1 or -1.
 
-        A unit constant term is its own inverse, so the inverse of an
-        integral series is integral.  A zero constant term raises
-        ``ZeroDivisionError``, any other ``ValueError``.
+        The e = -1 case of the power recurrence is the classical inverse
+        loop, u_l = -c sum_{k=1..l} g_k u_{l-k}: a unit constant term is
+        its own inverse, so the inverse of an integral series is integral.
+        A zero constant term raises ``ZeroDivisionError``, any other
+        ``ValueError``.
         """
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("cannot invert a series with zero constant term")
-        if c0 not in (1, -1):
-            raise ValueError("only a constant term of +1 or -1 is inverted, got %s" % (c0,))
-        a = self.coeffs
-        b = [c0]
-        for k in range(1, self.order + 1):
-            b.append(-sum(map(mul, a[1 : k + 1], reversed(b))) * c0)
-        return Series(b, self.order)
+        return self ** -1
 
     def shift(self, k):
         """Multiply by q^k (integer k >= 0); validity extends to order + k."""

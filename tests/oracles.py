@@ -11,13 +11,21 @@ order, as ``integer_det`` does.
 of the acceptance suite, and ``with_entry`` builds the perturbed
 matrices of the negative controls.  ``one_minus_lambda_series`` is
 1 - lambda from its own eta quotient, the oracle for lambda + (1 - lambda) = 1.
+
+``binary_power`` and ``unit_inverse`` are the series power and inverse
+as the library computed them before it used Miller's recurrence: binary
+powering on the valuation-aware product, and the inverse loop of a unit
+constant term.  ``expanded_ode_residual`` is the lambda ODE residual in
+its expanded 11-product form, the reference for the factored form of
+``ode_residual``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
-from lambdaeq import ModularMatrix, euler_product
+from lambdaeq import ModularMatrix, Series, euler_product
 
 
 class SingularMatrixError(ArithmeticError):
@@ -169,4 +177,55 @@ def one_minus_lambda_series(order):
         euler_product(1, order) ** 16
         * euler_product(4, order) ** 8
         * euler_product(2, order) ** -24
+    )
+
+
+def unit_inverse(s):
+    """Inverse of a ``Series`` with constant term +-1, term by term.
+
+    A zero constant term raises ``ZeroDivisionError``, any other
+    ``ValueError``.
+    """
+    c0 = s.coeffs[0]
+    if c0 == 0:
+        raise ZeroDivisionError("cannot invert a series with zero constant term")
+    if c0 not in (1, -1):
+        raise ValueError("only a constant term of +1 or -1 is inverted, got %s" % (c0,))
+    a = s.coeffs
+    b = [c0]
+    for k in range(1, s.order + 1):
+        b.append(-sum(map(mul, a[1 : k + 1], reversed(b))) * c0)
+    return Series(b, s.order)
+
+
+def binary_power(s, e):
+    """s^e for an integer e by binary powering on the valuation-aware product."""
+    if e < 0:
+        return binary_power(unit_inverse(s), -e)
+    result = Series([1], s.order)
+    base = s
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
+def expanded_ode_residual(f):
+    """2 (D^3 f)(D f) f^2 (1-f)^2 - 3 (D^2 f)^2 f^2 (1-f)^2 + (f^2 - f + 1)(D f)^4.
+
+    The cleared lambda ODE residual multiplied out term by term, with
+    (D f)^4 by ``binary_power``.
+    """
+    d1 = f.qderiv()
+    d2 = d1.qderiv()
+    d3 = d2.qderiv()
+    one_minus = 1 - f
+    weight = f * f * one_minus * one_minus
+    return (
+        2 * (d3 * d1 * weight)
+        - 3 * (d2 * d2 * weight)
+        + (f * f - f + 1) * binary_power(d1, 4)
     )

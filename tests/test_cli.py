@@ -424,8 +424,14 @@ ROUTE_SHA256 = {
         "a77c8feacb4c6e8e64d79b9c5a8b5286aae0b4852ea06283051f799917079111",
     ("ode-check", "--order", "200"):
         "ec28e8eb78e1aac6484074a6b4cc3f9c50ddec5e5f440e5669998dd51f50be9f",
+    # the budget edge: "through q^1003"
+    ("ode-check", "--order", "1000"):
+        "67ae7c51229e32e35ceadc25f1067cb566c93694c39f7482aef5b6405ddec182",
     ("series", "lambda", "--order", "30"):
         "9c74eb604128fd398d2b8c0f281c9d3ad77f3bfbf7e39607efbca9431f082467",
+    # the budget edge
+    ("series", "lambda", "--order", "2000"):
+        "8c61a3693da7f8f3985da1f2645dc9e4c9b48296c8541bcd8445111a24016a91",
     ("series", "xy", "--p", "13", "--i", "1", "--h", "2", "--order", "40"):
         "3e5cca8e41b3caf540ca2eda9f7bfe6774bcc95eaf6b9801f99b90c9792ba927",
     ("bpoly", "5", "6", "--u", "5/2", "--v=-1/3"):

@@ -1,8 +1,11 @@
 """Tests for the formal verification of the lambda differential equation."""
 
+import random
+
 import pytest
 
-from lambdaeq import lambda_series, ode_residual
+from lambdaeq import Series, lambda_series, ode_residual
+from oracles import expanded_ode_residual
 
 
 def test_residual_vanishes_to_certified_order():
@@ -33,11 +36,35 @@ def test_scaled_lambda_negative_control():
 
 
 def test_other_series_fail_too():
-    from lambdaeq import Series
-
     assert not ode_residual(15, Series([0, 1], 15)).is_zero()  # f = q is no solution
 
 
 def test_order_floor():
     with pytest.raises(ValueError):
         ode_residual(9)
+
+
+def _pinned(f, order=10):
+    residual = ode_residual(order, f)
+    expanded = expanded_ode_residual(f)
+    assert residual.coeffs == expanded.coeffs
+    assert residual.order == expanded.order
+    return residual
+
+
+@pytest.mark.parametrize("order", [10, 50, 200])
+def test_factored_residual_matches_the_expanded_form_on_lambda(order):
+    assert _pinned(lambda_series(order), order).is_zero()
+
+
+def test_factored_residual_matches_the_expanded_form_on_the_controls():
+    assert not _pinned(2 * lambda_series(50), 50).is_zero()
+    assert not _pinned(Series([0, 1], 15), 15).is_zero()
+
+
+def test_factored_residual_matches_the_expanded_form_on_random_series():
+    rng = random.Random(19)
+    for v in range(4):
+        for _ in range(40):
+            body = [rng.randint(-5, 5) for _ in range(rng.randint(1, 16))]
+            _pinned(Series([0] * v + body))

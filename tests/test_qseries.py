@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import (
+    IntegralityError,
     PrimeParams,
     Series,
     euler_product,
@@ -25,7 +26,7 @@ from lambdaeq import (
     xy_normalized_direct,
     xy_normalized_lemma,
 )
-from oracles import one_minus_lambda_series
+from oracles import binary_power, one_minus_lambda_series
 
 
 # --- independent polynomial helpers (oracle-side, Fraction lists) ----------
@@ -205,6 +206,72 @@ def test_non_unit_inverse_is_refused():
     # Series is an integer ring: 1/(2 + q) would need rationals
     with pytest.raises(ValueError, match="constant term of \\+1 or -1"):
         Series([2, 1], 10).inverse()
+
+
+# --- powers by Miller's recurrence against binary powering -------------------
+
+
+def _outcome(fn):
+    """(coefficients, order) of fn(), or (exception type, message)."""
+    try:
+        s = fn()
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return s.coeffs, s.order
+
+
+def test_power_matches_binary_powering():
+    rng = random.Random(19)
+    for v in range(4):
+        for c in (1, -1, 2, -2, 3):
+            for e in range(-3, 8):
+                for _ in range(3):
+                    tail = [rng.randint(-5, 5) for _ in range(rng.randint(0, 12))]
+                    s = Series([0] * v + [c] + tail)
+                    got = _outcome(lambda: s ** e)
+                    assert got == _outcome(lambda: binary_power(s, e)), (v, c, e, s)
+                    if e < 0 and (v or c not in (1, -1)):
+                        # a negative power needs a unit constant term
+                        assert got[0] in (ZeroDivisionError, ValueError)
+                    else:
+                        assert got[1] == (s.order + (e - 1) * v if e > 0 else s.order)
+                        assert all(type(x) is int for x in got[0])
+
+
+def test_zero_series_and_zeroth_powers():
+    for order in range(5):
+        zero = Series([0], order)
+        for e in range(8):
+            assert _outcome(lambda: zero ** e) == _outcome(lambda: binary_power(zero, e))
+        assert (Series([0, 0, 5, 1], 3) ** 0).coeffs == (1, 0, 0, 0)
+
+
+def test_jacobi_cube_of_the_euler_product():
+    # Q(t)^3 = sum_{j>=0} (-1)^j (2j+1) q^{j(j+1)/2}
+    order = 300
+    expected = [0] * (order + 1)
+    j = 0
+    while j * (j + 1) // 2 <= order:
+        expected[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
+        j += 1
+    cube = euler_product(1, order) ** 3
+    assert cube.order == order and list(cube.coeffs) == expected
+
+
+def test_inverse_euler_product_counts_partitions():
+    order = 300
+    counts = [1] + [0] * order
+    for part in range(1, order + 1):
+        for total in range(part, order + 1):
+            counts[total] += counts[total - part]
+    inverse = euler_product(1, order) ** -1
+    assert inverse.order == order and list(inverse.coeffs) == counts
+
+
+def test_non_integral_base_raises():
+    # (1 + q/2)^2 = 1 + q + q^2/4: the q^2 step leaves a remainder
+    with pytest.raises(IntegralityError, match="l = 2 of the exponent e = 2"):
+        Series([1, Fraction(1, 2)], 2) ** 2
 
 
 def test_to_text():
