@@ -15,6 +15,7 @@ from .arith import alpha, is_odd_prime, k_alpha, partition_weight, reduced, sigm
 from .bpoly import ENUMERATION_THRESHOLD, BTable, b_eval, b_series, p_poly
 from .exact import IntegralityError, integer_det
 from .modeq import (
+    CHECK_NAMES,
     SCHEMA_VERSION,
     CheckResult,
     FactorizationError,
@@ -30,6 +31,7 @@ from .modeq import (
     render_typeset,
     row0,
     row2_pipeline,
+    run_checks,
     scan_row1,
     solve_row1,
     to_doc,

@@ -25,22 +25,19 @@ import sys
 from fractions import Fraction
 
 from .arith import alpha, is_odd_prime, reduced
-from .bpoly import BTable, b_eval, b_series, p_poly
+from .bpoly import b_eval, b_series, p_poly
 from .modeq import (
+    CHECK_NAMES,
     SCHEMA_VERSION,
     PrimeParams,
     assemble,
-    bordered_determinant,
-    closed_form_row1,
     from_doc,
     global_order,
     render_text,
     render_typeset,
-    row2_pipeline,
+    run_checks,
     scan_row1,
     to_doc,
-    verify_block_determinants,
-    verify_global_vanish,
     verify_row_moments,
     verify_symmetry,
 )
@@ -288,71 +285,35 @@ def _cmd_matrix(args):
     return EXIT_OK
 
 
-_CHECK_NAMES = ("symmetry", "rowsums", "dets", "theorem52", "global")
-
-
 def _print_check(result):
     print("%s: %s" % (result.name, "PASS" if result.passed else "FAIL"))
     if not result.passed:
         print("  details: %s" % json.dumps(result.details, sort_keys=True))
+    if result.note:
+        print("  note: %s" % result.note)
 
 
 def _cmd_verify(args):
     params = _sized_params(args.p)
+    selected = None  # run_checks' default plan
     if args.checks is not None:
         # a repeated name runs once, where it first appears
         names = (c.strip() for c in args.checks.split(","))
         selected = list(dict.fromkeys(c for c in names if c))
         if not selected:
             raise ValueError("--checks %r selects no check" % (args.checks,))
-        unknown = [c for c in selected if c not in _CHECK_NAMES]
+        unknown = [c for c in selected if c not in CHECK_NAMES]
         if unknown:
             raise ValueError("unknown checks: %s" % ", ".join(unknown))
         if "theorem52" in selected and params.m != 3:
             raise ValueError("the theorem52 checks need m = 3 (p in {5, 11, 23})")
-    else:
-        selected = ["symmetry", "rowsums", "dets", "global"]
-        if params.m == 3:
-            selected.append("theorem52")
-    # validated before any b-table work
-    order = _sized_order(params, args.order) if "global" in selected else None
-
-    # one b-table for every check: assembly grows b(2h, 0) and b(-1, -1),
-    # global extends b(2h, 0) to its order and adds K = b(1, 1), dets adds
-    # the B(i,i) heads, and the m = 3 checks read direct columns from it
-    table = BTable(params.p)
-    matrix = assemble(args.p, table)
-    results = []
-    for name in selected:
-        if name == "symmetry":
-            results.append(verify_symmetry(matrix))
-        elif name == "rowsums":
-            results.append(verify_row_moments(matrix.params, matrix.entries[1]))
-        elif name == "dets":
-            results.append(verify_block_determinants(params, table))
-        elif name == "global":
-            results.append(verify_global_vanish(matrix, order, table))
-        elif name == "theorem52":
-            results.extend(
-                (
-                    closed_form_row1(matrix),
-                    row2_pipeline(matrix, table),
-                    bordered_determinant(args.p, table),
-                )
-            )
+    # validated before any b-table work; the default plan runs global
+    order = None
+    if selected is None or "global" in selected:
+        order = _sized_order(params, args.order)
+    results = run_checks(params, selected, order)
     for res in results:
         _print_check(res)
-        if res.name == "rowsums":
-            alt = res.details["third_alpha2_sign_flipped"]
-            print(
-                "  note: third moment uses the negated alpha_p(2) term; "
-                "the sign-flipped variant %s does not match %s"
-                % (alt["value"], res.details["third"]["actual"])
-            )
-        if res.name == "row1-closed-forms" and res.passed:
-            print("  note: the closed forms equal the negated matrix entries")
-        if res.name == "row2-pipeline" and res.passed:
-            print("  note: C = 2n * 2^{2n} * a_{2,0}, not 2^{2n} * a_{2,0}")
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

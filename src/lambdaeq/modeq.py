@@ -153,6 +153,7 @@ from .exact import IntegralityError, integer_det
 from .qseries import Series, _truncated_product
 
 __all__ = [
+    "CHECK_NAMES",
     "SCHEMA_VERSION",
     "CheckResult",
     "FactorizationError",
@@ -168,6 +169,7 @@ __all__ = [
     "render_typeset",
     "row0",
     "row2_pipeline",
+    "run_checks",
     "scan_row1",
     "solve_row1",
     "to_doc",
@@ -213,11 +215,12 @@ class ModularMatrix:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one verification, with JSON-able details."""
+    """Outcome of one verification: JSON-able details and a note on any correction."""
 
     name: str
     passed: bool
     details: dict
+    note: str = ""
 
 
 def row0(m):
@@ -490,7 +493,11 @@ def verify_row_moments(params, row):
         },
     }
     passed = s0 == e0 and s1 == e1 and s2 == e2
-    return CheckResult("rowsums", passed, details)
+    note = (
+        "third moment uses the negated alpha_p(2) term; "
+        "the sign-flipped variant %s does not match %s" % (e2_alt, s2)
+    )
+    return CheckResult("rowsums", passed, details, note)
 
 
 def verify_block_determinants(params, table=None):
@@ -596,7 +603,8 @@ def closed_form_row1(matrix):
             {"h": h, "expression": str(expr), "entry": row[h], "matches_negated_entry": match}
         )
     details = {"sign_flipped": True, "entries": entries}
-    return CheckResult("row1-closed-forms", ok, details)
+    note = "the closed forms equal the negated matrix entries" if ok else ""
+    return CheckResult("row1-closed-forms", ok, details, note)
 
 
 def _times(grid, vector):
@@ -668,7 +676,8 @@ def row2_pipeline(matrix, table=None):
         "scale_claim_C_eq_4n_a20": c == scale * a20,
         "scale_found_C_eq_2n_4n_a20": c == 2 * n * scale * a20,
     }
-    return CheckResult("row2-pipeline", ok, details)
+    note = "C = 2n * 2^{2n} * a_{2,0}, not 2^{2n} * a_{2,0}" if ok else ""
+    return CheckResult("row2-pipeline", ok, details, note)
 
 
 def bordered_determinant(p, table=None):
@@ -689,6 +698,43 @@ def bordered_determinant(p, table=None):
     expected = m * (-2 * n) ** 3 * 2 ** n
     details = {"det": str(det), "expected": str(expected)}
     return CheckResult("bordered-det", det == expected, details)
+
+
+# ---------------------------------------------------------------------------
+# the verify plan
+
+CHECK_NAMES = ("symmetry", "rowsums", "dets", "theorem52", "global")
+
+
+def run_checks(params, names=None, order=None):
+    """The ``CheckResult``s of the checks ``names`` of ``CHECK_NAMES``, run in order.
+
+    ``None`` runs symmetry, rowsums, dets, global, then theorem52 when
+    m = 3; theorem52 is ``closed_form_row1``, ``row2_pipeline`` and
+    ``bordered_determinant``.  ``order`` is the global check's.  A_p is
+    assembled once, and one b-table serves assembly and every check.
+    """
+    if names is None:
+        names = ["symmetry", "rowsums", "dets", "global"]
+        if params.m == 3:
+            names.append("theorem52")
+    # assembly grows b(2h, 0) and b(-1, -1), global extends b(2h, 0) to its
+    # order and adds K = b(1, 1), dets adds the B(i,i) heads, and the m = 3
+    # checks read direct columns
+    table = BTable(params.p)
+    matrix = assemble(params.p, table)
+    checks = {
+        "symmetry": lambda: [verify_symmetry(matrix)],
+        "rowsums": lambda: [verify_row_moments(params, matrix.entries[1])],
+        "dets": lambda: [verify_block_determinants(params, table)],
+        "global": lambda: [verify_global_vanish(matrix, order, table)],
+        "theorem52": lambda: [
+            closed_form_row1(matrix),
+            row2_pipeline(matrix, table),
+            bordered_determinant(params.p, table),
+        ],
+    }
+    return [result for name in names for result in checks[name]()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
 order + valuation of the other factor).  A product strips both
 valuations and runs one kernel, ``_truncated_product``, which ``modeq``
-shares.  Powers, the inverse among them, run J.C.P. Miller's recurrence
+shares.  Powers, ``** -1`` among them, run J.C.P. Miller's recurrence
 instead: one pass over the base's nonzero terms, O(L nnz) multiply-adds
 and an exact division per coefficient, so the power of an Euler product
 (O(sqrt L) nonzero terms) costs O(L^1.5), less than one product.  A power
@@ -62,12 +62,12 @@ def _truncated_product(a, b, top):
 class Series:
     """Truncated power series with int coefficients.
 
-    Integral input gives integral output for every operation.  The only
-    scalar operands are ints: adding or multiplying by anything else that
-    is not a ``Series`` raises ``TypeError``.  ``**`` takes any integer
-    exponent by Miller's recurrence, whose exact divisions raise
-    ``IntegralityError`` on a non-integral base; a negative exponent, and
-    so ``inverse``, accepts only a constant term of +-1.
+    Every coefficient and every scalar operand is an int: a coefficient
+    of any other type (``bool`` included) raises ``TypeError`` at
+    construction, as does adding or multiplying by anything that is
+    neither an int nor a ``Series``.  ``**`` takes any integer exponent by
+    Miller's recurrence; a negative one accepts only a constant term of
+    +-1.
     """
 
     __slots__ = ("coeffs", "order")
@@ -80,6 +80,8 @@ class Series:
             order = len(coeffs) - 1
         if order < 0:
             raise ValueError("order must be nonnegative")
+        if any(type(c) is not int for c in coeffs):
+            raise TypeError("Series coefficients must be ints")
         if len(coeffs) < order + 1:
             coeffs = coeffs + [0] * (order + 1 - len(coeffs))
         elif len(coeffs) > order + 1:
@@ -104,20 +106,14 @@ class Series:
 
     def valuation(self):
         """Index of the first nonzero known coefficient; order+1 if none."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        return self.order + 1
+        return next((k for k, c in enumerate(self.coeffs) if c), self.order + 1)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def first_nonzero(self):
         """(index, coefficient) of the first nonzero term, or None."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return (k, c)
-        return None
+        return next(((k, c) for k, c in enumerate(self.coeffs) if c), None)
 
     def __neg__(self):
         return Series([-c for c in self.coeffs], self.order)
@@ -169,7 +165,9 @@ class Series:
         raises ``IntegralityError`` naming l and e.  The order is the one
         the valuation-aware product gives e factors from ``Series([1],
         order)``: order + (e - 1) v for e >= 1, and order for e <= 0.  A
-        negative e needs a constant term of +1 or -1 (see ``inverse``).
+        negative e needs a constant term of +1 or -1, its own inverse, so
+        the inverse of an integral series is integral: 0 raises
+        ``ZeroDivisionError``, any other ``ValueError``.
         """
         if not isinstance(e, int):
             raise TypeError("series powers must be integers")
@@ -200,17 +198,6 @@ class Series:
                 )
             u.append(value)
         return Series([0] * (e * v) + u, order)
-
-    def inverse(self):
-        """Multiplicative inverse ``self ** -1`` of a series with constant term +1 or -1.
-
-        The e = -1 case of the power recurrence is the classical inverse
-        loop, u_l = -c sum_{k=1..l} g_k u_{l-k}: a unit constant term is
-        its own inverse, so the inverse of an integral series is integral.
-        A zero constant term raises ``ZeroDivisionError``, any other
-        ``ValueError``.
-        """
-        return self ** -1
 
     def shift(self, k):
         """Multiply by q^k (integer k >= 0); validity extends to order + k."""

@@ -2,7 +2,9 @@
 
 import json
 import os
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -263,16 +265,16 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_runs_a_repeated_check_once(monkeypatch, capsys):
-    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
 
     calls = []
-    check = cli.verify_global_vanish
+    check = modeq.verify_global_vanish
 
     def counting(*args):
         calls.append(args)
         return check(*args)
 
-    monkeypatch.setattr(cli, "verify_global_vanish", counting)
+    monkeypatch.setattr(modeq, "verify_global_vanish", counting)
     code, out, _ = run(capsys, "verify", "13", "--checks", "global,global,dets, global")
     assert code == 0
     assert out == "global: PASS\ndets: PASS\n"
@@ -281,13 +283,13 @@ def test_verify_runs_a_repeated_check_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("checks", [",", "", " , ,"])
 def test_verify_refuses_an_empty_check_selection(monkeypatch, capsys, checks):
-    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
 
     def no_table_work(*args, **kwargs):
         raise AssertionError("table work before the selection was refused")
 
-    monkeypatch.setattr(cli, "BTable", no_table_work)
-    monkeypatch.setattr(cli, "assemble", no_table_work)
+    monkeypatch.setattr(modeq, "BTable", no_table_work)
+    monkeypatch.setattr(modeq, "assemble", no_table_work)
     code, out, err = run(capsys, "verify", "13", "--checks", checks)
     assert code == 2 and out == ""
     assert err.startswith("error: --checks %r selects no check" % checks)
@@ -496,15 +498,44 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
     from lambdaeq import CheckResult
 
     monkeypatch.setattr(
-        cli, "verify_symmetry", lambda matrix: CheckResult("symmetry", False, {})
+        modeq, "verify_symmetry", lambda matrix: CheckResult("symmetry", False, {})
     )
     code, out, _ = run(capsys, "verify", "5", "--checks", "symmetry")
     assert code == 1
     assert "symmetry: FAIL" in out
+
+
+# stdout of failing verifies, with the closed form of the first row-1
+# moment off by one: a failed check prints its details line, then its note
+FAILING_SHA256 = {
+    ("verify", "13", "--checks", "rowsums,symmetry"):
+        "ea6ad7b2b0b4b66d5566316b7c9c897b58baac0ccc5ad83a0a7fd033ef114d23",
+    # both m = 3 notes on pass, then rowsums' details and note
+    ("verify", "5", "--checks", "theorem52,rowsums"):
+        "8067a873c6da147e67d50ec45750bebffff52a2d072034166bcc2c3bc47dd2a3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FAILING_SHA256), ids=" ".join)
+def test_failing_verify_output_is_pinned(argv, monkeypatch, capsys):
+    import hashlib
+
+    import lambdaeq.modeq as modeq
+
+    expectations = modeq._row1_moment_expectations
+
+    def first_off_by_one(params):
+        first, *rest = expectations(params)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(modeq, "_row1_moment_expectations", first_off_by_one)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILING_SHA256[argv]
 
 
 def test_matrix_builtin_verification_failure_exit_code(monkeypatch, capsys):
@@ -533,10 +564,10 @@ def test_arithmetic_failure_exits_1_with_message(monkeypatch, capsys):
 
 
 def test_singular_theorem52_block_exits_1_with_message(monkeypatch, capsys):
-    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
     from test_modeq import singular_block_table
 
-    monkeypatch.setattr(cli, "BTable", lambda p: singular_block_table(p, "B(2,2)"))
+    monkeypatch.setattr(modeq, "BTable", lambda p: singular_block_table(p, "B(2,2)"))
     code, out, err = run(capsys, "verify", "23", "--checks", "theorem52")
     assert code == 1
     assert out == ""
@@ -641,16 +672,16 @@ def test_corrupted_inverse_kernel_exits_1(monkeypatch, capsys):
 @pytest.fixture
 def tables(monkeypatch):
     """Every b-table the CLI builds, in order."""
-    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
 
     built = []
-    make = cli.BTable
+    make = modeq.BTable
 
     def recording(p):
         built.append(make(p))
         return built[-1]
 
-    monkeypatch.setattr(cli, "BTable", recording)
+    monkeypatch.setattr(modeq, "BTable", recording)
     return built
 
 
@@ -822,7 +853,7 @@ def test_main_builds_no_parser(monkeypatch, capsys):
 
 
 def test_no_parse_state_leaks_between_calls(monkeypatch, capsys):
-    import lambdaeq.cli as cli
+    import lambdaeq.modeq as modeq
 
     code, out, _ = run(capsys, "matrix", "13", "--format", "structured")
     assert code == 0 and json.loads(out)["p"] == 13
@@ -830,13 +861,13 @@ def test_no_parse_state_leaks_between_calls(monkeypatch, capsys):
     assert code == 0 and out.startswith("p = 13   m = 7   n = 4")
 
     orders = []
-    check = cli.verify_global_vanish
+    check = modeq.verify_global_vanish
 
     def recording(matrix, order, table):
         orders.append(order)
         return check(matrix, order, table)
 
-    monkeypatch.setattr(cli, "verify_global_vanish", recording)
+    monkeypatch.setattr(modeq, "verify_global_vanish", recording)
     for extra in (["--order", "20"], []):
         code, out, _ = run(capsys, "verify", "5", "--checks", "global", *extra)
         assert code == 0 and "global: PASS" in out
@@ -990,3 +1021,23 @@ def test_bpoly_bit_budget(monkeypatch, capsys):
     assert code == 0 and out.strip()
     code, out, err = run(capsys, "bpoly", "5", "3", "--u", "4/3", "--v", "1")
     assert code == 2 and out == "" and "3-bit numerator" in err
+
+
+README_COMMANDS = [
+    line
+    for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    if line.startswith("lambdaeq ")
+]
+
+
+def test_readme_lists_its_cli_examples():
+    assert len(README_COMMANDS) == 13
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_cli_example_runs(line, tmp_path, capsys):
+    # the cache and output paths of the examples go to a scratch directory
+    paths = {"~/.cache/lambdaeq": str(tmp_path / "cache"), "a13.json": str(tmp_path / "a13.json")}
+    argv = [paths.get(arg, arg) for arg in shlex.split(line, comments=True)[1:]]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err

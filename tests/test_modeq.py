@@ -32,6 +32,7 @@ from lambdaeq import (
     render_typeset,
     row0,
     row2_pipeline,
+    run_checks,
     scan_row1,
     solve_row1,
     to_doc,
@@ -594,6 +595,45 @@ def test_row2_pipeline_fails_on_a_perturbed_row2():
         assert not result.passed
         # the pipeline's own solve is unchanged; only the comparison fails
         assert result.details["a20"] == "3" and result.details["a21"] == "-3"
+
+
+def test_each_check_carries_its_own_note():
+    matrix = assemble(5)
+    assert closed_form_row1(matrix).note == "the closed forms equal the negated matrix entries"
+    assert row2_pipeline(matrix).note == "C = 2n * 2^{2n} * a_{2,0}, not 2^{2n} * a_{2,0}"
+    # the corrected forms are noted only when they hold
+    assert closed_form_row1(with_entry(matrix, 1, 0, 4)).note == ""
+    assert row2_pipeline(with_entry(matrix, 2, 0, 4)).note == ""
+    assert verify_symmetry(matrix).note == bordered_determinant(5).note == ""
+    # rowsums names the sign-flipped variant, pass or fail
+    row = matrix.entries[1]
+    for result in (verify_row_moments(matrix.params, row),
+                   verify_row_moments(matrix.params, (row[0] + 1,) + row[1:])):
+        assert result.note == (
+            "third moment uses the negated alpha_p(2) term; the sign-flipped variant "
+            "-360 does not match %s" % result.details["third"]["actual"]
+        )
+
+
+def test_run_checks_default_plan():
+    # theorem52 joins the plan for m = 3, last, as its three checks
+    assert [r.name for r in run_checks(PrimeParams(23))] == [
+        "symmetry", "rowsums", "dets", "global",
+        "row1-closed-forms", "row2-pipeline", "bordered-det",
+    ]
+    results = run_checks(PrimeParams(13))
+    assert [r.name for r in results] == ["symmetry", "rowsums", "dets", "global"]
+    assert all(r.passed for r in results)
+    assert results[3].details["order"] == 7 * 7 + 2 * 7
+
+
+def test_run_checks_runs_the_names_in_order():
+    results = run_checks(PrimeParams(5), ["global", "theorem52", "rowsums"], 20)
+    assert [r.name for r in results] == [
+        "global", "row1-closed-forms", "row2-pipeline", "bordered-det", "rowsums"
+    ]
+    assert results[0].details == {"order": 20}
+    assert all(r.passed for r in results)
 
 
 def _theorem52_details(c, det, a11):
