@@ -74,13 +74,13 @@ MAX_PVALS_SUM = 400
 # Each budget below keeps the costliest admitted input within a few
 # seconds on a 2-core VM, timed as one CLI process each.
 
-# ode-check multiplies series of length order and raises one to the 4th
-# power: --order 1000 took 1.0-1.1 s.
+# ode-check builds lambda and takes six products of series of length
+# order: --order 1000 took 0.83-0.95 s.
 MAX_ODE_ORDER = 1000
 
-# series lambda --order 2000 took 0.6-0.7 s (three Euler-product powers
-# and two products); series xy at order 2000 with i + h = 1000 took
-# 1.3 s, and its coefficients lengthen with i + h.
+# series lambda --order 2000 took 0.38-0.42 s (two powers of the sparse
+# psi series and one product); series xy at order 2000 with
+# i + h = 1000 took 1.3 s, and its coefficients lengthen with i + h.
 MAX_SERIES_ORDER = 2000
 MAX_XY_EXPONENT = 1000
 

@@ -12,22 +12,23 @@ denominators), so the identity becomes the polynomial q-series statement
         + (f^2 - f + 1) (D f)^4 = 0.
 
 With g = f(1-f), so that f^2 (1-f)^2 = g^2 and f^2 - f + 1 = 1 - g, the
-same polynomial is
+same polynomial is g^2 (2 (D^3 f)(D f) - 3 (D^2 f)^2) + (1 - g) (D f)^4.
+Since D^2 ((D f)^2) = 2 (D^2 f)^2 + 2 (D f)(D^3 f), the bracket equals
+D^2 s - 5 (D^2 f)^2 for s = (D f)^2, and ``ode_residual`` evaluates
 
-    g^2 (2 (D^3 f)(D f) - 3 (D^2 f)^2) + (1 - g) (D f)^4,
+    g (g (D^2 s - 5 (D^2 f)^2) - s^2) + s^2:
 
-which is how ``ode_residual`` evaluates it: six products and the power
-(D f)^4, where the expanded form takes nine products and the power, with
-the same coefficients and the same certified order (the two leading
-terms of the bracket never cancel, so its valuation is that of each).
-Only this cleared form is checked: it needs no Laurent series for the
-valuation -2 quotients, and every coefficient comparison is exact.  The
-lambda expansion has integer coefficients and the cleared form has no
-division (the power divides only exactly), so the whole residual is
-computed on plain ints.  The same identity rescaled by 3/2-powers is
-the familiar Schwarzian-style normalization
-3 (f''/f'^2)^2 - 2 f'''/f'^3 = (1 - f + f^2)/(f^2(1-f)^2); verifying
-one form verifies the other.
+six products and no power, where the expanded form takes nine products
+and the power (D f)^4.  The two give the same coefficients and the same
+certified order: D^2 s is known as far as the product (D^3 f)(D f), and
+s^2 = (D f)^4 bounds the order of both groupings.  Only this cleared
+form is checked: it needs no Laurent series for the valuation -2
+quotients, and every coefficient comparison is exact.  The lambda
+expansion has integer coefficients and the cleared form has no
+division, so the whole residual is computed on plain ints.  The same
+identity rescaled by 3/2-powers is the familiar Schwarzian-style
+normalization 3 (f''/f'^2)^2 - 2 f'''/f'^3 = (1 - f + f^2)/(f^2(1-f)^2);
+verifying one form verifies the other.
 """
 
 from .qseries import lambda_series
@@ -50,6 +51,8 @@ def ode_residual(order, f=None):
         f = lambda_series(order)
     d1 = f.qderiv()
     d2 = d1.qderiv()
-    d3 = d2.qderiv()
+    s = d1 * d1
+    bracket = s.qderiv().qderiv() - 5 * (d2 * d2)
+    s2 = s * s
     g = f * (1 - f)
-    return g * g * (2 * (d3 * d1) - 3 * (d2 * d2)) + (1 - g) * d1 ** 4
+    return g * (g * bracket - s2) + s2

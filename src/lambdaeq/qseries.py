@@ -18,14 +18,21 @@ keeps the order the valuation-aware product would give it: order +
 bookkeeping is what lets the differential-equation residual be
 certified coefficient by coefficient with no hand analysis.
 
+Results the ring builds from its own series and plain int scalars go
+through ``_ring_series``, which skips the per-coefficient type scan of
+``Series(...)``: they can hold nothing but ints.
+
 The module also builds the eta-quotient expansion in q = e^{i pi t}
 
-    lambda(t) = 16 q Q(t)^8 Q(4t)^16 / Q(2t)^24
+    lambda(t) = 16 q Q(t)^8 Q(4t)^16 / Q(2t)^24 = 16 q psi(q^2)^8 / psi(q)^8
 
-with Q(at) = prod_{k>=1} (1 - q^{ak}), and the normalized expansions of
-X^i Y^h for X = (lambda(t) lambda(pt))^{n/8},
-Y = ((1-lambda(t))(1-lambda(pt)))^{n/8}.  Multiplying the factored
-forms gives
+with Q(at) = prod_{k>=1} (1 - q^{ak}) and psi(q) = sum_{k>=0} q^{k(k+1)/2}
+= Q(2t)^2 / Q(t), so psi(q^2) / psi(q) = Q(t) Q(4t)^2 / Q(2t)^3.
+``lambda_series`` takes the psi form: psi has O(sqrt L) nonzero terms,
+so its two powers are sparse and one product remains.  The module also
+builds the normalized expansions of X^i Y^h for
+X = (lambda(t) lambda(pt))^{n/8}, Y = ((1-lambda(t))(1-lambda(pt)))^{n/8}.
+Multiplying the factored forms gives
 
     X^i Y^h / (2^{ni} q^{mi}) =
         [Q(t)^{n(i+2h)} Q(4t)^{n(2i+h)} Q(2t)^{-3n(i+h)}] * [same at pt],
@@ -33,7 +40,7 @@ forms gives
 since (p+1)/8 = m/n makes the q-power exponent ni(p+1)/8 = mi.  That
 product is the brute-force oracle; the same series has coefficient
 b_l(i+2h, i) at q^l, which is the production route.  Every Euler product
-has constant term 1, so lambda and the oracle run on ints.
+and psi has constant term 1, so lambda and the oracle run on ints.
 """
 
 from operator import mul
@@ -116,19 +123,17 @@ class Series:
         return next(((k, c) for k, c in enumerate(self.coeffs) if c), None)
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.order)
+        return _ring_series([-c for c in self.coeffs], self.order)
 
     def __add__(self, other):
         if isinstance(other, int):
             c = list(self.coeffs)
             c[0] = c[0] + other
-            return Series(c, self.order)
+            return _scalar_result(other)(c, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
-        return Series(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
+        return _ring_series([a + b for a, b in zip(self.coeffs, other.coeffs)], order)
 
     __radd__ = __add__
 
@@ -140,13 +145,13 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Series([c * other for c in self.coeffs], self.order)
+            return _scalar_result(other)([c * other for c in self.coeffs], self.order)
         if not isinstance(other, Series):
             return NotImplemented
         va, vb = self.valuation(), other.valuation()
         order = min(self.order + vb, other.order + va)
         product = _truncated_product(self.coeffs[va:], other.coeffs[vb:], order - va - vb)
-        return Series([0] * (va + vb) + product, order)
+        return _ring_series([0] * (va + vb) + product, order)
 
     __rmul__ = __mul__
 
@@ -172,7 +177,7 @@ class Series:
         if not isinstance(e, int):
             raise TypeError("series powers must be integers")
         if e == 0:
-            return Series([1], self.order)
+            return _ring_series([1] + [0] * self.order, self.order)
         if e < 0:
             c0 = self.coeffs[0]
             if c0 == 0:
@@ -182,7 +187,7 @@ class Series:
         v = self.valuation()  # 0 when e < 0
         order = self.order + (e - 1) * v
         if v > self.order:  # the zero series
-            return Series([0], order)
+            return _ring_series([0] * (order + 1), order)
         g = self.coeffs[v:]
         c = g[0]
         step = e + 1
@@ -197,17 +202,17 @@ class Series:
                     "power step l = %d of the exponent e = %d left a remainder" % (l, e)
                 )
             u.append(value)
-        return Series([0] * (e * v) + u, order)
+        return _ring_series([0] * (e * v) + u, order)
 
     def shift(self, k):
         """Multiply by q^k (integer k >= 0); validity extends to order + k."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("shift needs an integer k >= 0")
-        return Series([0] * k + list(self.coeffs), self.order + k)
+        return _ring_series([0] * k + list(self.coeffs), self.order + k)
 
     def qderiv(self):
         """The operator D = q d/dq: coefficient c_k becomes k c_k."""
-        return Series([k * c for k, c in enumerate(self.coeffs)], self.order)
+        return _ring_series([k * c for k, c in enumerate(self.coeffs)], self.order)
 
     def to_text(self):
         """Exact human-readable listing, e.g. '16*q - 128*q^2 + O(q^3)'."""
@@ -229,6 +234,29 @@ class Series:
         return "%s + O(q^%d)" % (head, self.order + 1)
 
 
+def _ring_series(coeffs, order):
+    """A ``Series`` from a list of exactly order + 1 ints, with no type scan.
+
+    Only for results the ring builds from checked series and plain int
+    scalars, which can hold nothing but ints; every other caller goes
+    through ``Series(...)``.
+    """
+    s = object.__new__(Series)
+    object.__setattr__(s, "coeffs", tuple(coeffs))
+    object.__setattr__(s, "order", order)
+    return s
+
+
+def _scalar_result(scalar):
+    """The constructor for a series scaled or shifted by an int scalar.
+
+    A plain int keeps the result in the ring.  An int subclass, ``bool``
+    included, keeps the checked constructor: it may define its own
+    operators.
+    """
+    return _ring_series if type(scalar) is int else Series
+
+
 def euler_product(a, order):
     """prod_{k>=1} (1 - q^{ak}) truncated at the given order."""
     if not isinstance(a, int) or a < 1:
@@ -244,16 +272,26 @@ def euler_product(a, order):
     return Series(c, order)
 
 
+def _psi(step, order):
+    """psi(q^step) = sum_{k>=0} q^{step k(k+1)/2} truncated at the given order."""
+    c = [0] * (order + 1)
+    k = 0
+    while step * k * (k + 1) // 2 <= order:
+        c[step * k * (k + 1) // 2] = 1
+        k += 1
+    return _ring_series(c, order)
+
+
 def lambda_series(order):
-    """q-expansion of the modular lambda function: 16q - 128q^2 + 704q^3 - ..."""
+    """q-expansion of the modular lambda function: 16q - 128q^2 + 704q^3 - ...
+
+    Built as 16 q psi(q^2)^8 psi(q)^-8: two powers of sparse bases and
+    one product.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
     t = order - 1
-    unit = (
-        euler_product(1, t) ** 8
-        * euler_product(4, t) ** 16
-        * euler_product(2, t) ** -24
-    )
+    unit = _psi(2, t) ** 8 * _psi(1, t) ** -8
     return (unit * 16).shift(1)
 
 

@@ -9,7 +9,9 @@ order, as ``integer_det`` does.
 
 ``c_coeff`` and ``binomial_moment`` are the moment-polynomial identities
 of the acceptance suite, and ``with_entry`` builds the perturbed
-matrices of the negative controls.  ``one_minus_lambda_series`` is
+matrices of the negative controls.  ``eta_lambda_series`` is lambda
+from its eta quotient of Euler products, the route the library took
+before it used psi(q^2)/psi(q), and ``one_minus_lambda_series`` is
 1 - lambda from its own eta quotient, the oracle for lambda + (1 - lambda) = 1.
 
 ``binary_power`` and ``unit_inverse`` are the series power and inverse
@@ -167,6 +169,19 @@ def with_entry(matrix, i, h, value):
     grid = [list(r) for r in matrix.entries]
     grid[i][h] = value
     return ModularMatrix(matrix.params, tuple(tuple(r) for r in grid))
+
+
+def eta_lambda_series(order):
+    """q-expansion of lambda as 16 q Q(t)^8 Q(4t)^16 / Q(2t)^24."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    t = order - 1
+    unit = (
+        euler_product(1, t) ** 8
+        * euler_product(4, t) ** 16
+        * euler_product(2, t) ** -24
+    )
+    return (unit * 16).shift(1)
 
 
 def one_minus_lambda_series(order):

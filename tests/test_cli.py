@@ -214,7 +214,6 @@ def test_verify_theorem_checks(capsys):
 
 
 def test_verify_m3_builds_one_table_and_assembles_once(monkeypatch, capsys):
-    import lambdaeq.cli as cli
     import lambdaeq.modeq as modeq
     from lambdaeq import BTable
 
@@ -232,7 +231,6 @@ def test_verify_m3_builds_one_table_and_assembles_once(monkeypatch, capsys):
 
     monkeypatch.setattr(BTable, "__init__", counting_init)
     monkeypatch.setattr(modeq, "assemble", counting_assemble)
-    monkeypatch.setattr(cli, "assemble", counting_assemble)
     code, out, _ = run(capsys, "verify", "23")
     assert code == 0
     for name in ("symmetry", "rowsums", "dets", "global", "row1-closed-forms",

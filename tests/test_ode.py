@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lambdaeq import Series, lambda_series, ode_residual
+from lambdaeq.cli import main
 from oracles import expanded_ode_residual
 
 
@@ -52,19 +53,21 @@ def _pinned(f, order=10):
     return residual
 
 
-@pytest.mark.parametrize("order", [10, 50, 200])
-def test_factored_residual_matches_the_expanded_form_on_lambda(order):
-    assert _pinned(lambda_series(order), order).is_zero()
-
-
-def test_factored_residual_matches_the_expanded_form_on_the_controls():
-    assert not _pinned(2 * lambda_series(50), 50).is_zero()
-    assert not _pinned(Series([0, 1], 15), 15).is_zero()
-
-
 def test_factored_residual_matches_the_expanded_form_on_random_series():
     rng = random.Random(19)
     for v in range(4):
         for _ in range(40):
             body = [rng.randint(-5, 5) for _ in range(rng.randint(1, 16))]
             _pinned(Series([0] * v + body))
+
+
+@pytest.mark.parametrize("order", list(range(10, 61)) + [200])
+def test_factored_residual_matches_the_expanded_form_at_every_order(order, capsys):
+    lam = lambda_series(order)
+    assert _pinned(lam, order).is_zero()
+    for control in (2 * lam, lam * lam + lam, Series([0, 1], order)):
+        assert not _pinned(control, order).is_zero()
+    # the certified order that ode-check prints is the expanded form's
+    assert main(["ode-check", "--order", str(order)]) == 0
+    certified = expanded_ode_residual(lam).order
+    assert "through q^%d (input order %d)" % (certified, order) in capsys.readouterr().out

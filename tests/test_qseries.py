@@ -1,6 +1,7 @@
 """Series ring tests, including an independent theta-quotient oracle for lambda.
 
-The library expands lambda through Euler products (the eta route).  The
+The library expands lambda as 16 q psi(q^2)^8 / psi(q)^8, and
+``oracles.eta_lambda_series`` through Euler products (the eta route).  The
 oracle here goes through the theta constants instead:
 
     lambda = theta_2^4 / theta_3^4,
@@ -25,7 +26,7 @@ from lambdaeq import (
     xy_normalized_direct,
     xy_normalized_lemma,
 )
-from oracles import binary_power, one_minus_lambda_series
+from oracles import binary_power, eta_lambda_series, one_minus_lambda_series
 
 
 # --- independent polynomial helpers (oracle-side, Fraction lists) ----------
@@ -103,7 +104,19 @@ def test_only_int_scalars_enter_the_ring():
         Fraction(1, 2) * s
     with pytest.raises(TypeError):
         s + 0.5
+    # an int subclass keeps the checked constructor, which sees the floats
+    with pytest.raises(TypeError, match="coefficients must be ints"):
+        s * _HalvingInt(2)
     assert (2 * s).coeffs == (2, 4) and (s * -3).coeffs == (-3, -6)
+
+
+class _HalvingInt(int):
+    """An int whose products with ints are floats."""
+
+    def __mul__(self, other):
+        return int(self) * other / 2
+
+    __rmul__ = __mul__
 
 
 def test_inverse_requires_unit():
@@ -275,9 +288,40 @@ def test_non_integral_base_raises():
 
 @pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), 0.5, True])
 def test_only_int_coefficients_enter_the_ring(coeff):
+    with pytest.raises(TypeError, match="coefficients must be ints"):
+        Series([coeff])
     # a product of such a series used to return Fraction coefficients quietly
     with pytest.raises(TypeError, match="coefficients must be ints"):
         Series([1, coeff], 2) * Series([1], 2)
+
+
+def _ring_results(s):
+    """Every kind of result the ring builds from the series s."""
+    return [
+        s + 3, 3 + s, s + s, -s, s - 1, 1 - s, s - s,
+        s * 5, 5 * s, s * s, s * Series([0, 0, 2, 1], 3),
+        s ** 0, s ** 1, s ** 3, s ** -1,
+        s.shift(0), s.shift(2), s.qderiv(), (s - s) ** 2,
+    ]
+
+
+@pytest.mark.parametrize(
+    "s", [Series([1, -2, 0, 7], 3), Series([-1, 5], 6), Series([1], 0)]
+)
+def test_ring_results_hold_exactly_order_plus_one_plain_ints(s):
+    for result in _ring_results(s):
+        assert type(result) is Series
+        assert type(result.coeffs) is tuple
+        assert len(result.coeffs) == result.order + 1
+        assert all(type(c) is int for c in result.coeffs)
+
+
+@pytest.mark.parametrize("scalar", [True, False])
+def test_bool_scalars_give_plain_int_coefficients(scalar):
+    s = Series([1, 2, 3], 2)
+    for result in (s * scalar, scalar * s, s + scalar, scalar + s, s - scalar):
+        assert all(type(c) is int for c in result.coeffs)
+        assert len(result.coeffs) == 3
 
 
 def test_to_text():
@@ -329,6 +373,13 @@ def test_lambda_matches_theta_quotient_oracle():
     order = 24
     lam = lambda_series(order)
     assert [Fraction(int(c)) for c in lam.coeffs] == theta_lambda(order)
+
+
+@pytest.mark.parametrize("order", list(range(1, 61)) + [300])
+def test_lambda_matches_the_eta_quotient(order):
+    lam, eta = lambda_series(order), eta_lambda_series(order)
+    assert lam.coeffs == eta.coeffs
+    assert lam.order == eta.order == order
 
 
 def test_one_minus_lambda():
