@@ -53,6 +53,16 @@ def _pinned(f, order=10):
     return residual
 
 
+@pytest.mark.parametrize("order", [10, 50, 200])
+def test_factored_residual_matches_the_expanded_form_on_lambda(order):
+    assert _pinned(lambda_series(order), order).is_zero()
+
+
+def test_factored_residual_matches_the_expanded_form_on_the_controls():
+    assert not _pinned(2 * lambda_series(50), 50).is_zero()
+    assert not _pinned(Series([0, 1], 15), 15).is_zero()
+
+
 def test_factored_residual_matches_the_expanded_form_on_random_series():
     rng = random.Random(19)
     for v in range(4):
