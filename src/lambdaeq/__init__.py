@@ -44,9 +44,7 @@ from .ode import ode_residual
 from .partitions import Partition, partitions_of
 from .qseries import (
     Series,
-    euler_product,
     lambda_series,
-    xy_normalized_direct,
     xy_normalized_lemma,
 )
 

@@ -75,10 +75,10 @@ MAX_PVALS_SUM = 400
 # seconds on a 2-core VM, timed as one CLI process each.
 
 # ode-check builds lambda and takes six products of series of length
-# order: --order 1000 took 0.83-0.95 s.
+# order: --order 1000 took 0.93-0.98 s (one run of eight 1.26 s).
 MAX_ODE_ORDER = 1000
 
-# series lambda --order 2000 took 0.38-0.42 s (two powers of the sparse
+# series lambda --order 2000 took 0.40-0.42 s (two powers of the sparse
 # psi series and one product); series xy at order 2000 with
 # i + h = 1000 took 1.3 s, and its coefficients lengthen with i + h.
 MAX_SERIES_ORDER = 2000

@@ -11,16 +11,17 @@ order + valuation of the other factor).  A product strips both
 valuations and runs one kernel, ``_truncated_product``, which ``modeq``
 shares.  Powers, ``** -1`` among them, run J.C.P. Miller's recurrence
 instead: one pass over the base's nonzero terms, O(L nnz) multiply-adds
-and an exact division per coefficient, so the power of an Euler product
-(O(sqrt L) nonzero terms) costs O(L^1.5), less than one product.  A power
+and an exact division per coefficient, so the power of a base with
+O(sqrt L) nonzero terms costs O(L^1.5), less than one product.  A power
 keeps the order the valuation-aware product would give it: order +
 (e - 1) v for e >= 1 and a base of valuation v, order for e <= 0.  This
 bookkeeping is what lets the differential-equation residual be
 certified coefficient by coefficient with no hand analysis.
 
-Results the ring builds from its own series and plain int scalars go
-through ``_ring_series``, which skips the per-coefficient type scan of
-``Series(...)``: they can hold nothing but ints.
+Results the ring builds from its own series alone go through
+``_ring_series``, which skips the per-coefficient type scan of
+``Series(...)``: they can hold nothing but ints.  A result with an int
+scalar operand keeps the checked constructor.
 
 The module also builds the eta-quotient expansion in q = e^{i pi t}
 
@@ -38,9 +39,10 @@ Multiplying the factored forms gives
         [Q(t)^{n(i+2h)} Q(4t)^{n(2i+h)} Q(2t)^{-3n(i+h)}] * [same at pt],
 
 since (p+1)/8 = m/n makes the q-power exponent ni(p+1)/8 = mi.  That
-product is the brute-force oracle; the same series has coefficient
-b_l(i+2h, i) at q^l, which is the production route.  Every Euler product
-and psi has constant term 1, so lambda and the oracle run on ints.
+product is the brute-force oracle (``tests/oracles.py``); the same
+series has coefficient b_l(i+2h, i) at q^l, which is the route
+``xy_normalized_lemma`` takes.  psi has constant term 1, so lambda runs
+on ints.
 """
 
 from operator import mul
@@ -50,9 +52,7 @@ from .exact import IntegralityError
 
 __all__ = [
     "Series",
-    "euler_product",
     "lambda_series",
-    "xy_normalized_direct",
     "xy_normalized_lemma",
 ]
 
@@ -129,7 +129,7 @@ class Series:
         if isinstance(other, int):
             c = list(self.coeffs)
             c[0] = c[0] + other
-            return _scalar_result(other)(c, self.order)
+            return Series(c, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         order = min(self.order, other.order)
@@ -145,7 +145,7 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return _scalar_result(other)([c * other for c in self.coeffs], self.order)
+            return Series([c * other for c in self.coeffs], self.order)
         if not isinstance(other, Series):
             return NotImplemented
         va, vb = self.valuation(), other.valuation()
@@ -237,39 +237,14 @@ class Series:
 def _ring_series(coeffs, order):
     """A ``Series`` from a list of exactly order + 1 ints, with no type scan.
 
-    Only for results the ring builds from checked series and plain int
-    scalars, which can hold nothing but ints; every other caller goes
-    through ``Series(...)``.
+    Only for results the ring builds from checked series alone, which can
+    hold nothing but ints; every other caller, a scalar operation
+    included, goes through ``Series(...)``.
     """
     s = object.__new__(Series)
     object.__setattr__(s, "coeffs", tuple(coeffs))
     object.__setattr__(s, "order", order)
     return s
-
-
-def _scalar_result(scalar):
-    """The constructor for a series scaled or shifted by an int scalar.
-
-    A plain int keeps the result in the ring.  An int subclass, ``bool``
-    included, keeps the checked constructor: it may define its own
-    operators.
-    """
-    return _ring_series if type(scalar) is int else Series
-
-
-def euler_product(a, order):
-    """prod_{k>=1} (1 - q^{ak}) truncated at the given order."""
-    if not isinstance(a, int) or a < 1:
-        raise ValueError("euler_product needs an integer a >= 1")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    c = [0] * (order + 1)
-    c[0] = 1
-    for j in range(a, order + 1, a):
-        # multiply in place by (1 - q^j)
-        for t in range(order, j - 1, -1):
-            c[t] -= c[t - j]
-    return Series(c, order)
 
 
 def _psi(step, order):
@@ -295,32 +270,8 @@ def lambda_series(order):
     return (unit * 16).shift(1)
 
 
-def _xy_exponents(n, i, h):
-    # eta exponents at arguments (t, 4t, 2t), repeated at (pt, 4pt, 2pt)
-    return n * (i + 2 * h), n * (2 * i + h), -3 * n * (i + h)
-
-
-def xy_normalized_direct(params, i, h, order):
-    """X^i Y^h / (2^{ni} q^{mi}) assembled directly from eta products.
-
-    This is the brute-force oracle: integer powers of explicit Euler
-    products, multiplied out, no partition machinery involved.
-    """
-    if i < 0 or h < 0:
-        raise ValueError("exponents i, h must be nonnegative")
-    e1, e4, e2 = _xy_exponents(params.n, i, h)
-    result = Series([1], order)
-    for scale, e in ((1, e1), (4, e4), (2, e2)):
-        if e:
-            factor = euler_product(scale, order) ** e
-            result = result * factor
-            factor_p = euler_product(scale * params.p, order) ** e
-            result = result * factor_p
-    return result
-
-
 def xy_normalized_lemma(params, i, h, order):
-    """Same series as ``xy_normalized_direct`` with coefficient b_l(i+2h, i) at q^l."""
+    """X^i Y^h / (2^{ni} q^{mi}) with coefficient b_l(i+2h, i) at q^l."""
     if i < 0 or h < 0:
         raise ValueError("exponents i, h must be nonnegative")
     return Series(BTable(params.p).column(i + 2 * h, i, order), order)

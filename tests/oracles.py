@@ -9,10 +9,14 @@ order, as ``integer_det`` does.
 
 ``c_coeff`` and ``binomial_moment`` are the moment-polynomial identities
 of the acceptance suite, and ``with_entry`` builds the perturbed
-matrices of the negative controls.  ``eta_lambda_series`` is lambda
-from its eta quotient of Euler products, the route the library took
-before it used psi(q^2)/psi(q), and ``one_minus_lambda_series`` is
-1 - lambda from its own eta quotient, the oracle for lambda + (1 - lambda) = 1.
+matrices of the negative controls.  ``euler_product`` is
+prod_{k>=1} (1 - q^{ak}), and the eta-quotient oracles are built from
+it: ``xy_normalized_direct`` is X^i Y^h / (2^{ni} q^{mi}) multiplied
+out of Euler products, the reference for ``xy_normalized_lemma``;
+``eta_lambda_series`` is lambda from its eta quotient, the route the
+library took before it used psi(q^2)/psi(q); and
+``one_minus_lambda_series`` is 1 - lambda from its own eta quotient, the
+oracle for lambda + (1 - lambda) = 1.
 
 ``binary_power`` and ``unit_inverse`` are the series power and inverse
 as the library computed them before it used Miller's recurrence: binary
@@ -27,7 +31,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from lambdaeq import ModularMatrix, Series, euler_product
+from lambdaeq import ModularMatrix, Series
 
 
 class SingularMatrixError(ArithmeticError):
@@ -169,6 +173,45 @@ def with_entry(matrix, i, h, value):
     grid = [list(r) for r in matrix.entries]
     grid[i][h] = value
     return ModularMatrix(matrix.params, tuple(tuple(r) for r in grid))
+
+
+def euler_product(a, order):
+    """prod_{k>=1} (1 - q^{ak}) truncated at the given order."""
+    if not isinstance(a, int) or a < 1:
+        raise ValueError("euler_product needs an integer a >= 1")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    c = [0] * (order + 1)
+    c[0] = 1
+    for j in range(a, order + 1, a):
+        # multiply in place by (1 - q^j)
+        for t in range(order, j - 1, -1):
+            c[t] -= c[t - j]
+    return Series(c, order)
+
+
+def _xy_exponents(n, i, h):
+    # eta exponents at arguments (t, 4t, 2t), repeated at (pt, 4pt, 2pt)
+    return n * (i + 2 * h), n * (2 * i + h), -3 * n * (i + h)
+
+
+def xy_normalized_direct(params, i, h, order):
+    """X^i Y^h / (2^{ni} q^{mi}) assembled directly from eta products.
+
+    This is the brute-force oracle: integer powers of explicit Euler
+    products, multiplied out, no partition machinery involved.
+    """
+    if i < 0 or h < 0:
+        raise ValueError("exponents i, h must be nonnegative")
+    e1, e4, e2 = _xy_exponents(params.n, i, h)
+    result = Series([1], order)
+    for scale, e in ((1, e1), (4, e4), (2, e2)):
+        if e:
+            factor = euler_product(scale, order) ** e
+            result = result * factor
+            factor_p = euler_product(scale * params.p, order) ** e
+            result = result * factor_p
+    return result
 
 
 def eta_lambda_series(order):

@@ -23,13 +23,12 @@ from lambdaeq import (
     verify_global_vanish,
     verify_row_moments,
     verify_symmetry,
-    xy_normalized_direct,
     xy_normalized_lemma,
 )
 from lambdaeq.cli import main
 from math import comb, factorial
 
-from oracles import binomial_moment, c_coeff, with_entry
+from oracles import binomial_moment, c_coeff, with_entry, xy_normalized_direct
 from test_modeq import REFERENCE
 
 

@@ -53,14 +53,25 @@ def _pinned(f, order=10):
     return residual
 
 
-@pytest.mark.parametrize("order", [10, 50, 200])
-def test_factored_residual_matches_the_expanded_form_on_lambda(order):
-    assert _pinned(lambda_series(order), order).is_zero()
+# every order ode-check admits up to 60, and one far beyond
+ORDERS = list(range(10, 61)) + [200]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_factored_residual_matches_the_expanded_form_on_lambda(order, capsys):
+    lam = lambda_series(order)
+    certified = _pinned(lam, order)
+    assert certified.is_zero()
+    # ode-check prints the expanded form's certified order
+    assert main(["ode-check", "--order", str(order)]) == 0
+    assert "through q^%d (input order %d)" % (certified.order, order) in capsys.readouterr().out
 
 
 def test_factored_residual_matches_the_expanded_form_on_the_controls():
-    assert not _pinned(2 * lambda_series(50), 50).is_zero()
-    assert not _pinned(Series([0, 1], 15), 15).is_zero()
+    for order in ORDERS:
+        lam = lambda_series(order)
+        for control in (2 * lam, lam * lam + lam, Series([0, 1], order)):
+            assert not _pinned(control, order).is_zero()
 
 
 def test_factored_residual_matches_the_expanded_form_on_random_series():
@@ -69,15 +80,3 @@ def test_factored_residual_matches_the_expanded_form_on_random_series():
         for _ in range(40):
             body = [rng.randint(-5, 5) for _ in range(rng.randint(1, 16))]
             _pinned(Series([0] * v + body))
-
-
-@pytest.mark.parametrize("order", list(range(10, 61)) + [200])
-def test_factored_residual_matches_the_expanded_form_at_every_order(order, capsys):
-    lam = lambda_series(order)
-    assert _pinned(lam, order).is_zero()
-    for control in (2 * lam, lam * lam + lam, Series([0, 1], order)):
-        assert not _pinned(control, order).is_zero()
-    # the certified order that ode-check prints is the expanded form's
-    assert main(["ode-check", "--order", str(order)]) == 0
-    certified = expanded_ode_residual(lam).order
-    assert "through q^%d (input order %d)" % (certified, order) in capsys.readouterr().out

@@ -18,15 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambdaeq import (
-    PrimeParams,
-    Series,
+from lambdaeq import PrimeParams, Series, lambda_series, xy_normalized_lemma
+from oracles import (
+    binary_power,
+    eta_lambda_series,
     euler_product,
-    lambda_series,
+    one_minus_lambda_series,
     xy_normalized_direct,
-    xy_normalized_lemma,
 )
-from oracles import binary_power, eta_lambda_series, one_minus_lambda_series
 
 
 # --- independent polynomial helpers (oracle-side, Fraction lists) ----------
@@ -104,7 +103,7 @@ def test_only_int_scalars_enter_the_ring():
         Fraction(1, 2) * s
     with pytest.raises(TypeError):
         s + 0.5
-    # an int subclass keeps the checked constructor, which sees the floats
+    # a scalar result goes through the checked constructor, which sees the floats
     with pytest.raises(TypeError, match="coefficients must be ints"):
         s * _HalvingInt(2)
     assert (2 * s).coeffs == (2, 4) and (s * -3).coeffs == (-3, -6)
