@@ -11,41 +11,12 @@ row-moment formulas, the emergent symmetries of the matrix, and the
 nonlinear differential equation satisfied by lambda itself.
 """
 
-from .arith import alpha, is_odd_prime, k_alpha, partition_weight, reduced, sigma1
-from .bpoly import ENUMERATION_THRESHOLD, BTable, b_eval, b_series, p_poly
-from .exact import IntegralityError, integer_det
-from .modeq import (
-    CHECK_NAMES,
-    SCHEMA_VERSION,
-    CheckResult,
-    FactorizationError,
-    ModularMatrix,
-    PrimeParams,
-    assemble,
-    block,
-    bordered_determinant,
-    closed_form_row1,
-    from_doc,
-    global_order,
-    render_text,
-    render_typeset,
-    row0,
-    row2_pipeline,
-    run_checks,
-    scan_row1,
-    solve_row1,
-    to_doc,
-    verify_block_determinants,
-    verify_global_vanish,
-    verify_row_moments,
-    verify_symmetry,
-)
-from .ode import ode_residual
-from .partitions import Partition, partitions_of
-from .qseries import (
-    Series,
-    lambda_series,
-    xy_normalized_lemma,
-)
+from .arith import *
+from .bpoly import *
+from .exact import *
+from .modeq import *
+from .ode import *
+from .partitions import *
+from .qseries import *
 
 __version__ = "0.1.0"

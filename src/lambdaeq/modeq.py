@@ -61,7 +61,7 @@ row m and reads b(2h, 0) to index m^2 and b(-1, -1) to index m^2 - m
 (each product skips the m entries the gap check cleared): ~m^3
 coefficients, and ~m^5/6 multiply-adds in the products.
 
-``solve_row1`` stops after row 1, whose equations are the coefficients
+``scan_row1`` stops after row 1, whose equations are the coefficients
 m..2m-1 of A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times
 E^m to index m - 1, a power of the coefficients P_1..P_m on the integer
 ``Series`` ring: ~m^2/2 multiply-adds by Miller's recurrence, each step
@@ -74,13 +74,13 @@ row t of C, which ``_factor`` proves has degree t.  ``assemble`` keeps
 the column sum for row 0, since its later rows read those columns to
 index m^2 anyway.
 
-``solve_row1`` is the one-prime case of ``scan_row1``, which solves row
-1 for a list of primes and shares one b-table and one ``_factor`` per
-class n among them.  k alpha_p(k) has no p-term below k = p
-(``arith.k_alpha``), so b_l(u, v) with l < p depends on n alone: the
-tables of two primes p < p' of one class agree through index p - 1, and
-at index p, b_p(u, v) of p minus that of p' is -n u.  Every index a
-prime's row 1 reads is at most m < p: P and the columns b(2h, 0) to m,
+``scan_row1`` solves row 1 for a list of primes and shares one b-table
+and one ``_factor`` per class n among them; a list of one prime is the
+per-prime route, on a fresh b-table of p.  k alpha_p(k) has no p-term
+below k = p (``arith.k_alpha``), so b_l(u, v) with l < p depends on n
+alone: the tables of two primes p < p' of one class agree through index
+p - 1, and at index p, b_p(u, v) of p minus that of p' is -n u.  Every
+index a prime's row 1 reads is at most m < p: P and the columns b(2h, 0) to m,
 K^{-1} to m - 1.  So the table of the class's largest prime p_top, which
 ``_factor`` reads to M = m(p_top) < p_top, equals the table of p at every
 index p reads.  ``_factor`` on p_top checks rows l <= M over h <= M, and
@@ -171,7 +171,6 @@ __all__ = [
     "row2_pipeline",
     "run_checks",
     "scan_row1",
-    "solve_row1",
     "to_doc",
     "verify_block_determinants",
     "verify_global_vanish",
@@ -260,14 +259,16 @@ def block(params, i, r, table=None):
 def scan_row1(primes):
     """Yield (params, row 1 of A_p) for each odd prime p of ``primes``, in order.
 
-    Each row equals ``solve_row1``'s, but each class n shares one b-table
-    and one factorization: both come from the class's largest prime
-    p_top, built at its first prime.  The sharing is exact because every
-    index a prime's route reads is at most m < p <= p_top, and below p its
-    table and p_top's agree (see the module docstring).  Each prime then
-    pays only for its power ``_row0_power`` and its solve, O(m^2);
-    the columns and differences cost ~M^3/4 and ~M^3/3 once per class,
-    with M = m(p_top).  A ``FactorizationError`` of a class names p_top.
+    Row 1 is the m+1 ints a_{1,0}..a_{1,m}, the last 0.  It comes from the
+    row loop of ``assemble`` stopped after row 1, which raises as
+    ``assemble`` does, but each class n shares one b-table and one
+    factorization: both come from the class's largest prime p_top, built
+    at its first prime.  The sharing is exact because every index a
+    prime's route reads is at most m < p <= p_top, and below p its table
+    and p_top's agree (see the module docstring).  Each prime then pays
+    only for its power ``_row0_power`` and its solve, O(m^2); the columns
+    and differences cost ~M^3/4 and ~M^3/3 once per class, with
+    M = m(p_top).  A ``FactorizationError`` of a class names p_top.
     """
     primes = [PrimeParams(p) for p in primes]
     tops = {params.n: params for params in sorted(primes, key=lambda q: q.p)}
@@ -282,19 +283,6 @@ def scan_row1(primes):
         assert table.n == params.n and params.m < params.p <= table.p
         window = _row0_power(params, table)
         yield params, _solve_rows(params, table, 1, window, lower)[1] + (0,)
-
-
-def solve_row1(params):
-    """Row 1 of A_p on its own: the m+1 ints a_{1,0}..a_{1,m}, the last 0.
-
-    It is the row loop of ``assemble`` stopped after row 1, and raises as
-    ``assemble`` does (see the module docstring): the one-prime case of
-    ``scan_row1``, on a fresh b-table of p.  Row 0's series comes from
-    ``_row0_power``, so every column it reads stops at index m: b(2h, 0)
-    to m and b(-1, -1) to m - 1, ~m^3/4 multiply-adds, and ``_factor``'s
-    differences ~m^3/3 subtractions.
-    """
-    return next(scan_row1([params.p]))[1]
 
 
 class FactorizationError(ArithmeticError):
@@ -703,7 +691,24 @@ def bordered_determinant(p, table=None):
 # ---------------------------------------------------------------------------
 # the verify plan
 
-CHECK_NAMES = ("symmetry", "rowsums", "dets", "theorem52", "global")
+# each check of the plan, from the assembled matrix, the b-table it shares
+# and the global check's order: assembly grows b(2h, 0) and b(-1, -1),
+# global extends b(2h, 0) to its order and adds K = b(1, 1), dets adds the
+# B(i,i) heads, and the m = 3 checks read direct columns
+_PLAN = {
+    "symmetry": lambda matrix, table, order: [verify_symmetry(matrix)],
+    "rowsums": lambda matrix, table, order: [
+        verify_row_moments(matrix.params, matrix.entries[1])
+    ],
+    "dets": lambda matrix, table, order: [verify_block_determinants(matrix.params, table)],
+    "theorem52": lambda matrix, table, order: [
+        closed_form_row1(matrix),
+        row2_pipeline(matrix, table),
+        bordered_determinant(matrix.params.p, table),
+    ],
+    "global": lambda matrix, table, order: [verify_global_vanish(matrix, order, table)],
+}
+CHECK_NAMES = tuple(_PLAN)
 
 
 def run_checks(params, names=None, order=None):
@@ -711,30 +716,23 @@ def run_checks(params, names=None, order=None):
 
     ``None`` runs symmetry, rowsums, dets, global, then theorem52 when
     m = 3; theorem52 is ``closed_form_row1``, ``row2_pipeline`` and
-    ``bordered_determinant``.  ``order`` is the global check's.  A_p is
-    assembled once, and one b-table serves assembly and every check.
+    ``bordered_determinant``.  ``order`` is the global check's.  An
+    unknown name, or theorem52 when m != 3, raises ``ValueError`` before
+    any table work.  A_p is then assembled once, and one b-table serves
+    assembly and every check.
     """
     if names is None:
         names = ["symmetry", "rowsums", "dets", "global"]
         if params.m == 3:
             names.append("theorem52")
-    # assembly grows b(2h, 0) and b(-1, -1), global extends b(2h, 0) to its
-    # order and adds K = b(1, 1), dets adds the B(i,i) heads, and the m = 3
-    # checks read direct columns
+    unknown = [name for name in names if name not in _PLAN]
+    if unknown:
+        raise ValueError("unknown checks: %s" % ", ".join(unknown))
+    if "theorem52" in names and params.m != 3:
+        raise ValueError("the theorem52 checks need m = 3 (p in {5, 11, 23})")
     table = BTable(params.p)
     matrix = assemble(params.p, table)
-    checks = {
-        "symmetry": lambda: [verify_symmetry(matrix)],
-        "rowsums": lambda: [verify_row_moments(params, matrix.entries[1])],
-        "dets": lambda: [verify_block_determinants(params, table)],
-        "global": lambda: [verify_global_vanish(matrix, order, table)],
-        "theorem52": lambda: [
-            closed_form_row1(matrix),
-            row2_pipeline(matrix, table),
-            bordered_determinant(params.p, table),
-        ],
-    }
-    return [result for name in names for result in checks[name]()]
+    return [result for name in names for result in _PLAN[name](matrix, table, order)]
 
 
 # ---------------------------------------------------------------------------
@@ -758,17 +756,24 @@ def to_doc(matrix, verification=None):
 def from_doc(doc):
     """Parse a structured document back into a ModularMatrix.
 
-    The document must be a JSON object and every entry a JSON integer;
+    The document must be a JSON object with the keys of ``to_doc``, its
+    matrix a list of rows, each a list, and every entry a JSON integer;
     anything else raises ``ValueError`` rather than being coerced.
     """
     if not isinstance(doc, dict):
         raise ValueError("a structured document is a JSON object, not %s" % type(doc).__name__)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError("unsupported schema_version %r" % (doc.get("schema_version"),))
+    missing = [key for key in ("schema_version", "p", "m", "n", "matrix") if key not in doc]
+    if missing:
+        raise ValueError("the structured document has no %s" % ", ".join(missing))
+    if doc["schema_version"] != SCHEMA_VERSION:
+        raise ValueError("unsupported schema_version %r" % (doc["schema_version"],))
     params = PrimeParams(doc["p"])
     if params.m != doc["m"] or params.n != doc["n"]:
         raise ValueError("inconsistent (p, m, n) in document")
-    grid = tuple(tuple(row) for row in doc["matrix"])
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("the matrix of a structured document is a list of lists")
+    grid = tuple(tuple(row) for row in rows)
     return ModularMatrix(params, grid)  # refuses any entry that is not an int
 
 

@@ -18,7 +18,7 @@ from lambdaeq import (
     ode_residual,
     p_poly,
     row2_pipeline,
-    solve_row1,
+    scan_row1,
     verify_block_determinants,
     verify_global_vanish,
     verify_row_moments,
@@ -69,14 +69,14 @@ def test_criterion_03_row1_moments_all_primes_to_97():
     for p in range(3, 98, 2):
         if not is_odd_prime(p):
             continue
-        params = PrimeParams(p)
+        ((params, row),) = scan_row1([p])
         # all three moments, the third in its corrected form
-        ok = ok and verify_row_moments(params, solve_row1(params)).passed
+        ok = ok and verify_row_moments(params, row).passed
     # the sign-flipped third moment must fail against the reference matrices
     flipped_values = {}
     for p in (5, 11, 23):
-        params = PrimeParams(p)
-        check = verify_row_moments(params, solve_row1(params))
+        ((params, solved),) = scan_row1([p])
+        check = verify_row_moments(params, solved)
         row = REFERENCE[p][1]
         actual = sum((1 + 2 * h) ** 2 * a for h, a in enumerate(row))
         flipped = int(check.details["third_alpha2_sign_flipped"]["value"])

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import time
 from pathlib import Path
@@ -112,6 +113,30 @@ def test_matrix_cache_serves_a_symmetric_tampering_and_rebuilds_an_asymmetric_on
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == fresh
+    assert tuple(map(tuple, json.loads(path.read_text())["matrix"])) == REFERENCE[13]
+
+
+def test_matrix_cache_rebuilds_a_symmetric_entry_that_fails_the_row1_moments(tmp_path, capsys):
+    from test_modeq import REFERENCE
+
+    from lambdaeq import verify_symmetry
+
+    cache = tmp_path / "cache"
+    argv = ("matrix", "13", "--format", "structured", "--cache-dir", str(cache))
+    _, fresh, _ = run(capsys, *argv)
+    path = cache / "A13.schema1.json"
+    doc = json.loads(path.read_text())
+    grid = doc["matrix"]
+    # a_{1,1} and a_{1,5} are horizontal partners, a_{1,5} and a_{5,1} transpose ones
+    grid[1][1] += 1
+    grid[1][5] += 1
+    grid[5][1] += 1
+    assert verify_symmetry(from_doc(doc)).passed
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == fresh
+    assert tuple(map(tuple, json.loads(out)["matrix"])) == REFERENCE[13]
     assert tuple(map(tuple, json.loads(path.read_text())["matrix"])) == REFERENCE[13]
 
 
@@ -257,9 +282,43 @@ def test_verify_default_checks(capsys):
         assert "%s: PASS" % name in out
 
 
-def test_verify_unknown_check(capsys):
-    code, _, err = run(capsys, "verify", "5", "--checks", "nonsense")
-    assert code == 2
+@pytest.fixture
+def no_table_work(monkeypatch):
+    """modeq.BTable and modeq.assemble, patched to fail the test if called."""
+    import lambdaeq.modeq as modeq
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table work before the input was refused")
+
+    monkeypatch.setattr(modeq, "BTable", refuse)
+    monkeypatch.setattr(modeq, "assemble", refuse)
+
+
+def test_verify_unknown_check(no_table_work, capsys):
+    code, out, err = run(capsys, "verify", "5", "--checks", "nonsense,symmetry,bogus")
+    assert code == 2 and out == ""
+    assert err == "error: unknown checks: nonsense, bogus\n"
+
+
+def test_verify_refuses_the_order_budget_before_unknown_checks(no_table_work, capsys):
+    code, out, err = run(capsys, "verify", "7", "--checks", "bogus,global", "--order", "99999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --order 99999 is above the budget 2500;")
+    # without global the order is never read, and the names are refused
+    code, out, err = run(capsys, "verify", "7", "--checks", "bogus", "--order", "99999")
+    assert code == 2 and out == ""
+    assert err == "error: unknown checks: bogus\n"
+
+
+def test_verify_help_lists_the_check_names(capsys):
+    from lambdaeq import CHECK_NAMES
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    listed = re.search(r"comma list from: (\S+) \(default: all applicable\)", text).group(1)
+    assert listed.split(",") == list(CHECK_NAMES)
 
 
 def test_verify_runs_a_repeated_check_once(monkeypatch, capsys):
@@ -280,14 +339,7 @@ def test_verify_runs_a_repeated_check_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("checks", [",", "", " , ,"])
-def test_verify_refuses_an_empty_check_selection(monkeypatch, capsys, checks):
-    import lambdaeq.modeq as modeq
-
-    def no_table_work(*args, **kwargs):
-        raise AssertionError("table work before the selection was refused")
-
-    monkeypatch.setattr(modeq, "BTable", no_table_work)
-    monkeypatch.setattr(modeq, "assemble", no_table_work)
+def test_verify_refuses_an_empty_check_selection(no_table_work, capsys, checks):
     code, out, err = run(capsys, "verify", "13", "--checks", checks)
     assert code == 2 and out == ""
     assert err.startswith("error: --checks %r selects no check" % checks)
@@ -536,7 +588,7 @@ def test_failing_verify_output_is_pinned(argv, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FAILING_SHA256[argv]
 
 
-def test_matrix_builtin_verification_failure_exit_code(monkeypatch, capsys):
+def test_matrix_builtin_verification_failure_exit_code(tmp_path, monkeypatch, capsys):
     import lambdaeq.cli as cli
     from lambdaeq import CheckResult
 
@@ -546,6 +598,12 @@ def test_matrix_builtin_verification_failure_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "matrix", "5")
     assert code == 1
     assert "rowsums" in err
+    # a matrix that fails a built-in check is never cached
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "matrix", "13", "--cache-dir", str(cache))
+    assert code == 1 and out == ""
+    assert err == "built-in verification failed: rowsums\n"
+    assert os.listdir(cache) == []
 
 
 def test_arithmetic_failure_exits_1_with_message(monkeypatch, capsys):

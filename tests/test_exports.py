@@ -1,7 +1,8 @@
-"""Every name in a module's ``__all__`` exists and is re-exported by the package."""
+"""Every name in a module's ``__all__`` exists, and the package re-exports exactly those names."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -29,6 +30,18 @@ def test_every_export_exists_and_imports_from_the_package(name):
         if getattr(lambdaeq, export, None) is not getattr(module, export)
     ]
     assert stale == []
+
+
+def test_the_package_exports_exactly_the_modules_names():
+    exported = {
+        name
+        for name, value in vars(lambdaeq).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    declared = {
+        export for name in MODULES for export in importlib.import_module("lambdaeq." + name).__all__
+    }
+    assert exported == declared
 
 
 def test_the_library_keeps_no_memo():

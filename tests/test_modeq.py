@@ -34,7 +34,6 @@ from lambdaeq import (
     row2_pipeline,
     run_checks,
     scan_row1,
-    solve_row1,
     to_doc,
     verify_block_determinants,
     verify_global_vanish,
@@ -163,7 +162,7 @@ def test_block_dimensions():
 def test_solve_row_examples():
     examples = ((5, (-3, -26, -3, 0)), (23, (-3, 2, -3, 0)), (7, (-1, 0)))
     for p, row in examples:
-        solved = solve_row1(PrimeParams(p))
+        ((_, solved),) = scan_row1([p])
         assert solved == row
         assert all(type(x) is int for x in solved)
 
@@ -464,8 +463,7 @@ def test_global_checks_the_coefficient_at_the_order_itself():
 
 def test_solve_row1_matches_reference_and_passes_moments():
     for p in SMALL_PRIMES:
-        params = PrimeParams(p)
-        row = solve_row1(params)
+        ((params, row),) = scan_row1([p])
         if p in REFERENCE:
             assert row == REFERENCE[p][1]
         assert row == _assembled(p).entries[1]
@@ -503,9 +501,8 @@ def test_solve_row1_reads_no_column_past_index_m(monkeypatch):
 
     monkeypatch.setattr(modeq, "BTable", recording)
     for p in (7, 11, 13, 53):
-        params = PrimeParams(p)
+        ((params, _),) = scan_row1([p])
         m = params.m
-        solve_row1(params)
         lengths = {key: len(column) for key, column in built[-1]._columns.items()}
         layout = {(2 * h, 0): m + 1 for h in range(m + 1)}
         layout[(-1, -1)] = m
@@ -542,9 +539,7 @@ def test_scan_row1_matches_the_per_prime_route():
         assert row == reference, params.p
     # any order: each class shares the table of its largest prime all the same
     mixed = [61, 5, 47, 13, 7, 59, 11]
-    assert [(params.p, row) for params, row in scan_row1(mixed)] == [
-        (p, solve_row1(PrimeParams(p))) for p in mixed
-    ]
+    assert list(scan_row1(mixed)) == [next(scan_row1([p])) for p in mixed]
 
 
 def test_closed_form_row1_negates_entries():
@@ -634,6 +629,27 @@ def test_run_checks_runs_the_names_in_order():
     ]
     assert results[0].details == {"order": 20}
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize(
+    "p, names, message",
+    [
+        (53, ["bogus"], "unknown checks: bogus"),
+        (53, ["dets", "bogus", "global", "nonsense"], "unknown checks: bogus, nonsense"),
+        (7, ["theorem52"], re.escape("the theorem52 checks need m = 3 (p in {5, 11, 23})")),
+    ],
+    ids=["unknown", "two-unknown", "theorem52-at-m-1"],
+)
+def test_run_checks_refuses_a_bad_selection_before_any_table_work(monkeypatch, p, names, message):
+    import lambdaeq.modeq as modeq
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("table work before the selection was refused")
+
+    monkeypatch.setattr(modeq, "BTable", refuse)
+    monkeypatch.setattr(modeq, "assemble", refuse)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        run_checks(PrimeParams(p), names)
 
 
 def _theorem52_details(c, det, a11):
@@ -751,6 +767,30 @@ def test_from_doc_validates():
     doc = to_doc(assemble(5))
     doc["m"] = 4
     with pytest.raises(ValueError):
+        from_doc(doc)
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set_row_1(doc):
+    doc["matrix"][1] = 5
+
+
+MALFORMED = {
+    **{"no-" + key: (_drop(key), "has no " + key)
+       for key in ("schema_version", "p", "m", "n", "matrix")},
+    "matrix-an-int": (lambda doc: doc.update(matrix=5), "a list of lists"),
+    "row-an-int": (_set_row_1, "a list of lists"),
+}
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_from_doc_refuses_a_malformed_document(edit, message):
+    doc = json.loads(json.dumps(to_doc(assemble(5))))
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
         from_doc(doc)
 
 
