@@ -11,7 +11,7 @@ it is multiplicative in k.
 """
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from operator import index
 
 __all__ = ["alpha", "is_odd_prime", "k_alpha", "partition_weight", "reduced", "sigma1"]
@@ -49,7 +49,8 @@ def reduced(p):
     """
     if not isinstance(p, int) or p < 3 or p % 2 == 0:
         raise ValueError("p must be an odd prime, got %r" % (p,))
-    return Fraction(p + 1, 8).as_integer_ratio()
+    g = gcd(p + 1, 8)
+    return (p + 1) // g, 8 // g
 
 
 def k_alpha(p, k):

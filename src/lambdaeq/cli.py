@@ -77,7 +77,7 @@ MAX_PVALS_SUM = 400
 # seconds on a 2-core VM, timed as one CLI process each.
 
 # ode-check builds lambda and takes six products of series of length
-# order: --order 1000 took 0.93-0.98 s (one run of eight 1.26 s).
+# order, four of them squares: --order 1000 took 0.42-0.69 s over ten runs.
 MAX_ODE_ORDER = 1000
 
 # series lambda --order 2000 took 0.40-0.42 s (two powers of the sparse

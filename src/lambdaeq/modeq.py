@@ -147,7 +147,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .arith import alpha, is_odd_prime, reduced
+from .arith import alpha, is_odd_prime, k_alpha, reduced
 from .bpoly import BTable, p_poly
 from .exact import IntegralityError, integer_det
 from .qseries import Series, _truncated_product
@@ -444,17 +444,30 @@ def _row1_moment_expectations(params):
     Returns (first, second, third, third_alternate): the third moment
     carries the alpha_p(2) term with a minus sign, which is what the
     solved rows actually satisfy; ``third_alternate`` flips that sign
-    and is reported only as the known-bad variant.
+    and is reported only as the known-bad variant.  Each is one
+    ``Fraction`` built from ints: the common factor n^(m-2) 2^(m-n),
+    P_s(m) by numerator and denominator, and k alpha_p(k) from
+    ``k_alpha``, the two third moments over one denominator.
     """
     m, n, p = params.m, params.n, params.p
-    two = Fraction(2)
-    first = -(n ** m) * two ** (m - n)
-    second = -(n ** m) * two ** (m + 1 - n) * p_poly(1, m)
-    lead = -(n ** m) * two ** (m + 3 - n) * p_poly(2, m)
-    mid = Fraction(n) ** (m - 1) * two ** (m + 1 - n) * alpha(p, 2)
-    tail = Fraction(n) ** (m - 2) * two ** (m + 1 - n) * m * alpha(p, 3)
-    third = lead - mid - tail
-    third_alternate = lead + mid - tail
+    nn = n * n
+    # every term carries n^(m-2) 2^(m-n) = num / den
+    num, den = n ** m << m, nn << n
+    p1, p2 = p_poly(1, m), p_poly(2, m)
+    # -n^m 2^(m-n)
+    first = Fraction(-nn * num, den)
+    # -n^m 2^(m+1-n) P_1(m)
+    second = Fraction(-2 * nn * p1.numerator * num, p1.denominator * den)
+    # the third moment's terms over 3 den(P_2(m)), from k_alpha(p, k) = k alpha_p(k):
+    # -n^m 2^(m+3-n) P_2(m)
+    lead = -24 * nn * p2.numerator
+    # n^(m-1) 2^(m+1-n) alpha_p(2)
+    mid = 3 * n * k_alpha(p, 2) * p2.denominator
+    # n^(m-2) 2^(m+1-n) m alpha_p(3)
+    tail = 2 * m * k_alpha(p, 3) * p2.denominator
+    third_den = 3 * p2.denominator * den
+    third = Fraction((lead - mid - tail) * num, third_den)
+    third_alternate = Fraction((lead + mid - tail) * num, third_den)
     return first, second, third, third_alternate
 
 

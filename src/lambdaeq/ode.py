@@ -16,11 +16,15 @@ same polynomial is g^2 (2 (D^3 f)(D f) - 3 (D^2 f)^2) + (1 - g) (D f)^4.
 Since D^2 ((D f)^2) = 2 (D^2 f)^2 + 2 (D f)(D^3 f), the bracket equals
 D^2 s - 5 (D^2 f)^2 for s = (D f)^2, and ``ode_residual`` evaluates
 
-    g (g (D^2 s - 5 (D^2 f)^2) - s^2) + s^2:
+    g (g (D^2 s - 5 (D^2 f)^2) - s^2) + s^2,   g = f - f^2:
 
 six products and no power, where the expanded form takes nine products
-and the power (D f)^4.  The two give the same coefficients and the same
-certified order: D^2 s is known as far as the product (D^3 f)(D f), and
+and the power (D f)^4.  Four of the six are squares, (D f)^2, (D^2 f)^2,
+s^2 and f^2, which the ring takes at about half the multiply-adds of a
+general product; g is written f - f^2 rather than f (1 - f) so that its
+product is one of them, with the same certified order (f's own, in
+either form).  The factored and expanded forms give the same
+coefficients and the same certified order: D^2 s is known as far as the product (D^3 f)(D f), and
 s^2 = (D f)^4 bounds the order of both groupings.  Only this cleared
 form is checked: it needs no Laurent series for the valuation -2
 quotients, and every coefficient comparison is exact.  The lambda
@@ -54,5 +58,5 @@ def ode_residual(order, f=None):
     s = d1 * d1
     bracket = s.qderiv().qderiv() - 5 * (d2 * d2)
     s2 = s * s
-    g = f * (1 - f)
+    g = f - f * f
     return g * (g * bracket - s2) + s2

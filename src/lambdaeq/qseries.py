@@ -8,11 +8,14 @@ sums keep the smaller order, while products use valuations, so that a
 product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
 order + valuation of the other factor).  A product strips both
-valuations and runs one kernel, ``_truncated_product``, which ``modeq``
-shares.  Powers, ``** -1`` among them, run J.C.P. Miller's recurrence
-instead: one pass over the base's nonzero terms, O(L nnz) multiply-adds
-and an exact division per coefficient, so the power of a base with
-O(sqrt L) nonzero terms costs O(L^1.5), less than one product.  A power
+valuations and runs ``_truncated_product``, which ``modeq`` shares; a
+square, ``s * s`` with one object on both sides, runs
+``_truncated_square`` instead, which sums each symmetric pair once and
+so takes about half the multiply-adds.  Powers, ``** -1`` among them,
+run J.C.P. Miller's recurrence instead: one pass over the base's
+nonzero terms, O(L nnz) multiply-adds and an exact division per
+coefficient, so the power of a base with O(sqrt L) nonzero terms costs
+O(L^1.5), less than one product.  A power
 keeps the order the valuation-aware product would give it: order +
 (e - 1) v for e >= 1 and a base of valuation v, order for e <= 0.  This
 bookkeeping is what lets the differential-equation residual be
@@ -64,6 +67,25 @@ def _truncated_product(a, b, top):
     """
     reverse = b[top::-1]  # b_top, ..., b_0
     return [sum(map(mul, a, reverse[top - t :])) for t in range(top + 1)]
+
+
+def _truncated_square(a, top):
+    """Coefficients 0..top of the square of the series a (a sequence).
+
+    Each pair a_i a_(t-i) with i < t - i is summed once and doubled, and
+    the middle square a_(t/2)^2 added for even t: about half the
+    multiply-adds of ``_truncated_product(a, a, top)``, which it equals.
+    """
+    reverse = a[top::-1]  # a_top, ..., a_0
+    out = []
+    for t in range(top + 1):
+        start = top - t
+        c = 2 * sum(map(mul, a, reverse[start : start + (t + 1) // 2]))
+        if not t & 1:
+            mid = a[t >> 1]
+            c += mid * mid
+        out.append(c)
+    return out
 
 
 class Series:
@@ -148,7 +170,12 @@ class Series:
             return Series([c * other for c in self.coeffs], self.order)
         if not isinstance(other, Series):
             return NotImplemented
-        va, vb = self.valuation(), other.valuation()
+        va = self.valuation()
+        if other is self:
+            order = self.order + va
+            product = _truncated_square(self.coeffs[va:], self.order - va)
+            return _ring_series([0] * (2 * va) + product, order)
+        vb = other.valuation()
         order = min(self.order + vb, other.order + va)
         product = _truncated_product(self.coeffs[va:], other.coeffs[vb:], order - va - vb)
         return _ring_series([0] * (va + vb) + product, order)

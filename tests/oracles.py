@@ -23,7 +23,14 @@ as the library computed them before it used Miller's recurrence: binary
 powering on the valuation-aware product, and the inverse loop of a unit
 constant term.  ``expanded_ode_residual`` is the lambda ODE residual in
 its expanded 11-product form, the reference for the factored form of
-``ode_residual``.
+``ode_residual``; it squares only distinct copies, so it never runs the
+square kernel that ``ode_residual`` relies on.  ``binary_power`` may
+square through that kernel: Miller's recurrence, which it is the
+reference for, never multiplies two series.
+
+``chained_row1_moment_expectations`` is the row-1 moment closed forms as
+chained ``Fraction`` operations, the reference for the int route of
+``modeq._row1_moment_expectations``.
 """
 
 from fractions import Fraction
@@ -31,7 +38,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from lambdaeq import ModularMatrix, Series
+from lambdaeq import ModularMatrix, Series, alpha, p_poly
 
 
 class SingularMatrixError(ArithmeticError):
@@ -271,19 +278,45 @@ def binary_power(s, e):
     return result
 
 
+def _copy(s):
+    """An equal ``Series`` that is a distinct object, so ``s * _copy(s)``
+    runs the general product kernel, not the square one."""
+    return Series(s.coeffs, s.order)
+
+
 def expanded_ode_residual(f):
     """2 (D^3 f)(D f) f^2 (1-f)^2 - 3 (D^2 f)^2 f^2 (1-f)^2 + (f^2 - f + 1)(D f)^4.
 
-    The cleared lambda ODE residual multiplied out term by term, with
-    (D f)^4 by ``binary_power``.
+    The cleared lambda ODE residual multiplied out term by term.  Every
+    square, (D f)^4 among them, multiplies two distinct copies, so the
+    general kernel is the reference for the squares of ``ode_residual``.
     """
     d1 = f.qderiv()
     d2 = d1.qderiv()
     d3 = d2.qderiv()
     one_minus = 1 - f
-    weight = f * f * one_minus * one_minus
+    weight = f * _copy(f) * one_minus * _copy(one_minus)
+    d1_squared = d1 * _copy(d1)
     return (
         2 * (d3 * d1 * weight)
-        - 3 * (d2 * d2 * weight)
-        + (f * f - f + 1) * binary_power(d1, 4)
+        - 3 * (d2 * _copy(d2) * weight)
+        + (f * _copy(f) - f + 1) * (d1_squared * _copy(d1_squared))
     )
+
+
+def chained_row1_moment_expectations(params):
+    """The row-1 moment closed forms as chained ``Fraction`` operations.
+
+    The hand-typed forms that ``modeq._row1_moment_expectations`` builds
+    from ints: (first, second, third, third_alternate).
+    """
+    m, n, p = params.m, params.n, params.p
+    two = Fraction(2)
+    first = -(n ** m) * two ** (m - n)
+    second = -(n ** m) * two ** (m + 1 - n) * p_poly(1, m)
+    lead = -(n ** m) * two ** (m + 3 - n) * p_poly(2, m)
+    mid = Fraction(n) ** (m - 1) * two ** (m + 1 - n) * alpha(p, 2)
+    tail = Fraction(n) ** (m - 2) * two ** (m + 1 - n) * m * alpha(p, 3)
+    third = lead - mid - tail
+    third_alternate = lead + mid - tail
+    return first, second, third, third_alternate

@@ -65,6 +65,8 @@ def test_reduced_is_the_one_reduction_of_p():
         params = PrimeParams(p)
         assert (params.m, params.n) == (m, n)
         assert BTable(p).n == n
+    for p in range(3, 10 ** 4, 2):
+        assert reduced(p) == Fraction(p + 1, 8).as_integer_ratio()
     assert reduced(9) == (5, 4)  # like k_alpha, it does not test primality
     for bad in (2, 4, 8, 1000, 0, 1, -2, -3, 7.0, "7"):
         with pytest.raises(ValueError, match="p must be an odd prime"):

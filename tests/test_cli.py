@@ -88,7 +88,8 @@ def test_matrix_cache_never_trusted(tmp_path, capsys):
 def test_matrix_cache_serves_a_symmetric_tampering_and_rebuilds_an_asymmetric_one(
     tmp_path, capsys
 ):
-    # README: only the symmetries are re-checked, so the cache has to be trusted
+    # README: only the symmetries and the row-1 moments are re-checked, so a
+    # symmetric change outside row 1 is served and the cache has to be trusted
     from test_modeq import REFERENCE
 
     cache = tmp_path / "cache"

@@ -41,8 +41,15 @@ from lambdaeq import (
     verify_symmetry,
 )
 from lambdaeq.exact import integer_det
-from lambdaeq.modeq import _add_row_series, _factor, _row0_power, _solve_leading, _solve_rows
-from oracles import Matrix, with_entry
+from lambdaeq.modeq import (
+    _add_row_series,
+    _factor,
+    _row0_power,
+    _row1_moment_expectations,
+    _solve_leading,
+    _solve_rows,
+)
+from oracles import Matrix, chained_row1_moment_expectations, with_entry
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A11 = ((1, -3, 3, -1), (-3, -10, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -330,6 +337,19 @@ def test_row_moments_a11_and_a23():
     assert r23.passed
     assert r23.details["third"]["actual"] == "-60"
     assert r23.details["third_alpha2_sign_flipped"]["value"] == "-84"
+
+
+def test_row1_moment_forms_match_the_chained_fractions():
+    primes = list(filter(is_odd_prime, range(1000)))
+    # m < n at p = 3 and 5, so the common factor n^(m-2) 2^(m-n) is no integer
+    assert {(PrimeParams(p).m, PrimeParams(p).n) for p in (3, 5)} == {(1, 2), (3, 4)}
+    for p in primes:
+        params = PrimeParams(p)
+        got = _row1_moment_expectations(params)
+        want = chained_row1_moment_expectations(params)
+        assert got == want, p
+        assert [str(x) for x in got] == [str(x) for x in want], p
+        assert all(type(x) is Fraction for x in got)
 
 
 def test_block_determinant_lemma_small():

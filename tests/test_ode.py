@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lambdaeq import Series, lambda_series, ode_residual
+from lambdaeq import Series, lambda_series, ode_residual, qseries
 from lambdaeq.cli import main
 from oracles import expanded_ode_residual
 
@@ -80,3 +80,14 @@ def test_factored_residual_matches_the_expanded_form_on_random_series():
         for _ in range(40):
             body = [rng.randint(-5, 5) for _ in range(rng.randint(1, 16))]
             _pinned(Series([0] * v + body))
+
+
+def test_the_expanded_form_never_runs_the_square_kernel(monkeypatch):
+    # the pins above compare the production squares against the general kernel
+    def refuse(a, top):
+        raise AssertionError("the oracle reached the square kernel")
+
+    monkeypatch.setattr(qseries, "_truncated_square", refuse)
+    expanded_ode_residual(lambda_series(30))
+    with pytest.raises(AssertionError, match="square kernel"):
+        ode_residual(30)

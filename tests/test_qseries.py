@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import PrimeParams, Series, lambda_series, xy_normalized_lemma
+from lambdaeq.qseries import _truncated_product, _truncated_square
 from oracles import (
     binary_power,
     eta_lambda_series,
@@ -194,11 +195,22 @@ int_series = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(a=int_series, b=int_series)
 def test_product_matches_schoolbook(a, b):
-    coeffs, order = schoolbook_product(a, b)
-    prod = a * b
-    assert prod.order == order
-    assert prod.coeffs == coeffs
-    assert all(type(c) is int for c in prod.coeffs)
+    # a * a (one object on both sides) runs the square kernel
+    for x, y in ((a, b), (a, a)):
+        coeffs, order = schoolbook_product(x, y)
+        prod = x * y
+        assert prod.order == order
+        assert prod.coeffs == coeffs
+        assert all(type(c) is int for c in prod.coeffs)
+    square, general = a * a, a * Series(a.coeffs, a.order)
+    assert (square.coeffs, square.order) == (general.coeffs, general.order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(-99, 99), max_size=16))
+def test_square_kernel_matches_the_product_kernel(c):
+    for top in range(-1, len(c)):
+        assert _truncated_square(c, top) == _truncated_product(c, c, top)
 
 
 @settings(max_examples=60, deadline=None)
