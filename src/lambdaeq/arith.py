@@ -11,10 +11,19 @@ it is multiplicative in k.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, gcd, isqrt
-from operator import index
+from operator import add, index
 
-__all__ = ["alpha", "is_odd_prime", "k_alpha", "partition_weight", "reduced", "sigma1"]
+__all__ = [
+    "alpha",
+    "is_odd_prime",
+    "k_alpha",
+    "k_alpha_prefix",
+    "partition_weight",
+    "reduced",
+    "sigma1",
+]
 
 
 def sigma1(n):
@@ -70,6 +79,27 @@ def k_alpha(p, k):
         if k % d == 0:
             total += c * sigma1(k // d)
     return total
+
+
+def k_alpha_prefix(p, top):
+    """[k_alpha(p, k) for k = 0..top] from one divisor sieve, with index 0 set to 0.
+
+    The sieve adds each d = 1..top to the entries of its multiples, which
+    gives sigma_1(0..top) in O(top log top) additions, each pass one
+    slice; then every term c sigma_1(k/d) of ``k_alpha`` is added over
+    the multiples k of d at once.  ``k_alpha`` stays the route for a
+    single k.
+    """
+    if top < 0:
+        raise ValueError("k_alpha_prefix needs top >= 0")
+    s = [0] * (top + 1)
+    for d in range(1, top + 1):
+        s[d::d] = map(add, s[d::d], repeat(d))
+    weights = s[:]
+    for d, c in ((2, -6), (4, 8), (p, p), (2 * p, -6 * p), (4 * p, 8 * p)):
+        # weights[k] += c * sigma_1(k/d) at k = d, 2d, ...
+        weights[d::d] = [w + c * x for w, x in zip(weights[d::d], s[1:])]
+    return weights
 
 
 def alpha(p, k):

@@ -20,19 +20,22 @@ evaluation routes exist on purpose:
 * ``b_series`` runs it at any rational (u, v) = (a/d, c/d), scaled by
   l! d^l to ints, and divides each b_l once at the end,
 * ``BTable`` runs the recurrence itself on plain ints at integer (u, v):
-  k * alpha_p(k) is an integer (``arith.k_alpha``), so every w_k is,
-  and the division by l is an exact ``divmod`` whose remainder must be
-  zero.  It keeps each column and grows it on demand.
+  k * alpha_p(k) is an integer, so every w_k is, and the division by l
+  is an exact ``divmod`` whose remainder must be zero.  It keeps each
+  column and grows it on demand.
 
 Production code reads ``BTable`` columns; ``b_series`` serves the CLI at
-rational points.  Tests pin the three routes against each other.
+rational points.  Tests pin the three routes against each other.  The
+table takes its weights from the divisor sieve ``arith.k_alpha_prefix``
+and ``b_series`` from ``arith.k_alpha`` one k at a time, so the two
+weight routes check each other too.
 """
 
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import index, mul
 
-from .arith import k_alpha, partition_weight, reduced
+from .arith import k_alpha, k_alpha_prefix, partition_weight, reduced
 from .exact import IntegralityError
 from .partitions import partitions_of
 
@@ -105,7 +108,9 @@ class BTable:
     Each column is computed once and extended only when a longer prefix
     is asked for, so every consumer of one table shares the work.  At
     integer (u, v) the weights w_k = -n * scale * (k alpha_p(k)) are
-    integers, so the recurrence runs on ints and divides by l with
+    integers, taken for k = 1..top from one divisor sieve
+    (``arith.k_alpha_prefix``) and re-sieved whenever a column reaches
+    past them, so the recurrence runs on ints and divides by l with
     ``divmod``; a nonzero remainder raises ``IntegralityError``, which
     makes every step an integrality check.  At the points (r+2h, r) the
     b_l are integer eta-quotient coefficients and the check always holds;
@@ -148,9 +153,10 @@ class BTable:
         return column
 
     def _grow(self, column, u, v, top):
-        g = self._g
         p, n = self.p, self.n
-        g.extend(k_alpha(p, k) for k in range(len(g), top + 1))
+        if len(self._g) <= top:
+            self._g = k_alpha_prefix(p, top)
+        g = self._g
         w = [-n * (u if k % 2 else v) * g[k] for k in range(1, top + 1)]
         if v == 0:
             w = w[::2]  # the even-k weights vanish; keep w_1, w_3, ...

@@ -30,8 +30,9 @@ coefficients beyond the ones used in solving are emergent facts that
 the verify_* functions check after the fact.
 
 Every b_l(r+2h, r) comes from one integer table per prime, ``BTable(p)``:
-k alpha_p(k) is an integer (``arith.k_alpha``), so the recurrence runs on
-ints, and its exact division by l checks the integrality of the
+k alpha_p(k) is an integer (``arith.k_alpha``; the table sieves all of
+k = 1..top at once with ``arith.k_alpha_prefix``), so the recurrence
+runs on ints, and its exact division by l checks the integrality of the
 eta-quotient coefficients at every step (see ``bpoly.BTable``).
 
 Assembly does not need a full column for every point (r+2h, r).  The
@@ -104,12 +105,15 @@ with L lower triangular with diagonal (-2n)^l and U unit upper
 triangular, so C_i = L_i U_i for the leading blocks and one L serves
 every row.  ``_factor`` does not assume this: it builds the forward
 differences of every row of C from the integer columns and checks that
-the l-th differences of row l all equal (-2n)^l.  Newton's formula on
-the m+1 points h = 0..m is exact, so that check proves C = L U, and a
-failure raises ``FactorizationError``.  Each row is then forward
-substitution with an exact division by (-2n)^l per row, binomial
-back-substitution, and an exact division by 2^{ni}; every division
-asserts a zero remainder.
+the l-th differences of row l all equal (-2n)^l, over all (m+1)^2
+entries of C; each round of differences is one ``map(sub, ...)`` pass
+over the row.  Newton's formula on the m+1 points h = 0..m is exact, so that
+check proves C = L U, and a failure raises ``FactorizationError``.  Each
+row is then forward substitution with an exact division by (-2n)^l per
+row, back-substitution through U, and an exact division by 2^{ni};
+every division asserts a zero remainder.  U[j][h] = C(h, j) says that
+y = U x holds the coefficients of x(t + 1), so the back-substitution is
+the Taylor shift x(t) = y(t - 1): ~size^2/2 additions and no binomials.
 
 The checks stay independent of the row loop:
 
@@ -144,8 +148,9 @@ columns too.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
-from operator import mul
+from operator import mul, sub
 
 from .arith import alpha, is_odd_prime, k_alpha, reduced
 from .bpoly import BTable, p_poly
@@ -266,9 +271,12 @@ def scan_row1(primes):
     at its first prime.  The sharing is exact because every index a
     prime's route reads is at most m < p <= p_top, and below p its table
     and p_top's agree (see the module docstring).  Each prime then pays
-    only for its power ``_row0_power`` and its solve, O(m^2); the columns
-    and differences cost ~M^3/4 and ~M^3/3 once per class, with
-    M = m(p_top).  A ``FactorizationError`` of a class names p_top.
+    only for its power ``_row0_power``, its solve (forward substitution
+    and a Taylor shift, O(m^2)) and, in ``cli``, its moment check, whose
+    P_1(m) and P_2(m) are closed forms; the weights cost one divisor
+    sieve, and the columns and differences ~M^3/4 and ~M^3/3 once per
+    class, with M = m(p_top).  A ``FactorizationError`` of a class names
+    p_top.
     """
     primes = [PrimeParams(p) for p in primes]
     tops = {params.n: params for params in sorted(primes, key=lambda q: q.p)}
@@ -291,46 +299,63 @@ class FactorizationError(ArithmeticError):
 
 def _factor(params, table):
     """The rows of L in C = L U, C = [b_l(2h, 0)]: row l holds Delta^0..Delta^{l-1}
-    of row l of C at h = 0, and its l-th differences must all equal (-2n)^l."""
+    of row l of C at h = 0, and its l-th differences must all equal (-2n)^l.
+
+    Every entry of C for l, h <= m is read and differenced; each round of
+    differences is one pass of ``operator.sub`` over the row, and the
+    l-th differences are compared with (-2n)^l by ``count``, so the bad
+    index is searched for only when the check fails.
+    """
     m, n = params.m, params.n
-    columns = [table.column(2 * h, 0, m) for h in range(m + 1)]
+    columns = [table.column(2 * h, 0, m)[: m + 1] for h in range(m + 1)]
     lower = []
-    for l in range(m + 1):
-        diffs = [column[l] for column in columns]
+    lead = 1
+    for l, diffs in enumerate(zip(*columns)):
         row = []
         for _ in range(l):
             row.append(diffs[0])
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-        lead = (-2 * n) ** l
-        bad = next((h for h, d in enumerate(diffs) if d != lead), None)
-        if bad is not None:
+            diffs = list(map(sub, diffs[1:], diffs))
+        if diffs.count(lead) != len(diffs):
+            bad = next(h for h, d in enumerate(diffs) if d != lead)
             raise FactorizationError(
                 "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial in h "
                 "with leading binomial coefficient (-2n)^l = %d; its %d-th forward "
                 "difference at h=%d is %d" % (params.p, l, l, lead, l, bad, diffs[bad])
             )
         lower.append(row)
+        lead *= -2 * n
     return lower
 
 
 def _solve_leading(params, i, lower, rhs):
-    """The int solution a of 2^{ni} C_i a = rhs, C_i = L_i U_i the leading block of C."""
+    """The int solution a of 2^{ni} C_i a = rhs, C_i = L_i U_i the leading block of C.
+
+    Forward substitution divides row l by (-2n)^l, kept as a running
+    product.  U[j][h] = C(h, j) says that y_j is the coefficient of t^j in
+    x(t + 1), with x(t) = sum_h x_h t^h, so x(t) = y(t - 1): a Taylor
+    shift by -1, done as size - 1 passes of running sums over the
+    coefficients, about size^2/2 additions and no binomials.
+    """
     n, p = params.n, params.p
     size = len(rhs)
     # forward substitution L y = rhs; y = U x is integral iff x is
     y = []
+    lead = 1
     for l, row in enumerate(lower[:size]):
-        value, rem = divmod(rhs[l] - sum(map(mul, row, y)), (-2 * n) ** l)
+        value, rem = divmod(rhs[l] - sum(map(mul, row, y)), lead)
         if rem:
             raise IntegralityError(
                 "row %d of A_%d has no integral solution (forward substitution, l=%d)"
                 % (i, p, l)
             )
         y.append(value)
-    # binomial back-substitution U x = y, U[j][h] = C(h, j)
-    x = [0] * size
-    for j in range(size - 1, -1, -1):
-        x[j] = y[j] - sum([comb(h, j) * x[h] for h in range(j + 1, size)])
+        lead *= -2 * n
+    # on z_j = (-1)^j y_j the shift is by +1, whose pass k sets z_j to
+    # z_j + ... + z_top for j >= k: running sums over z reversed
+    z = [-v if j % 2 else v for j, v in enumerate(y)][::-1]
+    for k in range(size - 1):
+        z[: size - k] = accumulate(z[: size - k])
+    x = [-v if h % 2 else v for h, v in enumerate(z[::-1])]
     scale = 2 ** (n * i)
     bad = next((h for h, value in enumerate(x) if value % scale), None)
     if bad is not None:
@@ -446,26 +471,26 @@ def _row1_moment_expectations(params):
     solved rows actually satisfy; ``third_alternate`` flips that sign
     and is reported only as the known-bad variant.  Each is one
     ``Fraction`` built from ints: the common factor n^(m-2) 2^(m-n),
-    P_s(m) by numerator and denominator, and k alpha_p(k) from
+    the moment polynomials in closed form, P_1(m) = m/2 and
+    P_2(m) = m(3m+1)/24 (``bpoly.p_poly``), and k alpha_p(k) from
     ``k_alpha``, the two third moments over one denominator.
     """
     m, n, p = params.m, params.n, params.p
     nn = n * n
     # every term carries n^(m-2) 2^(m-n) = num / den
     num, den = n ** m << m, nn << n
-    p1, p2 = p_poly(1, m), p_poly(2, m)
     # -n^m 2^(m-n)
     first = Fraction(-nn * num, den)
-    # -n^m 2^(m+1-n) P_1(m)
-    second = Fraction(-2 * nn * p1.numerator * num, p1.denominator * den)
-    # the third moment's terms over 3 den(P_2(m)), from k_alpha(p, k) = k alpha_p(k):
-    # -n^m 2^(m+3-n) P_2(m)
-    lead = -24 * nn * p2.numerator
+    # -n^m 2^(m+1-n) P_1(m), P_1(m) = m/2
+    second = Fraction(-nn * m * num, den)
+    # the third moment's terms over 3 den, from k_alpha(p, k) = k alpha_p(k):
+    # -n^m 2^(m+3-n) P_2(m), P_2(m) = m(3m+1)/24
+    lead = -nn * m * (3 * m + 1)
     # n^(m-1) 2^(m+1-n) alpha_p(2)
-    mid = 3 * n * k_alpha(p, 2) * p2.denominator
+    mid = 3 * n * k_alpha(p, 2)
     # n^(m-2) 2^(m+1-n) m alpha_p(3)
-    tail = 2 * m * k_alpha(p, 3) * p2.denominator
-    third_den = 3 * p2.denominator * den
+    tail = 2 * m * k_alpha(p, 3)
+    third_den = 3 * den
     third = Fraction((lead - mid - tail) * num, third_den)
     third_alternate = Fraction((lead + mid - tail) * num, third_den)
     return first, second, third, third_alternate

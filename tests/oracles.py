@@ -30,7 +30,13 @@ reference for, never multiplies two series.
 
 ``chained_row1_moment_expectations`` is the row-1 moment closed forms as
 chained ``Fraction`` operations, the reference for the int route of
-``modeq._row1_moment_expectations``.
+``modeq._row1_moment_expectations``; it takes P_1(m) and P_2(m) from
+``p_poly``, where the int route uses their closed forms.
+
+``binomial_solve_leading`` is the L U row solve of ``modeq`` with
+back-substitution through the binomials U[j][h] = C(h, j), as the
+library solved it before it used a Taylor shift; it is the reference
+for ``modeq._solve_leading``, messages included.
 """
 
 from fractions import Fraction
@@ -38,7 +44,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from lambdaeq import ModularMatrix, Series, alpha, p_poly
+from lambdaeq import IntegralityError, ModularMatrix, Series, alpha, p_poly
 
 
 class SingularMatrixError(ArithmeticError):
@@ -320,3 +326,33 @@ def chained_row1_moment_expectations(params):
     third = lead - mid - tail
     third_alternate = lead + mid - tail
     return first, second, third, third_alternate
+
+
+def binomial_solve_leading(params, i, lower, rhs):
+    """The int solution a of 2^{ni} C_i a = rhs by binomial back-substitution.
+
+    ``lower`` holds the rows of L in C = L U (``modeq._factor``).  Forward
+    substitution divides row l by a fresh power (-2n)^l, and U x = y is
+    solved from the bottom up with U[j][h] = C(h, j).
+    """
+    n, p = params.n, params.p
+    size = len(rhs)
+    y = []
+    for l, row in enumerate(lower[:size]):
+        value, rem = divmod(rhs[l] - sum(map(mul, row, y)), (-2 * n) ** l)
+        if rem:
+            raise IntegralityError(
+                "row %d of A_%d has no integral solution (forward substitution, l=%d)"
+                % (i, p, l)
+            )
+        y.append(value)
+    x = [0] * size
+    for j in range(size - 1, -1, -1):
+        x[j] = y[j] - sum([comb(h, j) * x[h] for h in range(j + 1, size)])
+    scale = 2 ** (n * i)
+    bad = next((h for h, value in enumerate(x) if value % scale), None)
+    if bad is not None:
+        raise IntegralityError(
+            "a_{%d,%d} of A_%d solved to the non-integer %d/2^%d" % (i, bad, p, x[bad], n * i)
+        )
+    return tuple(value // scale for value in x)

@@ -12,6 +12,7 @@ from lambdaeq import (
     alpha,
     is_odd_prime,
     k_alpha,
+    k_alpha_prefix,
     partition_weight,
     reduced,
     sigma1,
@@ -132,3 +133,20 @@ def test_k_alpha_is_k_times_alpha():
             assert alpha(p, k) == six_term_alpha(p, k), (p, k)
     with pytest.raises(ValueError):
         k_alpha(5, 0)
+
+
+# every class n = 1, 2, 4
+PREFIX_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
+assert {reduced(p)[1] for p in PREFIX_PRIMES} == {1, 2, 4}
+
+
+@pytest.mark.parametrize("p", PREFIX_PRIMES)
+def test_k_alpha_prefix_is_the_per_k_route(p):
+    # k up to 8p + 8 takes in multiples of p, 2p and 4p
+    top = 8 * p + 8
+    prefix = k_alpha_prefix(p, top)
+    assert prefix == [0] + [k_alpha(p, k) for k in range(1, top + 1)]
+    assert all(type(w) is int for w in prefix)
+    assert k_alpha_prefix(p, 0) == [0]
+    with pytest.raises(ValueError):
+        k_alpha_prefix(p, -1)

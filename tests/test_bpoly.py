@@ -24,6 +24,7 @@ from lambdaeq import (
     b_eval,
     b_series,
     is_odd_prime,
+    k_alpha_prefix,
     p_poly,
     partition_weight,
     partitions_of,
@@ -310,6 +311,19 @@ def test_table_grows_columns_in_place():
     assert longer is short and len(longer) == 41
     assert table.column(5, 1, 10) is short  # a shorter request reuses the column
     assert longer == b_series(table.p, 40, 5, 1)
+
+
+@pytest.mark.parametrize("p", [23, 11, 13])  # n = 1, 2, 4
+def test_table_grown_in_two_steps_matches_one_grown_at_once(p):
+    # the second step reaches past the weights of the first, which are sieved again
+    points = [(2, 0), (1, 1), (-1, -1), (3, 1)]
+    stepped, direct = BTable(p), BTable(p)
+    for u, v in points:
+        stepped.column(u, v, 40)
+    assert stepped._g == k_alpha_prefix(p, 40)
+    for u, v in points:
+        assert stepped.column(u, v, 300) == direct.column(u, v, 300)
+    assert stepped._g == direct._g == k_alpha_prefix(p, 300)
 
 
 def test_table_raises_at_the_first_non_integer_coefficient():

@@ -445,6 +445,23 @@ def test_scan_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_61_SHA256
 
 
+# stdout of `scan --max-p 53`, the benchmark's operation, and of
+# `scan --max-p 400`, the budget edge, where m reaches 199
+SCAN_SHA256 = {
+    53: "b29fef0fac54761369854851fadb5b5e1d5f27bc2dddb0da87eba311880e69c6",
+    400: "d7414ca0955a16260724ecf202fdad3967e43f1e9a3be10db3d7489f4e8e9ca4",
+}
+
+
+@pytest.mark.parametrize("max_p", sorted(SCAN_SHA256))
+def test_scan_benchmark_and_budget_outputs_are_pinned(max_p, capsys):
+    import hashlib
+
+    code, out, _ = run(capsys, "scan", "--max-p", str(max_p))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[max_p]
+
+
 # stdout of large-m commands, whose matrices REFERENCE does not reach, and
 # of the m = 3 verifies, the only ones that run the theorem52 checks
 LARGE_M_SHA256 = {

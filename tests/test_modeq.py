@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -49,7 +50,12 @@ from lambdaeq.modeq import (
     _solve_leading,
     _solve_rows,
 )
-from oracles import Matrix, chained_row1_moment_expectations, with_entry
+from oracles import (
+    Matrix,
+    binomial_solve_leading,
+    chained_row1_moment_expectations,
+    with_entry,
+)
 
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A11 = ((1, -3, 3, -1), (-3, -10, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -219,6 +225,39 @@ def test_structured_solve_refuses_rhs_outside_the_integral_image(data):
     odd = [int(v) for v in c.mul_vec((1,) + x[1:])]
     with pytest.raises(IntegralityError):
         _solve_leading(params, i, lower, odd)
+
+
+def _integrality_message(solve, *args):
+    with pytest.raises(IntegralityError) as info:
+        solve(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_taylor_shift_solve_matches_binomial_back_substitution(p, data):
+    params = PrimeParams(p)
+    m, n = params.m, params.n
+    table = BTable(p)
+    lower = _factor(params, table)
+    c = list(zip(*[table.column(2 * h, 0, m)[: m + 1] for h in range(m + 1)]))
+    for i in range(1, m + 1):
+        size = m - i + 1
+        x = data.draw(
+            st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size), label="x"
+        )
+        image = [sum(map(mul, row[:size], x)) for row in c[:size]]
+        rhs = [v << (n * i) for v in image]
+        solved = _solve_leading(params, i, lower, rhs)
+        assert solved == binomial_solve_leading(params, i, lower, rhs) == tuple(x)
+        # C_i x' with an odd entry in x': its solution x'/2^{ni} is no integer
+        odd = data.draw(st.integers(0, size - 1), label="odd")
+        x[odd] = 2 * x[odd] + 1
+        image = [sum(map(mul, row[:size], x)) for row in c[:size]]
+        message = _integrality_message(_solve_leading, params, i, lower, image)
+        assert message == _integrality_message(binomial_solve_leading, params, i, lower, image)
+        assert message.startswith("a_{%d," % i)
 
 
 @pytest.mark.parametrize("p, i, h, l", [(13, 1, 3, 2), (13, 2, 0, 0), (17, 4, 5, 5), (7, 1, 0, 0)])
