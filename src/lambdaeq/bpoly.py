@@ -108,15 +108,19 @@ class BTable:
     Each column is computed once and extended only when a longer prefix
     is asked for, so every consumer of one table shares the work.  At
     integer (u, v) the weights w_k = -n * scale * (k alpha_p(k)) are
-    integers, taken for k = 1..top from one divisor sieve
-    (``arith.k_alpha_prefix``) and re-sieved whenever a column reaches
-    past them, so the recurrence runs on ints and divides by l with
-    ``divmod``; a nonzero remainder raises ``IntegralityError``, which
-    makes every step an integrality check.  At the points (r+2h, r) the
-    b_l are integer eta-quotient coefficients and the check always holds;
-    elsewhere (e.g. b_2(1, 0) = 1/2 when n = 1) it fails as it should.
-    At v = 0 the even-k weights vanish and are skipped, which halves the
-    work of the columns b(2h, 0).
+    integers.  The table keeps -n k alpha_p(k) for k = 1..top, from one
+    divisor sieve (``arith.k_alpha_prefix``), split once into an odd-k
+    and an even-k list; it sieves and splits again only when a column
+    reaches past them.  Step l is then u times the dot of the odd list
+    with b_{l-1}, b_{l-3}, ..., plus v times the dot of the even list
+    with b_{l-2}, b_{l-4}, ... when v != 0: no weight list is built per
+    column, and at v = 0, as for the columns b(2h, 0), only the odd list
+    is read, which halves the work.  The recurrence runs on ints and
+    divides by l with ``divmod``; a nonzero remainder raises
+    ``IntegralityError``, which makes every step an integrality check.
+    At the points (r+2h, r) the b_l are integer eta-quotient
+    coefficients and the check always holds; elsewhere (e.g.
+    b_2(1, 0) = 1/2 when n = 1) it fails as it should.
 
     A column of length L costs ~L^2/2 multiply-adds (~L^2/4 at v = 0).
     Assembly of A_p reads only the m+1 columns b(2h, 0) to index m^2 and
@@ -125,12 +129,13 @@ class BTable:
     K^{-1} = b(-1, -1) (see ``modeq``), in another ~m^5/6.
     """
 
-    __slots__ = ("p", "n", "_g", "_columns")
+    __slots__ = ("p", "n", "_odd", "_even", "_columns")
 
     def __init__(self, p):
         self.p = p
         self.n = reduced(p)[1]
-        self._g = [0]          # k * alpha_p(k) at index k; index 0 unused
+        self._odd = []         # -n k alpha_p(k) at k = 1, 3, 5, ...
+        self._even = []        # -n k alpha_p(k) at k = 2, 4, 6, ...
         self._columns = {}
 
     def column(self, u, v, top):
@@ -154,16 +159,18 @@ class BTable:
 
     def _grow(self, column, u, v, top):
         p, n = self.p, self.n
-        if len(self._g) <= top:
-            self._g = k_alpha_prefix(p, top)
-        g = self._g
-        w = [-n * (u if k % 2 else v) * g[k] for k in range(1, top + 1)]
-        if v == 0:
-            w = w[::2]  # the even-k weights vanish; keep w_1, w_3, ...
+        if len(self._odd) + len(self._even) < top:
+            g = k_alpha_prefix(p, top)
+            self._odd = [-n * x for x in g[1::2]]
+            self._even = [-n * x for x in g[2::2]]
+        odd, even = self._odd, self._even
         for l in range(len(column), top + 1):
-            # w_1 * b_{l-1} + ... + w_l * b_0, or only its odd-k terms when v = 0
-            terms = column[l - 1 :: -2] if v == 0 else reversed(column)
-            b_l, rem = divmod(sum(map(mul, w, terms)), l)
+            # w_1 b_{l-1} + w_2 b_{l-2} + ... with w_k = u odd[k // 2] or v even[k // 2 - 1];
+            # at l = 1 there is no even term, and the slice from l - 2 = -1 would wrap
+            total = u * sum(map(mul, odd, column[l - 1 :: -2]))
+            if v and l > 1:
+                total += v * sum(map(mul, even, column[l - 2 :: -2]))
+            b_l, rem = divmod(total, l)
             if rem:
                 raise IntegralityError(
                     "b_%d(%d, %d) is not an integer for p = %d, n = %d" % (l, u, v, p, n)

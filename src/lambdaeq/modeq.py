@@ -106,8 +106,9 @@ triangular, so C_i = L_i U_i for the leading blocks and one L serves
 every row.  ``_factor`` does not assume this: it builds the forward
 differences of every row of C from the integer columns and checks that
 the l-th differences of row l all equal (-2n)^l, over all (m+1)^2
-entries of C; each round of differences is one ``map(sub, ...)`` pass
-over the row.  Newton's formula on the m+1 points h = 0..m is exact, so that
+entries of C.  Rows 0..m lie in one flat list (in blocks of rows at
+large m), and each of the m + 1 rounds of differences is one
+``map(sub, ...)`` pass over all the rows not yet checked.  Newton's formula on the m+1 points h = 0..m is exact, so that
 check proves C = L U, and a failure raises ``FactorizationError``.  Each
 row is then forward substitution with an exact division by (-2n)^l per
 row, back-substitution through U, and an exact division by 2^{ni};
@@ -148,8 +149,8 @@ columns too.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from math import comb
+from itertools import accumulate, chain, islice
+from math import comb, gcd
 from operator import mul, sub
 
 from .arith import alpha, is_odd_prime, k_alpha, reduced
@@ -297,33 +298,60 @@ class FactorizationError(ArithmeticError):
     """C = [b_l(2h, 0)] is not L U with diagonal (-2n)^l (never expected)."""
 
 
+# at most this many entries of C are differenced in one flat list, so that the
+# two lists alive in a pass stay small however large m is; m <= 63 is one block
+_FLAT_ENTRIES = 4096
+
+
 def _factor(params, table):
     """The rows of L in C = L U, C = [b_l(2h, 0)]: row l holds Delta^0..Delta^{l-1}
     of row l of C at h = 0, and its l-th differences must all equal (-2n)^l.
 
-    Every entry of C for l, h <= m is read and differenced; each round of
-    differences is one pass of ``operator.sub`` over the row, and the
-    l-th differences are compared with (-2n)^l by ``count``, so the bad
-    index is searched for only when the check fails.
+    Every entry of C for l, h <= m is read and differenced.  Consecutive
+    rows of C lie in one flat row-major list of at most ``_FLAT_ENTRIES``
+    entries, all m + 1 rows for m <= 63.  Round j of a block takes the
+    j-th differences of all its rows in one ``map(sub, ...)`` pass and
+    drops the terms that straddle two rows; from its first row on, round
+    j first compares the j-th differences of row j with (-2n)^j by
+    ``count`` (the bad index is searched for only when the check fails)
+    and leaves row j out of the pass.  So a block of rows a..b-1 takes b
+    rounds, m + 1 in all for one block, and the rows are checked in
+    order: the first bad (l, h) is the one a row-by-row pass would find.
     """
     m, n = params.m, params.n
     columns = [table.column(2 * h, 0, m)[: m + 1] for h in range(m + 1)]
+    rows = list(zip(*columns))
+    step = max(1, _FLAT_ENTRIES // (m + 1))
     lower = []
-    lead = 1
-    for l, diffs in enumerate(zip(*columns)):
-        row = []
-        for _ in range(l):
-            row.append(diffs[0])
-            diffs = list(map(sub, diffs[1:], diffs))
-        if diffs.count(lead) != len(diffs):
-            bad = next(h for h, d in enumerate(diffs) if d != lead)
-            raise FactorizationError(
-                "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial in h "
-                "with leading binomial coefficient (-2n)^l = %d; its %d-th forward "
-                "difference at h=%d is %d" % (params.p, l, l, lead, l, bad, diffs[bad])
-            )
-        lower.append(row)
-        lead *= -2 * n
+    for start in range(0, m + 1, step):
+        stop = min(start + step, m + 1)
+        diffs = list(chain.from_iterable(rows[start:stop]))
+        width = m + 1
+        # firsts[j][l - start] = Delta^j C[l][0] for the rows l > j of the block
+        firsts = []
+        lead = 1
+        for j in range(stop):
+            # diffs holds the j-th differences of rows max(j, start)..stop-1
+            done = 0
+            if j >= start:
+                row = diffs[:width]
+                if row.count(lead) != width:
+                    bad = next(h for h, d in enumerate(row) if d != lead)
+                    raise FactorizationError(
+                        "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial "
+                        "in h with leading binomial coefficient (-2n)^l = %d; its %d-th "
+                        "forward difference at h=%d is %d"
+                        % (params.p, j, j, lead, j, bad, row[bad])
+                    )
+                done = width
+            firsts.append([0] * max(0, j - start) + diffs[::width])
+            # each row's last term straddles into the next row; islice, not
+            # slices, so that the pass makes no copy of the rows
+            diffs = list(map(sub, islice(diffs, done + 1, None), islice(diffs, done, None)))
+            del diffs[width - 1 :: width]
+            width -= 1
+            lead *= -2 * n
+        lower += [list(row[:l]) for l, row in enumerate(zip(*firsts), start)]
     return lower
 
 
@@ -464,25 +492,26 @@ def verify_symmetry(matrix):
 
 
 def _row1_moment_expectations(params):
-    """Closed forms for the first three moments of row 1.
+    """Closed forms for the first three moments of row 1, as int pairs.
 
-    Returns (first, second, third, third_alternate): the third moment
-    carries the alpha_p(2) term with a minus sign, which is what the
-    solved rows actually satisfy; ``third_alternate`` flips that sign
-    and is reported only as the known-bad variant.  Each is one
-    ``Fraction`` built from ints: the common factor n^(m-2) 2^(m-n),
-    the moment polynomials in closed form, P_1(m) = m/2 and
-    P_2(m) = m(3m+1)/24 (``bpoly.p_poly``), and k alpha_p(k) from
-    ``k_alpha``, the two third moments over one denominator.
+    Returns (first, second, third, third_alternate), each a pair of ints
+    (numerator, denominator) with a positive denominator, not reduced:
+    the third moment carries the alpha_p(2) term with a minus sign, which
+    is what the solved rows actually satisfy; ``third_alternate`` flips
+    that sign and is reported only as the known-bad variant.  Each is
+    built from ints: the common factor n^(m-2) 2^(m-n), the moment
+    polynomials in closed form, P_1(m) = m/2 and P_2(m) = m(3m+1)/24
+    (``bpoly.p_poly``), and k alpha_p(k) from ``k_alpha``, the two third
+    moments over one denominator.
     """
     m, n, p = params.m, params.n, params.p
     nn = n * n
     # every term carries n^(m-2) 2^(m-n) = num / den
     num, den = n ** m << m, nn << n
     # -n^m 2^(m-n)
-    first = Fraction(-nn * num, den)
+    first = -nn * num, den
     # -n^m 2^(m+1-n) P_1(m), P_1(m) = m/2
-    second = Fraction(-nn * m * num, den)
+    second = -nn * m * num, den
     # the third moment's terms over 3 den, from k_alpha(p, k) = k alpha_p(k):
     # -n^m 2^(m+3-n) P_2(m), P_2(m) = m(3m+1)/24
     lead = -nn * m * (3 * m + 1)
@@ -491,9 +520,16 @@ def _row1_moment_expectations(params):
     # n^(m-2) 2^(m+1-n) m alpha_p(3)
     tail = 2 * m * k_alpha(p, 3)
     third_den = 3 * den
-    third = Fraction((lead - mid - tail) * num, third_den)
-    third_alternate = Fraction((lead + mid - tail) * num, third_den)
+    third = (lead - mid - tail) * num, third_den
+    third_alternate = (lead + mid - tail) * num, third_den
     return first, second, third, third_alternate
+
+
+def _ratio_str(num, den):
+    """str(Fraction(num, den)) for ints with den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else "%d/%d" % (num, den)
 
 
 def verify_row_moments(params, row):
@@ -503,27 +539,27 @@ def verify_row_moments(params, row):
     moments match the classical statements verbatim.  The third matches
     only after flipping the sign of its alpha_p(2) term; both
     evaluations are reported, and the check passes on the corrected
-    form.
+    form.  The sums run on ints, and each is compared with its closed
+    form num/den exactly, as sum * den == num; the details print every
+    value as ``str(Fraction)`` would.
     """
-    s0 = sum(row)
-    s1 = sum((1 + 2 * h) * a for h, a in enumerate(row))
-    s2 = sum((1 + 2 * h) ** 2 * a for h, a in enumerate(row))
-    e0, e1, e2, e2_alt = _row1_moment_expectations(params)
+    odd = range(1, 2 * len(row), 2)
+    weighted = list(map(mul, odd, row))
+    s0, s1, s2 = sum(row), sum(weighted), sum(map(mul, odd, weighted))
+    (n0, d0), (n1, d1), (n2, d2), (n2_alt, d2_alt) = _row1_moment_expectations(params)
+    ok0, ok1, ok2 = s0 * d0 == n0, s1 * d1 == n1, s2 * d2 == n2
+    flipped = s2 * d2_alt == n2_alt
+    e2_alt = _ratio_str(n2_alt, d2_alt)
     details = {
-        "first": {"actual": str(s0), "expected": str(e0), "ok": s0 == e0},
-        "second": {"actual": str(s1), "expected": str(e1), "ok": s1 == e1},
-        "third": {"actual": str(s2), "expected": str(e2), "ok": s2 == e2},
-        "third_alpha2_sign_flipped": {
-            "value": str(e2_alt),
-            "matches": s2 == e2_alt,
-        },
+        "first": {"actual": str(s0), "expected": _ratio_str(n0, d0), "ok": ok0},
+        "second": {"actual": str(s1), "expected": _ratio_str(n1, d1), "ok": ok1},
+        "third": {"actual": str(s2), "expected": _ratio_str(n2, d2), "ok": ok2},
+        "third_alpha2_sign_flipped": {"value": e2_alt, "matches": flipped},
     }
-    passed = s0 == e0 and s1 == e1 and s2 == e2
-    note = (
-        "third moment uses the negated alpha_p(2) term; "
-        "the sign-flipped variant %s does not match %s" % (e2_alt, s2)
+    note = "third moment uses the negated alpha_p(2) term; the sign-flipped variant %s %s %s" % (
+        e2_alt, "matches" if flipped else "does not match", s2
     )
-    return CheckResult("rowsums", passed, details, note)
+    return CheckResult("rowsums", ok0 and ok1 and ok2, details, note)
 
 
 def verify_block_determinants(params, table=None):

@@ -37,14 +37,30 @@ chained ``Fraction`` operations, the reference for the int route of
 back-substitution through the binomials U[j][h] = C(h, j), as the
 library solved it before it used a Taylor shift; it is the reference
 for ``modeq._solve_leading``, messages included.
+
+``rowwise_factor`` is ``modeq._factor`` as it differenced C before it
+ran one flat pass per round: each row of C differenced on its own, l
+passes for row l.  ``fraction_row_moments`` is ``modeq.verify_row_moments``
+as it compared the row-1 moments before it ran on ints: each closed form
+a ``Fraction`` (from ``chained_row1_moment_expectations``), compared and
+printed as one.  They are the references for the two routes, error
+messages, details and notes included.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
+from operator import mul, sub
 
-from lambdaeq import IntegralityError, ModularMatrix, Series, alpha, p_poly
+from lambdaeq import (
+    CheckResult,
+    FactorizationError,
+    IntegralityError,
+    ModularMatrix,
+    Series,
+    alpha,
+    p_poly,
+)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -356,3 +372,53 @@ def binomial_solve_leading(params, i, lower, rhs):
             "a_{%d,%d} of A_%d solved to the non-integer %d/2^%d" % (i, bad, p, x[bad], n * i)
         )
     return tuple(value // scale for value in x)
+
+
+def rowwise_factor(params, table):
+    """The rows of L in C = L U, C = [b_l(2h, 0)], one row of C at a time.
+
+    Row l is differenced l times on its own, and its l-th differences
+    must all equal (-2n)^l; a failure raises ``FactorizationError`` at
+    the first bad (l, h) in row order.
+    """
+    m, n = params.m, params.n
+    columns = [table.column(2 * h, 0, m)[: m + 1] for h in range(m + 1)]
+    lower = []
+    lead = 1
+    for l, diffs in enumerate(zip(*columns)):
+        row = []
+        for _ in range(l):
+            row.append(diffs[0])
+            diffs = list(map(sub, diffs[1:], diffs))
+        if diffs.count(lead) != len(diffs):
+            bad = next(h for h, d in enumerate(diffs) if d != lead)
+            raise FactorizationError(
+                "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial in h "
+                "with leading binomial coefficient (-2n)^l = %d; its %d-th forward "
+                "difference at h=%d is %d" % (params.p, l, l, lead, l, bad, diffs[bad])
+            )
+        lower.append(row)
+        lead *= -2 * n
+    return lower
+
+
+def fraction_row_moments(params, row):
+    """The row-1 moment check with every closed form a ``Fraction``."""
+    s0 = sum(row)
+    s1 = sum((1 + 2 * h) * a for h, a in enumerate(row))
+    s2 = sum((1 + 2 * h) ** 2 * a for h, a in enumerate(row))
+    e0, e1, e2, e2_alt = chained_row1_moment_expectations(params)
+    details = {
+        "first": {"actual": str(s0), "expected": str(e0), "ok": s0 == e0},
+        "second": {"actual": str(s1), "expected": str(e1), "ok": s1 == e1},
+        "third": {"actual": str(s2), "expected": str(e2), "ok": s2 == e2},
+        "third_alpha2_sign_flipped": {
+            "value": str(e2_alt),
+            "matches": s2 == e2_alt,
+        },
+    }
+    passed = s0 == e0 and s1 == e1 and s2 == e2
+    note = "third moment uses the negated alpha_p(2) term; the sign-flipped variant %s %s %s" % (
+        e2_alt, "matches" if s2 == e2_alt else "does not match", s2
+    )
+    return CheckResult("rowsums", passed, details, note)

@@ -318,12 +318,28 @@ def test_table_grown_in_two_steps_matches_one_grown_at_once(p):
     # the second step reaches past the weights of the first, which are sieved again
     points = [(2, 0), (1, 1), (-1, -1), (3, 1)]
     stepped, direct = BTable(p), BTable(p)
+    n = stepped.n
+
+    def split(top):
+        # -n k alpha_p(k) at odd k = 1, 3, ... and at even k = 2, 4, ..., k <= top
+        weights = [-n * x for x in k_alpha_prefix(p, top)]
+        return weights[1::2], weights[2::2]
+
     for u, v in points:
         stepped.column(u, v, 40)
-    assert stepped._g == k_alpha_prefix(p, 40)
+    assert (stepped._odd, stepped._even) == split(40)
     for u, v in points:
         assert stepped.column(u, v, 300) == direct.column(u, v, 300)
-    assert stepped._g == direct._g == k_alpha_prefix(p, 300)
+    assert (stepped._odd, stepped._even) == (direct._odd, direct._even) == split(300)
+
+
+@pytest.mark.parametrize("p", [23, 11, 13])  # n = 1, 2, 4
+@pytest.mark.parametrize("u, v", [(3, 1), (5, 1), (7, 3)])
+def test_table_with_both_weight_lists_matches_b_series_from_index_0(p, u, v):
+    # u != v and v != 0 read the odd and the even list; b_1 = w_1 has no even
+    # term, so a slice from l - 2 = -1 that wrapped to the column's end would
+    # add w_2 b_0 to it once the weights reach k = 2
+    assert BTable(p).column(u, v, 30) == b_series(p, 30, u, v)
 
 
 def test_table_raises_at_the_first_non_integer_coefficient():

@@ -597,8 +597,8 @@ def test_failing_verify_output_is_pinned(argv, monkeypatch, capsys):
     expectations = modeq._row1_moment_expectations
 
     def first_off_by_one(params):
-        first, *rest = expectations(params)
-        return (first + 1, *rest)
+        (num, den), *rest = expectations(params)
+        return ((num + den, den), *rest)
 
     monkeypatch.setattr(modeq, "_row1_moment_expectations", first_off_by_one)
     code, out, _ = run(capsys, *argv)

@@ -43,8 +43,10 @@ from lambdaeq import (
 )
 from lambdaeq.exact import integer_det
 from lambdaeq.modeq import (
+    _FLAT_ENTRIES,
     _add_row_series,
     _factor,
+    _ratio_str,
     _row0_power,
     _row1_moment_expectations,
     _solve_leading,
@@ -54,6 +56,8 @@ from oracles import (
     Matrix,
     binomial_solve_leading,
     chained_row1_moment_expectations,
+    fraction_row_moments,
+    rowwise_factor,
     with_entry,
 )
 
@@ -386,9 +390,9 @@ def test_row1_moment_forms_match_the_chained_fractions():
         params = PrimeParams(p)
         got = _row1_moment_expectations(params)
         want = chained_row1_moment_expectations(params)
-        assert got == want, p
-        assert [str(x) for x in got] == [str(x) for x in want], p
-        assert all(type(x) is Fraction for x in got)
+        assert all(type(num) is type(den) is int and den > 0 for num, den in got), p
+        assert [Fraction(num, den) for num, den in got] == list(want), p
+        assert [_ratio_str(num, den) for num, den in got] == [str(x) for x in want], p
 
 
 def test_block_determinant_lemma_small():
@@ -667,6 +671,67 @@ def test_each_check_carries_its_own_note():
             "third moment uses the negated alpha_p(2) term; the sign-flipped variant "
             "-360 does not match %s" % result.details["third"]["actual"]
         )
+
+
+def test_rowsums_note_says_when_the_sign_flipped_variant_matches():
+    # a_{1,0} of A_13 moved by e2_alt - e2 = -196608 makes the third sum the
+    # sign-flipped variant: the row fails, and the note agrees with the details
+    params = PrimeParams(13)
+    row = REFERENCE[13][1]
+    result = verify_row_moments(params, (row[0] - 196608,) + row[1:])
+    assert not result.passed
+    assert result.details["third_alpha2_sign_flipped"] == {"value": "-6979584", "matches": True}
+    assert result.note == (
+        "third moment uses the negated alpha_p(2) term; the sign-flipped variant "
+        "-6979584 matches -6979584"
+    )
+    assert result == fraction_row_moments(params, (row[0] - 196608,) + row[1:])
+
+
+@pytest.mark.parametrize("entries", [_FLAT_ENTRIES, 50])
+def test_flat_factor_matches_the_rowwise_route(entries, monkeypatch):
+    # m reaches 99 below 200, so the default size splits the rows into blocks
+    # from m = 64 on, and 50 entries split them from m = 7 on
+    monkeypatch.setattr("lambdaeq.modeq._FLAT_ENTRIES", entries)
+    for p in filter(is_odd_prime, range(3, 200)):
+        params = PrimeParams(p)
+        assert _factor(params, BTable(p)) == rowwise_factor(params, BTable(p)), p
+
+
+@pytest.mark.parametrize("p", [7, 13, 19, 47, 149])  # n = 1, 4, 2, 1, 4; m = 75 at 149
+def test_flat_factor_fails_like_the_rowwise_route(p):
+    # a corrupted entry of C, first and last rows and columns and the rows on
+    # either side of a block boundary included, is found at the same first
+    # bad (l, h) with the same message by both routes
+    params = PrimeParams(p)
+    m = params.m
+    step = _FLAT_ENTRIES // (m + 1)
+    bad_entries = [(0, 0, 1), (0, m, -1), (m, 0, 1), (m, m, 1), (m // 2, m, 3),
+                   (m, m // 2, -2), (1, 1, 1)]
+    if step <= m:
+        bad_entries += [(step - 1, m, 1), (step, 0, -1)]
+    for l, h, delta in bad_entries:
+        table = BTable(p)
+        table.column(2 * h, 0, m)[l] += delta
+        with pytest.raises(FactorizationError) as flat:
+            _factor(params, table)
+        with pytest.raises(FactorizationError) as rowwise:
+            rowwise_factor(params, table)
+        assert str(flat.value) == str(rowwise.value), (p, l, h)
+        assert "row l=%d " % l in str(flat.value), (p, l, h)
+
+
+def test_int_row_moments_match_the_fraction_route():
+    # row 1 of every odd prime below 1000, and each of a_{1,0}, a_{1,1}, a_{1,2} moved by +-1
+    for params, row in scan_row1(filter(is_odd_prime, range(3, 1000))):
+        rows = [row] + [
+            row[:h] + (row[h] + delta,) + row[h + 1 :]
+            for h in range(min(3, len(row)))
+            for delta in (1, -1)
+        ]
+        for variant in rows:
+            got, want = verify_row_moments(params, variant), fraction_row_moments(params, variant)
+            assert got == want, (params.p, variant[:3])
 
 
 def test_run_checks_default_plan():
