@@ -115,8 +115,9 @@ class BTable:
     with b_{l-1}, b_{l-3}, ..., plus v times the dot of the even list
     with b_{l-2}, b_{l-4}, ... when v != 0: no weight list is built per
     column, and at v = 0, as for the columns b(2h, 0), only the odd list
-    is read, which halves the work.  The recurrence runs on ints and
-    divides by l with ``divmod``; a nonzero remainder raises
+    is read, which halves the work; at u = 0 the odd dot is skipped, so
+    the column b(0, 0) = [1, 0, 0, ...] costs no dots.  The recurrence
+    runs on ints and divides by l with ``divmod``; a nonzero remainder raises
     ``IntegralityError``, which makes every step an integrality check.
     At the points (r+2h, r) the b_l are integer eta-quotient
     coefficients and the check always holds; elsewhere (e.g.
@@ -166,8 +167,9 @@ class BTable:
         odd, even = self._odd, self._even
         for l in range(len(column), top + 1):
             # w_1 b_{l-1} + w_2 b_{l-2} + ... with w_k = u odd[k // 2] or v even[k // 2 - 1];
+            # at u = 0 the odd dot is skipped, so b(0, 0) = [1, 0, 0, ...] costs no dots;
             # at l = 1 there is no even term, and the slice from l - 2 = -1 would wrap
-            total = u * sum(map(mul, odd, column[l - 1 :: -2]))
+            total = u * sum(map(mul, odd, column[l - 1 :: -2])) if u else 0
             if v and l > 1:
                 total += v * sum(map(mul, even, column[l - 2 :: -2]))
             b_l, rem = divmod(total, l)

@@ -108,8 +108,9 @@ differences of every row of C from the integer columns and checks that
 the l-th differences of row l all equal (-2n)^l, over all (m+1)^2
 entries of C.  Rows 0..m lie in one flat list (in blocks of rows at
 large m), and each of the m + 1 rounds of differences is one
-``map(sub, ...)`` pass over all the rows not yet checked.  Newton's formula on the m+1 points h = 0..m is exact, so that
-check proves C = L U, and a failure raises ``FactorizationError``.  Each
+``map(sub, ...)`` pass over all the rows not yet checked.  Newton's
+formula on the m+1 points h = 0..m is exact, so that check proves
+C = L U, and a failure raises ``FactorizationError``.  Each
 row is then forward substitution with an exact division by (-2n)^l per
 row, back-substitution through U, and an exact division by 2^{ni};
 every division asserts a zero remainder.  U[j][h] = C(h, j) says that

@@ -11,7 +11,15 @@ order + valuation of the other factor).  A product strips both
 valuations and runs ``_truncated_product``, which ``modeq`` shares; a
 square, ``s * s`` with one object on both sides, runs
 ``_truncated_square`` instead, which sums each symmetric pair once and
-so takes about half the multiply-adds.  Powers, ``** -1`` among them,
+so takes about half the multiply-adds.  Both kernels have two routes.
+A product of 24 to 199 coefficients (``_KRONECKER_MIN``,
+``_KRONECKER_MAX``) is one int multiply by Kronecker substitution: each
+operand is packed into one int, coefficient i in byte-aligned slot i,
+and slot t of the product is coefficient t.  The slot holds the bound
+|c_t| <= max|a| max|b| (top + 1) and a sign bit, so no slot carries
+into the next, and reading the slots back is exact.  A shorter or a
+longer product runs the schoolbook loop, which the tests hold the int
+route to.  Powers, ``** -1`` among them,
 run J.C.P. Miller's recurrence instead: one pass over the base's
 nonzero terms, O(L nnz) multiply-adds and an exact division per
 coefficient, so the power of a base with O(sqrt L) nonzero terms costs
@@ -60,25 +68,55 @@ __all__ = [
 ]
 
 
+# Products of _KRONECKER_MIN <= top + 1 < _KRONECKER_MAX coefficients run as
+# one int multiply (``_kronecker``).  Below the window packing costs as much
+# as the loop (break-even near 20 coefficients); above it the row-loop
+# operands of p = 53 and 89, whose widths differ ten-fold, multiply faster
+# in the loop than packed (break-even near 240 coefficients at p = 53, and
+# from 180 to 230 at p = 89).
+_KRONECKER_MIN = 24
+_KRONECKER_MAX = 200
+
+
 def _truncated_product(a, b, top):
     """Coefficients 0..top of the product of the series a and b (sequences).
 
-    Both must hold at least top + 1 coefficients; a negative top gives [].
+    Both must hold at least top + 1 coefficients (``ValueError``
+    otherwise); a negative top gives [].  Inside the window
+    _KRONECKER_MIN <= top + 1 < _KRONECKER_MAX the product is one exact
+    int multiply (``_kronecker``), in slots whose width comes from the
+    bound |c_t| <= max|a| max|b| (top + 1); outside it, the schoolbook
+    loop below, which the tests hold the int route to.
     """
+    count = top + 1
+    if len(a) < count or len(b) < count:
+        raise ValueError("a product to q^%d needs %d coefficients of each factor" % (top, count))
+    if _KRONECKER_MIN <= count < _KRONECKER_MAX:
+        a, b = a[:count], b[:count]
+        return _kronecker(a, b, _slot_bytes(a, b))
     reverse = b[top::-1]  # b_top, ..., b_0
-    return [sum(map(mul, a, reverse[top - t :])) for t in range(top + 1)]
+    return [sum(map(mul, a, reverse[top - t :])) for t in range(count)]
 
 
 def _truncated_square(a, top):
     """Coefficients 0..top of the square of the series a (a sequence).
 
-    Each pair a_i a_(t-i) with i < t - i is summed once and doubled, and
-    the middle square a_(t/2)^2 added for even t: about half the
-    multiply-adds of ``_truncated_product(a, a, top)``, which it equals.
+    It equals ``_truncated_product(a, a, top)`` and takes the same route
+    and the same refusal.  Inside the window the packed int is squared,
+    CPython's squaring path; outside it each pair a_i a_(t-i) with
+    i < t - i is summed once and doubled, and the middle square
+    a_(t/2)^2 added for even t: about half the multiply-adds of the
+    product loop.
     """
+    count = top + 1
+    if len(a) < count:
+        raise ValueError("a square to q^%d needs %d coefficients" % (top, count))
+    if _KRONECKER_MIN <= count < _KRONECKER_MAX:
+        a = a[:count]
+        return _kronecker(a, a, _slot_bytes(a, a))
     reverse = a[top::-1]  # a_top, ..., a_0
     out = []
-    for t in range(top + 1):
+    for t in range(count):
         start = top - t
         c = 2 * sum(map(mul, a, reverse[start : start + (t + 1) // 2]))
         if not t & 1:
@@ -86,6 +124,46 @@ def _truncated_square(a, top):
             c += mid * mid
         out.append(c)
     return out
+
+
+def _slot_bytes(a, b):
+    """Bytes per slot for ``_kronecker`` on two equally long operands.
+
+    Every coefficient of the product obeys |c_t| <= bound = max|a| max|b|
+    len(a), and the slot holds bound.bit_length() bits and a sign bit,
+    rounded up to whole bytes.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * len(a)
+    return bound.bit_length() // 8 + 1
+
+
+def _kronecker(a, b, size):
+    """The first len(a) coefficients of a * b by Kronecker substitution.
+
+    a and b are equally long; pass b is a for a square.  Each operand
+    becomes the int sum_i x_i 2^(w i), w = 8 size, packed as the bytes of
+    x_i + half, half = 2^(w-1), minus the packed run of halves; one int
+    multiply gives sum_t c_t 2^(w t).  Adding the run back puts c_t + half
+    in slot t, and when every |c_t| < half (``_slot_bytes``) that lies in
+    [0, 2^w), so no slot carries into the next: masking to len(a) slots
+    and cutting the bytes apart reads each c_t exactly.  A zero operand
+    gives zeros (its packed slots would not bound the other's).
+    """
+    count = len(a)
+    if not (any(a) and any(b)):
+        return [0] * count
+    half = 1 << (8 * size - 1)
+    run = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    to_bytes, from_bytes = int.to_bytes, int.from_bytes
+    packed = from_bytes(b"".join([to_bytes(x + half, size, "little") for x in a]), "little") - run
+    if b is a:
+        product = packed * packed
+    else:
+        other = from_bytes(b"".join([to_bytes(x + half, size, "little") for x in b]), "little")
+        product = packed * (other - run)
+    width = size * count
+    data = ((product + run) & ((1 << (8 * width)) - 1)).to_bytes(width, "little")
+    return [from_bytes(data[i : i + size], "little") - half for i in range(0, width, size)]
 
 
 class Series:

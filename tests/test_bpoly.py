@@ -303,6 +303,16 @@ def test_table_v0_branch_matches_b_series(p):
         assert table.column(2 * h, 0, 60) == b_series(table.p, 60, 2 * h, 0)
 
 
+@pytest.mark.parametrize("p", [23, 11, 13])  # n = 1, 2, 4
+def test_table_u0_columns_skip_the_odd_weights(p):
+    # at u = 0 the odd-k dot is skipped: b(0, 0) is 1 and zeros, and b(0, v)
+    # keeps its even-k terms
+    table = BTable(p)
+    assert table.column(0, 0, 3) == [1, 0, 0, 0]
+    assert table.column(0, 0, 80) == [1] + [0] * 80
+    assert table.column(0, 2, 40) == b_series(table.p, 40, 0, 2)
+
+
 def test_table_grows_columns_in_place():
     table = BTable(13)
     short = table.column(5, 1, 4)

@@ -19,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import PrimeParams, Series, lambda_series, xy_normalized_lemma
-from lambdaeq.qseries import _truncated_product, _truncated_square
+from lambdaeq import qseries
+from lambdaeq.qseries import (
+    _KRONECKER_MAX,
+    _KRONECKER_MIN,
+    _kronecker,
+    _slot_bytes,
+    _truncated_product,
+    _truncated_square,
+)
 from oracles import (
     binary_power,
     eta_lambda_series,
@@ -211,6 +219,123 @@ def test_product_matches_schoolbook(a, b):
 def test_square_kernel_matches_the_product_kernel(c):
     for top in range(-1, len(c)):
         assert _truncated_square(c, top) == _truncated_product(c, c, top)
+
+
+# --- the int (Kronecker) route of both kernels, against the schoolbook loop ---
+
+# counts top + 1 at each edge of the window: the loop, the int route, the
+# int route, the loop
+EDGE_COUNTS = [_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MAX - 1, _KRONECKER_MAX]
+
+
+def pairwise_product(a, b, top):
+    """Coefficients 0..top of a*b, one a_i b_j at a time."""
+    out = [0] * (top + 1)
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def loop_route(monkeypatch, kernel, *args):
+    """The kernel's result with its window closed, so on the schoolbook loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qseries, "_KRONECKER_MAX", 0)
+        return kernel(*args)
+
+
+def random_coeffs(rng, count, bits, zeros=0.0):
+    return [0 if rng.random() < zeros else rng.randint(-(2**bits), 2**bits) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", EDGE_COUNTS)
+@pytest.mark.parametrize(
+    "bits_a, bits_b, zeros",
+    [(8, 8, 0.0), (30, 30, 0.5), (1000, 1100, 0.1), (20, 800, 0.0), (800, 20, 0.3)],
+)
+def test_kernels_match_the_schoolbook_loop_at_the_window_edges(
+    monkeypatch, count, bits_a, bits_b, zeros
+):
+    rng = random.Random(count * 7919 + bits_a + bits_b)
+    top = count - 1
+    # longer than top + 1: the tail must not reach the result
+    a = random_coeffs(rng, count + 5, bits_a, zeros)
+    b = random_coeffs(rng, count + 3, bits_b, zeros)
+    product = _truncated_product(a, b, top)
+    assert product == pairwise_product(a, b, top)
+    assert product == loop_route(monkeypatch, _truncated_product, a, b, top)
+    square = _truncated_square(a, top)
+    assert square == pairwise_product(a, a, top)
+    assert square == loop_route(monkeypatch, _truncated_square, a, top)
+    assert all(type(c) is int for c in product + square)
+
+
+@pytest.mark.parametrize("count", EDGE_COUNTS)
+def test_kernels_on_zero_and_tuple_operands(count):
+    top = count - 1
+    zero = [0] * count
+    ones = tuple([1, -1] * count)  # a tuple, as Series.coeffs, longer than top + 1
+    assert _truncated_product(zero, ones, top) == zero
+    assert _truncated_product(ones, zero, top) == zero
+    assert _truncated_product(zero, zero, top) == zero
+    assert _truncated_square(zero, top) == zero
+    assert _truncated_product(ones, ones, top) == pairwise_product(ones, ones, top)
+    assert _truncated_square(ones, top) == pairwise_product(ones, ones, top)
+    assert _truncated_product(ones, ones, -1) == _truncated_square(ones, -1) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(_KRONECKER_MIN - 2, 64) | st.integers(_KRONECKER_MAX - 3, _KRONECKER_MAX),
+    bits=st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    seed=st.integers(0, 2**32),
+)
+def test_int_route_matches_the_pairwise_product(count, bits, seed):
+    rng = random.Random(seed)
+    a = random_coeffs(rng, count, bits[0], zeros=0.3)
+    b = random_coeffs(rng, count, bits[1], zeros=0.3)
+    assert _truncated_product(a, b, count - 1) == pairwise_product(a, b, count - 1)
+    assert _truncated_square(b, count - 1) == pairwise_product(b, b, count - 1)
+
+
+@pytest.mark.parametrize("count", [_KRONECKER_MIN, _KRONECKER_MAX - 1])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [20, 1000])
+def test_slot_width_is_what_makes_the_int_route_exact(count, sign, bits):
+    # every coefficient at max magnitude with one sign: c_(count-1) reaches
+    # the bound max|a| max|b| count exactly
+    a = [sign * (2**bits - 1)] * count
+    size = _slot_bytes(a, a)
+    exact = pairwise_product(a, a, count - 1)
+    assert exact[-1] == (2**bits - 1) ** 2 * count
+    assert _kronecker(a, a, size) == exact
+    assert _kronecker(a, list(a), size) == exact
+    assert _kronecker(a, list(a), size - 1) != exact
+
+
+@pytest.mark.parametrize("count", [4, _KRONECKER_MIN, _KRONECKER_MAX - 1, _KRONECKER_MAX + 5])
+def test_kernels_refuse_operands_shorter_than_top_plus_one(count):
+    top = count - 1
+    full, short = list(range(1, count + 1)), list(range(5, count + 4))
+    with pytest.raises(ValueError):
+        _truncated_product(full, short, top)
+    with pytest.raises(ValueError):
+        _truncated_product(short, full, top)
+    with pytest.raises(ValueError):
+        _truncated_square(short, top)
+    # padded with a zero, the short operand gives the true low coefficients
+    padded = short + [0]
+    assert _truncated_product(full, padded, top) == pairwise_product(full, padded, top)
+
+
+def test_series_products_on_the_int_route():
+    rng = random.Random(7)
+    a = Series([0, 0] + random_coeffs(rng, 60, 40))
+    b = Series([0] + random_coeffs(rng, 70, 90), 50)
+    for x, y in ((a, b), (a, a), (b, b)):
+        coeffs, order = schoolbook_product(x, y)
+        prod = x * y
+        assert (prod.coeffs, prod.order) == (coeffs, order)
 
 
 @settings(max_examples=60, deadline=None)
