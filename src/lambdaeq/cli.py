@@ -65,7 +65,7 @@ MAX_ORDER = 2500
 # largest m = M: ~M^3/4 multiply-adds for the columns and ~M^3/3
 # subtractions for the forward differences, once per class, so its time
 # grows like max-p^3; each prime adds O(m^2).  --max-p 400 took
-# 0.78-0.99 s on a busy 2-core VM, four runs (see README).
+# 0.55-0.65 s on a 2-core VM, ten runs (see README).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits

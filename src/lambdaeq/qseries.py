@@ -12,18 +12,19 @@ valuations and runs ``_truncated_product``, which ``modeq`` shares; a
 square, ``s * s`` with one object on both sides, runs
 ``_truncated_square`` instead, which sums each symmetric pair once and
 so takes about half the multiply-adds.  Both kernels have two routes.
-A product of 24 to 199 coefficients (``_KRONECKER_MIN``,
-``_KRONECKER_MAX``) is one int multiply by Kronecker substitution: each
+The int route is one int multiply by Kronecker substitution: each
 operand is packed into one int, coefficient i in byte-aligned slot i,
 and slot t of the product is coefficient t.  The slot holds the bound
 |c_t| <= max|a| max|b| (top + 1) and a sign bit, so no slot carries
-into the next, and reading the slots back is exact.  A shorter or a
-longer product runs the schoolbook loop, which the tests hold the int
-route to.  Powers, ``** -1`` among them,
-run J.C.P. Miller's recurrence instead: one pass over the base's
-nonzero terms, O(L nnz) multiply-adds and an exact division per
-coefficient, so the power of a base with O(sqrt L) nonzero terms costs
-O(L^1.5), less than one product.  A power
+into the next, and reading the slots back is exact.  It runs for a
+product of count >= ``_KRONECKER_MIN`` coefficients whose slots are
+narrow for its length: size^3 < ``_KRONECKER_CUBE`` count, size in
+bytes.  Otherwise the schoolbook loop runs, which the tests hold the
+int route to.  Powers, ``** -1`` among them, run J.C.P. Miller's
+recurrence instead: one pass over the base's nonzero terms, O(L nnz)
+multiply-adds and an exact division per coefficient, so the power of a
+base with O(sqrt L) nonzero terms costs O(L^1.5), less than one
+product.  A power
 keeps the order the valuation-aware product would give it: order +
 (e - 1) v for e >= 1 and a base of valuation v, order for e <= 0.  This
 bookkeeping is what lets the differential-equation residual be
@@ -68,32 +69,39 @@ __all__ = [
 ]
 
 
-# Products of _KRONECKER_MIN <= top + 1 < _KRONECKER_MAX coefficients run as
-# one int multiply (``_kronecker``).  Below the window packing costs as much
-# as the loop (break-even near 20 coefficients); above it the row-loop
-# operands of p = 53 and 89, whose widths differ ten-fold, multiply faster
-# in the loop than packed (break-even near 240 coefficients at p = 53, and
-# from 180 to 230 at p = 89).
-_KRONECKER_MIN = 24
-_KRONECKER_MAX = 200
+# The int route multiplies two ints of count * size bytes (Karatsuba, about
+# (count size)^1.58 digit products), while the loop's count^2 / 2 pair
+# products cost little more for wide coefficients than for narrow ones.  So
+# the route pays for long products of narrow coefficients and loses on wide
+# slots, unbalanced pairs among them: K^-1 (tens of bits) times a row window
+# (hundreds) packs both operands at the product's width.  On the captured
+# operands of build, verify, scan, matrix 53 and 89, ode-check and series the
+# int route won where size^3 < 1024 count and lost above it; below 16
+# coefficients packing costs about as much as the loop.
+_KRONECKER_MIN = 16
+_KRONECKER_CUBE = 1024
 
 
 def _truncated_product(a, b, top):
     """Coefficients 0..top of the product of the series a and b (sequences).
 
     Both must hold at least top + 1 coefficients (``ValueError``
-    otherwise); a negative top gives [].  Inside the window
-    _KRONECKER_MIN <= top + 1 < _KRONECKER_MAX the product is one exact
-    int multiply (``_kronecker``), in slots whose width comes from the
-    bound |c_t| <= max|a| max|b| (top + 1); outside it, the schoolbook
-    loop below, which the tests hold the int route to.
+    otherwise); a negative top gives [].  Both operands are cut to
+    top + 1 coefficients, and the slot width for the int route comes from
+    the bound |c_t| <= max|a| max|b| (top + 1) (``_slot_bytes``).  With
+    at least _KRONECKER_MIN coefficients and size^3 < _KRONECKER_CUBE
+    (top + 1) the product is that one exact int multiply (``_kronecker``),
+    otherwise the schoolbook loop below, which the tests hold the int
+    route to.
     """
     count = top + 1
     if len(a) < count or len(b) < count:
         raise ValueError("a product to q^%d needs %d coefficients of each factor" % (top, count))
-    if _KRONECKER_MIN <= count < _KRONECKER_MAX:
+    if count >= _KRONECKER_MIN:
         a, b = a[:count], b[:count]
-        return _kronecker(a, b, _slot_bytes(a, b))
+        size = _slot_bytes(a, b)
+        if size**3 < _KRONECKER_CUBE * count:
+            return _kronecker(a, b, size)
     reverse = b[top::-1]  # b_top, ..., b_0
     return [sum(map(mul, a, reverse[top - t :])) for t in range(count)]
 
@@ -102,8 +110,8 @@ def _truncated_square(a, top):
     """Coefficients 0..top of the square of the series a (a sequence).
 
     It equals ``_truncated_product(a, a, top)`` and takes the same route
-    and the same refusal.  Inside the window the packed int is squared,
-    CPython's squaring path; outside it each pair a_i a_(t-i) with
+    and the same refusal.  On the int route the packed int is squared,
+    CPython's squaring path; on the loop each pair a_i a_(t-i) with
     i < t - i is summed once and doubled, and the middle square
     a_(t/2)^2 added for even t: about half the multiply-adds of the
     product loop.
@@ -111,9 +119,11 @@ def _truncated_square(a, top):
     count = top + 1
     if len(a) < count:
         raise ValueError("a square to q^%d needs %d coefficients" % (top, count))
-    if _KRONECKER_MIN <= count < _KRONECKER_MAX:
+    if count >= _KRONECKER_MIN:
         a = a[:count]
-        return _kronecker(a, a, _slot_bytes(a, a))
+        size = _slot_bytes(a, a)
+        if size**3 < _KRONECKER_CUBE * count:
+            return _kronecker(a, a, size)
     reverse = a[top::-1]  # a_top, ..., a_0
     out = []
     for t in range(count):

@@ -11,6 +11,7 @@ so lambda = 16 q (sum q^{k(k+1)})^4 / (1 + 2 sum q^{k^2})^4, computed with
 plain Fraction lists and none of the Series machinery.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from lambdaeq import PrimeParams, Series, lambda_series, xy_normalized_lemma
 from lambdaeq import qseries
 from lambdaeq.qseries import (
-    _KRONECKER_MAX,
+    _KRONECKER_CUBE,
     _KRONECKER_MIN,
     _kronecker,
     _slot_bytes,
@@ -223,9 +224,8 @@ def test_square_kernel_matches_the_product_kernel(c):
 
 # --- the int (Kronecker) route of both kernels, against the schoolbook loop ---
 
-# counts top + 1 at each edge of the window: the loop, the int route, the
-# int route, the loop
-EDGE_COUNTS = [_KRONECKER_MIN - 1, _KRONECKER_MIN, _KRONECKER_MAX - 1, _KRONECKER_MAX]
+# counts top + 1 either side of _KRONECKER_MIN, and two long ones
+EDGE_COUNTS = [_KRONECKER_MIN - 1, _KRONECKER_MIN, 199, 200]
 
 
 def pairwise_product(a, b, top):
@@ -238,14 +238,42 @@ def pairwise_product(a, b, top):
 
 
 def loop_route(monkeypatch, kernel, *args):
-    """The kernel's result with its window closed, so on the schoolbook loop."""
+    """The kernel's result with the int route closed, so on the schoolbook loop."""
     with monkeypatch.context() as patch:
-        patch.setattr(qseries, "_KRONECKER_MAX", 0)
+        patch.setattr(qseries, "_KRONECKER_MIN", 10**9)
         return kernel(*args)
+
+
+def int_route_calls(monkeypatch):
+    """Patch ``_kronecker`` to record each call; returns the record."""
+    calls = []
+
+    def spy(a, b, size):
+        calls.append((len(a), size))
+        return _kronecker(a, b, size)
+
+    monkeypatch.setattr(qseries, "_kronecker", spy)
+    return calls
 
 
 def random_coeffs(rng, count, bits, zeros=0.0):
     return [0 if rng.random() < zeros else rng.randint(-(2**bits), 2**bits) for _ in range(count)]
+
+
+def operands_at_slot(rng, count, size):
+    """Operands a (20-bit) and b of count + 4 coefficients, signs and zeros
+    mixed, whose product to q^(count-1) has exactly size-byte slots, and c
+    whose square has: each bound lies in [2^(8 size-2), 2^(8 size-1))."""
+    top_a = 2**20 - 1
+    top_b = -(-(1 << (8 * size - 2)) // (top_a * count))
+    top_c = math.isqrt((1 << (8 * size - 2)) // count) + 1
+    a, b, c = (
+        [rng.choice((-1, 0, 1)) * rng.randint(0, m) for _ in range(count + 4)]
+        for m in (top_a, top_b, top_c)
+    )
+    a[3], b[count - 1], c[5] = -top_a, top_b, -top_c
+    assert _slot_bytes(a[:count], b[:count]) == size == _slot_bytes(c[:count], c[:count])
+    return a, b, c
 
 
 @pytest.mark.parametrize("count", EDGE_COUNTS)
@@ -253,21 +281,51 @@ def random_coeffs(rng, count, bits, zeros=0.0):
     "bits_a, bits_b, zeros",
     [(8, 8, 0.0), (30, 30, 0.5), (1000, 1100, 0.1), (20, 800, 0.0), (800, 20, 0.3)],
 )
-def test_kernels_match_the_schoolbook_loop_at_the_window_edges(
-    monkeypatch, count, bits_a, bits_b, zeros
-):
+def test_int_route_matches_the_schoolbook_loop(monkeypatch, count, bits_a, bits_b, zeros):
     rng = random.Random(count * 7919 + bits_a + bits_b)
     top = count - 1
     # longer than top + 1: the tail must not reach the result
     a = random_coeffs(rng, count + 5, bits_a, zeros)
     b = random_coeffs(rng, count + 3, bits_b, zeros)
-    product = _truncated_product(a, b, top)
+    product = loop_route(monkeypatch, _truncated_product, a, b, top)
+    square = loop_route(monkeypatch, _truncated_square, a, top)
     assert product == pairwise_product(a, b, top)
-    assert product == loop_route(monkeypatch, _truncated_product, a, b, top)
-    square = _truncated_square(a, top)
     assert square == pairwise_product(a, a, top)
-    assert square == loop_route(monkeypatch, _truncated_square, a, top)
-    assert all(type(c) is int for c in product + square)
+    # the int route itself, at any width, and the kernels on whichever route
+    a, b = a[:count], b[:count]
+    assert _kronecker(a, b, _slot_bytes(a, b)) == product
+    assert _kronecker(a, a, _slot_bytes(a, a)) == square
+    assert _truncated_product(a, b, top) == product
+    assert _truncated_square(a, top) == square
+    assert all(type(c) is int for c in _kronecker(a, b, _slot_bytes(a, b)))
+
+
+# (count, slot bytes, route): the count edge, and the width edge
+# size^3 < _KRONECKER_CUBE count at 200 (58^3 < 204800 <= 59^3) and 1000
+ROUTE_EDGES = [
+    (_KRONECKER_MIN - 1, 4, "loop"),
+    (_KRONECKER_MIN, 4, "int"),
+    (200, 58, "int"),
+    (200, 59, "loop"),
+    (1000, 100, "int"),
+    (1000, 101, "loop"),
+]
+
+
+@pytest.mark.parametrize("count, size, route", ROUTE_EDGES)
+def test_kernels_take_the_int_route_below_the_width_edge(monkeypatch, count, size, route):
+    assert (count >= _KRONECKER_MIN and size**3 < _KRONECKER_CUBE * count) == (route == "int")
+    a, b, c = operands_at_slot(random.Random(count + size), count, size)
+    top = count - 1
+    product = loop_route(monkeypatch, _truncated_product, a, b, top)
+    square = loop_route(monkeypatch, _truncated_square, c, top)
+    if count <= 200:
+        assert product == pairwise_product(a, b, top)
+        assert square == pairwise_product(c, c, top)
+    calls = int_route_calls(monkeypatch)
+    assert _truncated_product(a, b, top) == product
+    assert _truncated_square(c, top) == square
+    assert calls == ([(count, size)] * 2 if route == "int" else [])
 
 
 @pytest.mark.parametrize("count", EDGE_COUNTS)
@@ -279,6 +337,7 @@ def test_kernels_on_zero_and_tuple_operands(count):
     assert _truncated_product(ones, zero, top) == zero
     assert _truncated_product(zero, zero, top) == zero
     assert _truncated_square(zero, top) == zero
+    assert _kronecker(zero, list(ones[:count]), 1) == _kronecker(zero, zero, 1) == zero
     assert _truncated_product(ones, ones, top) == pairwise_product(ones, ones, top)
     assert _truncated_square(ones, top) == pairwise_product(ones, ones, top)
     assert _truncated_product(ones, ones, -1) == _truncated_square(ones, -1) == []
@@ -286,7 +345,7 @@ def test_kernels_on_zero_and_tuple_operands(count):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    count=st.integers(_KRONECKER_MIN - 2, 64) | st.integers(_KRONECKER_MAX - 3, _KRONECKER_MAX),
+    count=st.integers(_KRONECKER_MIN - 2, 64) | st.integers(197, 200),
     bits=st.tuples(st.integers(0, 300), st.integers(0, 300)),
     seed=st.integers(0, 2**32),
 )
@@ -294,11 +353,14 @@ def test_int_route_matches_the_pairwise_product(count, bits, seed):
     rng = random.Random(seed)
     a = random_coeffs(rng, count, bits[0], zeros=0.3)
     b = random_coeffs(rng, count, bits[1], zeros=0.3)
-    assert _truncated_product(a, b, count - 1) == pairwise_product(a, b, count - 1)
-    assert _truncated_square(b, count - 1) == pairwise_product(b, b, count - 1)
+    product, square = pairwise_product(a, b, count - 1), pairwise_product(b, b, count - 1)
+    assert _truncated_product(a, b, count - 1) == product
+    assert _truncated_square(b, count - 1) == square
+    assert _kronecker(a, b, _slot_bytes(a, b)) == product
+    assert _kronecker(b, b, _slot_bytes(b, b)) == square
 
 
-@pytest.mark.parametrize("count", [_KRONECKER_MIN, _KRONECKER_MAX - 1])
+@pytest.mark.parametrize("count", [_KRONECKER_MIN, 199])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("bits", [20, 1000])
 def test_slot_width_is_what_makes_the_int_route_exact(count, sign, bits):
@@ -313,7 +375,7 @@ def test_slot_width_is_what_makes_the_int_route_exact(count, sign, bits):
     assert _kronecker(a, list(a), size - 1) != exact
 
 
-@pytest.mark.parametrize("count", [4, _KRONECKER_MIN, _KRONECKER_MAX - 1, _KRONECKER_MAX + 5])
+@pytest.mark.parametrize("count", [4, _KRONECKER_MIN, 199, 205])
 def test_kernels_refuse_operands_shorter_than_top_plus_one(count):
     top = count - 1
     full, short = list(range(1, count + 1)), list(range(5, count + 4))
@@ -328,14 +390,16 @@ def test_kernels_refuse_operands_shorter_than_top_plus_one(count):
     assert _truncated_product(full, padded, top) == pairwise_product(full, padded, top)
 
 
-def test_series_products_on_the_int_route():
+def test_series_products_on_the_int_route(monkeypatch):
     rng = random.Random(7)
     a = Series([0, 0] + random_coeffs(rng, 60, 40))
     b = Series([0] + random_coeffs(rng, 70, 90), 50)
+    calls = int_route_calls(monkeypatch)
     for x, y in ((a, b), (a, a), (b, b)):
         coeffs, order = schoolbook_product(x, y)
         prod = x * y
         assert (prod.coeffs, prod.order) == (coeffs, order)
+    assert len(calls) == 3
 
 
 @settings(max_examples=60, deadline=None)
