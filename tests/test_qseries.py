@@ -291,12 +291,12 @@ def test_int_route_matches_the_schoolbook_loop(monkeypatch, count, bits_a, bits_
     square = loop_route(monkeypatch, _truncated_square, a, top)
     assert product == pairwise_product(a, b, top)
     assert square == pairwise_product(a, a, top)
-    # the int route itself, at any width, and the kernels on whichever route
+    # the kernels on whichever route, and the int route itself at any width
+    assert _truncated_product(a, b, top) == product
+    assert _truncated_square(a, top) == square
     a, b = a[:count], b[:count]
     assert _kronecker(a, b, _slot_bytes(a, b)) == product
     assert _kronecker(a, a, _slot_bytes(a, a)) == square
-    assert _truncated_product(a, b, top) == product
-    assert _truncated_square(a, top) == square
     assert all(type(c) is int for c in _kronecker(a, b, _slot_bytes(a, b)))
 
 
