@@ -20,6 +20,7 @@ namespace.  The library it calls keeps no state between calls either.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -217,10 +218,16 @@ def _load_cached_matrix(path, p):
 
 def _store_cached_matrix(path, matrix):
     tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w") as fh:
-        json.dump(to_doc(matrix), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(to_doc(matrix), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write (a full disk, say) leaves no temp file behind
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _refuse_above(label, value, budget, why):

@@ -20,8 +20,9 @@ D^2 s - 5 (D^2 f)^2 for s = (D f)^2, and ``ode_residual`` evaluates
 
 six products and no power, where the expanded form takes nine products
 and the power (D f)^4.  Four of the six are squares, (D f)^2, (D^2 f)^2,
-s^2 and f^2, which the ring takes at about half the multiply-adds of a
-general product; g is written f - f^2 rather than f (1 - f) so that its
+s^2 and f^2: ``s * s`` passes one operand twice, so the product kernel
+sums each symmetric pair once, about half the multiply-adds of a
+general product.  g is written f - f^2 rather than f (1 - f) so that its
 product is one of them, with the same certified order (f's own, in
 either form).  The factored and expanded forms give the same
 coefficients and the same certified order: D^2 s is known as far as the product (D^3 f)(D f), and

@@ -9,9 +9,9 @@ product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
 order + valuation of the other factor).  A product strips both
 valuations and runs ``_truncated_product``, which ``modeq`` shares; a
-square, ``s * s`` with one object on both sides, runs
-``_truncated_square`` instead, which sums each symmetric pair once and
-so takes about half the multiply-adds.  Both kernels have two routes.
+square, ``s * s`` with one object on both sides, passes one sliced
+object as both operands, and the kernel then sums each symmetric pair
+once, about half the multiply-adds.  The kernel has two routes.
 The int route is one int multiply by Kronecker substitution: each
 operand is packed into one int, coefficient i in byte-aligned slot i,
 and slot t of the product is coefficient t.  The slot holds the bound
@@ -92,39 +92,25 @@ def _truncated_product(a, b, top):
     at least _KRONECKER_MIN coefficients and size^3 < _KRONECKER_CUBE
     (top + 1) the product is that one exact int multiply (``_kronecker``),
     otherwise the schoolbook loop below, which the tests hold the int
-    route to.
+    route to.  Passing one object as both a and b asks for a square: the
+    int route packs it once and squares the int, CPython's squaring path,
+    and the loop sums each pair a_i a_(t-i) with i < t - i once and
+    doubles it, adding the middle square a_(t/2)^2 for even t, about half
+    the multiply-adds of a product.
     """
     count = top + 1
     if len(a) < count or len(b) < count:
         raise ValueError("a product to q^%d needs %d coefficients of each factor" % (top, count))
+    square = a is b
     if count >= _KRONECKER_MIN:
-        a, b = a[:count], b[:count]
+        a = a[:count]
+        b = a if square else b[:count]
         size = _slot_bytes(a, b)
         if size**3 < _KRONECKER_CUBE * count:
             return _kronecker(a, b, size)
     reverse = b[top::-1]  # b_top, ..., b_0
-    return [sum(map(mul, a, reverse[top - t :])) for t in range(count)]
-
-
-def _truncated_square(a, top):
-    """Coefficients 0..top of the square of the series a (a sequence).
-
-    It equals ``_truncated_product(a, a, top)`` and takes the same route
-    and the same refusal.  On the int route the packed int is squared,
-    CPython's squaring path; on the loop each pair a_i a_(t-i) with
-    i < t - i is summed once and doubled, and the middle square
-    a_(t/2)^2 added for even t: about half the multiply-adds of the
-    product loop.
-    """
-    count = top + 1
-    if len(a) < count:
-        raise ValueError("a square to q^%d needs %d coefficients" % (top, count))
-    if count >= _KRONECKER_MIN:
-        a = a[:count]
-        size = _slot_bytes(a, a)
-        if size**3 < _KRONECKER_CUBE * count:
-            return _kronecker(a, a, size)
-    reverse = a[top::-1]  # a_top, ..., a_0
+    if not square:
+        return [sum(map(mul, a, reverse[top - t :])) for t in range(count)]
     out = []
     for t in range(count):
         start = top - t
@@ -259,13 +245,14 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         va = self.valuation()
-        if other is self:
-            order = self.order + va
-            product = _truncated_square(self.coeffs[va:], self.order - va)
-            return _ring_series([0] * (2 * va) + product, order)
-        vb = other.valuation()
+        a = self.coeffs[va:]
+        if other is self:  # one sliced object on both sides: the kernel squares it
+            vb, b = va, a
+        else:
+            vb = other.valuation()
+            b = other.coeffs[vb:]
         order = min(self.order + vb, other.order + va)
-        product = _truncated_product(self.coeffs[va:], other.coeffs[vb:], order - va - vb)
+        product = _truncated_product(a, b, order - va - vb)
         return _ring_series([0] * (va + vb) + product, order)
 
     __rmul__ = __mul__

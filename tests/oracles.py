@@ -24,9 +24,9 @@ powering on the valuation-aware product, and the inverse loop of a unit
 constant term.  ``expanded_ode_residual`` is the lambda ODE residual in
 its expanded 11-product form, the reference for the factored form of
 ``ode_residual``; it squares only distinct copies, so it never runs the
-square kernel that ``ode_residual`` relies on.  ``binary_power`` may
-square through that kernel: Miller's recurrence, which it is the
-reference for, never multiplies two series.
+square path of the product kernel that ``ode_residual`` relies on.
+``binary_power`` may square through that path: Miller's recurrence,
+which it is the reference for, never multiplies two series.
 
 ``chained_row1_moment_expectations`` is the row-1 moment closed forms as
 chained ``Fraction`` operations, the reference for the int route of
@@ -302,7 +302,7 @@ def binary_power(s, e):
 
 def _copy(s):
     """An equal ``Series`` that is a distinct object, so ``s * _copy(s)``
-    runs the general product kernel, not the square one."""
+    runs the product kernel as a general product, not as a square."""
     return Series(s.coeffs, s.order)
 
 
@@ -311,7 +311,7 @@ def expanded_ode_residual(f):
 
     The cleared lambda ODE residual multiplied out term by term.  Every
     square, (D f)^4 among them, multiplies two distinct copies, so the
-    general kernel is the reference for the squares of ``ode_residual``.
+    general product is the reference for the squares of ``ode_residual``.
     """
     d1 = f.qderiv()
     d2 = d1.qderiv()

@@ -223,6 +223,20 @@ def test_matrix_cache_dir_that_is_a_file_exits_2(tmp_path, capsys):
     assert blocker.read_text() == "not a directory"
 
 
+def test_matrix_cache_write_that_fails_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    import lambdaeq.cli as cli
+
+    monkeypatch.setattr(cli.json, "dump", full_disk)
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "matrix", "13", "--cache-dir", str(cache))
+    assert code == 2 and out == ""
+    assert "No space left on device" in err
+    assert os.listdir(cache) == []
+
+
 def test_verify_selected_checks(capsys):
     code, out, _ = run(capsys, "verify", "19", "--checks", "symmetry,rowsums")
     assert code == 0

@@ -83,11 +83,15 @@ def test_factored_residual_matches_the_expanded_form_on_random_series():
 
 
 def test_the_expanded_form_never_runs_the_square_kernel(monkeypatch):
-    # the pins above compare the production squares against the general kernel
-    def refuse(a, top):
-        raise AssertionError("the oracle reached the square kernel")
+    # the pins above compare the production squares against general products
+    kernel = qseries._truncated_product
 
-    monkeypatch.setattr(qseries, "_truncated_square", refuse)
+    def refuse_squares(a, b, top):
+        if a is b:
+            raise AssertionError("the oracle reached the square kernel")
+        return kernel(a, b, top)
+
+    monkeypatch.setattr(qseries, "_truncated_product", refuse_squares)
     expanded_ode_residual(lambda_series(30))
     with pytest.raises(AssertionError, match="square kernel"):
         ode_residual(30)

@@ -27,7 +27,6 @@ from lambdaeq.qseries import (
     _kronecker,
     _slot_bytes,
     _truncated_product,
-    _truncated_square,
 )
 from oracles import (
     binary_power,
@@ -204,7 +203,7 @@ int_series = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(a=int_series, b=int_series)
 def test_product_matches_schoolbook(a, b):
-    # a * a (one object on both sides) runs the square kernel
+    # a * a (one object on both sides) runs the kernel's square path
     for x, y in ((a, b), (a, a)):
         coeffs, order = schoolbook_product(x, y)
         prod = x * y
@@ -218,11 +217,13 @@ def test_product_matches_schoolbook(a, b):
 @settings(max_examples=200, deadline=None)
 @given(c=st.lists(st.integers(-99, 99), max_size=16))
 def test_square_kernel_matches_the_product_kernel(c):
+    # one object on both sides is a square; an equal copy is a product
     for top in range(-1, len(c)):
-        assert _truncated_square(c, top) == _truncated_product(c, c, top)
+        assert _truncated_product(c, c, top) == _truncated_product(c, list(c), top)
 
 
-# --- the int (Kronecker) route of both kernels, against the schoolbook loop ---
+# --- the int (Kronecker) route of the kernel, against the schoolbook loop ---
+# _truncated_product(x, x, top), one object on both sides, is a square
 
 # counts top + 1 either side of _KRONECKER_MIN, and two long ones
 EDGE_COUNTS = [_KRONECKER_MIN - 1, _KRONECKER_MIN, 199, 200]
@@ -245,11 +246,12 @@ def loop_route(monkeypatch, kernel, *args):
 
 
 def int_route_calls(monkeypatch):
-    """Patch ``_kronecker`` to record each call; returns the record."""
+    """Patch ``_kronecker`` to record each call as (count, size, b is a);
+    returns the record.  b is a means one packed operand: a square."""
     calls = []
 
     def spy(a, b, size):
-        calls.append((len(a), size))
+        calls.append((len(a), size, b is a))
         return _kronecker(a, b, size)
 
     monkeypatch.setattr(qseries, "_kronecker", spy)
@@ -288,12 +290,12 @@ def test_int_route_matches_the_schoolbook_loop(monkeypatch, count, bits_a, bits_
     a = random_coeffs(rng, count + 5, bits_a, zeros)
     b = random_coeffs(rng, count + 3, bits_b, zeros)
     product = loop_route(monkeypatch, _truncated_product, a, b, top)
-    square = loop_route(monkeypatch, _truncated_square, a, top)
+    square = loop_route(monkeypatch, _truncated_product, a, a, top)
     assert product == pairwise_product(a, b, top)
     assert square == pairwise_product(a, a, top)
     # the kernels on whichever route, and the int route itself at any width
     assert _truncated_product(a, b, top) == product
-    assert _truncated_square(a, top) == square
+    assert _truncated_product(a, a, top) == square
     a, b = a[:count], b[:count]
     assert _kronecker(a, b, _slot_bytes(a, b)) == product
     assert _kronecker(a, a, _slot_bytes(a, a)) == square
@@ -318,14 +320,14 @@ def test_kernels_take_the_int_route_below_the_width_edge(monkeypatch, count, siz
     a, b, c = operands_at_slot(random.Random(count + size), count, size)
     top = count - 1
     product = loop_route(monkeypatch, _truncated_product, a, b, top)
-    square = loop_route(monkeypatch, _truncated_square, c, top)
+    square = loop_route(monkeypatch, _truncated_product, c, c, top)
     if count <= 200:
         assert product == pairwise_product(a, b, top)
         assert square == pairwise_product(c, c, top)
     calls = int_route_calls(monkeypatch)
     assert _truncated_product(a, b, top) == product
-    assert _truncated_square(c, top) == square
-    assert calls == ([(count, size)] * 2 if route == "int" else [])
+    assert _truncated_product(c, c, top) == square
+    assert calls == ([(count, size, False), (count, size, True)] if route == "int" else [])
 
 
 @pytest.mark.parametrize("count", EDGE_COUNTS)
@@ -335,12 +337,12 @@ def test_kernels_on_zero_and_tuple_operands(count):
     ones = tuple([1, -1] * count)  # a tuple, as Series.coeffs, longer than top + 1
     assert _truncated_product(zero, ones, top) == zero
     assert _truncated_product(ones, zero, top) == zero
+    assert _truncated_product(zero, list(zero), top) == zero
     assert _truncated_product(zero, zero, top) == zero
-    assert _truncated_square(zero, top) == zero
     assert _kronecker(zero, list(ones[:count]), 1) == _kronecker(zero, zero, 1) == zero
+    assert _truncated_product(ones, list(ones), top) == pairwise_product(ones, ones, top)
     assert _truncated_product(ones, ones, top) == pairwise_product(ones, ones, top)
-    assert _truncated_square(ones, top) == pairwise_product(ones, ones, top)
-    assert _truncated_product(ones, ones, -1) == _truncated_square(ones, -1) == []
+    assert _truncated_product(ones, list(ones), -1) == _truncated_product(ones, ones, -1) == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,7 +357,7 @@ def test_int_route_matches_the_pairwise_product(count, bits, seed):
     b = random_coeffs(rng, count, bits[1], zeros=0.3)
     product, square = pairwise_product(a, b, count - 1), pairwise_product(b, b, count - 1)
     assert _truncated_product(a, b, count - 1) == product
-    assert _truncated_square(b, count - 1) == square
+    assert _truncated_product(b, b, count - 1) == square
     assert _kronecker(a, b, _slot_bytes(a, b)) == product
     assert _kronecker(b, b, _slot_bytes(b, b)) == square
 
@@ -384,7 +386,7 @@ def test_kernels_refuse_operands_shorter_than_top_plus_one(count):
     with pytest.raises(ValueError):
         _truncated_product(short, full, top)
     with pytest.raises(ValueError):
-        _truncated_square(short, top)
+        _truncated_product(short, short, top)
     # padded with a zero, the short operand gives the true low coefficients
     padded = short + [0]
     assert _truncated_product(full, padded, top) == pairwise_product(full, padded, top)
@@ -395,11 +397,54 @@ def test_series_products_on_the_int_route(monkeypatch):
     a = Series([0, 0] + random_coeffs(rng, 60, 40))
     b = Series([0] + random_coeffs(rng, 70, 90), 50)
     calls = int_route_calls(monkeypatch)
-    for x, y in ((a, b), (a, a), (b, b)):
+    # an equal copy of a is a distinct object, so a * copy is a product
+    for x, y in ((a, b), (a, a), (b, b), (a, Series(a.coeffs, a.order))):
         coeffs, order = schoolbook_product(x, y)
         prod = x * y
         assert (prod.coeffs, prod.order) == (coeffs, order)
-    assert len(calls) == 3
+    # a square packs one operand: Series.__mul__ slices its coefficients once
+    assert [is_square for _, _, is_square in calls] == [False, True, True, False]
+
+
+class CountingInt(int):
+    """An int that counts the multiplications it takes part in."""
+
+    calls = 0
+
+    def __mul__(self, other):
+        CountingInt.calls += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize("count", [1, 2, 9, _KRONECKER_MIN - 1, 40, 101])
+def test_square_on_the_loop_takes_about_half_the_multiplications(monkeypatch, count):
+    rng = random.Random(count)
+    a = [CountingInt(x) for x in random_coeffs(rng, count, 30)]
+    top = count - 1
+    counts = {}
+    for name, b in (("product", list(a)), ("square", a)):
+        CountingInt.calls = 0
+        result = loop_route(monkeypatch, _truncated_product, a, b, top)
+        counts[name] = CountingInt.calls
+        assert result == pairwise_product(a, a, top)
+    assert counts["product"] == count * (count + 1) // 2
+    assert counts["square"] <= count * count // 4 + count
+
+
+def test_series_square_passes_one_operand_to_the_kernel(monkeypatch):
+    # on the loop route too: below _KRONECKER_MIN, and with a valuation to strip
+    seen = []
+
+    def spy(a, b, top):
+        seen.append(a is b)
+        return _truncated_product(a, b, top)
+
+    monkeypatch.setattr(qseries, "_truncated_product", spy)
+    x, y = Series([0, 0, 3, -1, 4, 1]), Series([0, 2, 5, -7])
+    x * x, x * y, y * y, x * Series(x.coeffs, x.order), x * 3
+    assert seen == [True, False, True, False]
 
 
 @settings(max_examples=60, deadline=None)
