@@ -102,6 +102,19 @@ def b_series(p, max_l, u, v):
     return [Fraction(e_l, factorial(l) * d ** l) for l, e_l in enumerate(e)]
 
 
+# the packed ints of one group of power columns hold at most this many
+# bytes.  A term of a dot costs about the same up to ~128 bytes and then
+# grows with the width (~0.7 ns a byte past 256 bytes on a 2-core VM), so
+# only narrow slots gain from packing, and a wider cap would only keep a
+# longer history alive
+_PACKED_BYTES = 256
+
+
+def _slot_bytes(bound):
+    """Bytes per packed slot that hold every int in [0, bound]."""
+    return (bound.bit_length() + 7) // 8
+
+
 class BTable:
     """Integer columns [b_0(u, v), b_1(u, v), ...] of one prime p, grown on demand.
 
@@ -124,13 +137,41 @@ class BTable:
     b_2(1, 0) = 1/2 when n = 1) it fails as it should.
 
     A column of length L costs ~L^2/2 multiply-adds (~L^2/4 at v = 0).
-    Assembly of A_p reads only the m+1 columns b(2h, 0) to index m^2 and
-    the column b(-1, -1) to index m^2 - m, ~m^3 coefficients in ~m^5/4
-    multiply-adds, and combines them row by row, bottom-up in
-    K^{-1} = b(-1, -1) (see ``modeq``), in another ~m^5/6.
+
+    The m+1 power columns P^h = b(2h, 0), h = 0..m, that assembly,
+    ``_factor`` and the global check read come from ``powers`` instead,
+    grown together.  At odd k, k alpha_p(k) = sigma_1(k) + p sigma_1(k/p)
+    > 0, so every odd weight is negative (checked where the weights are
+    sieved).  Then (-1)^l b_l(u, 0) = sum over the partitions J of l into
+    odd parts of n^|J| u^|J| W_p(J), since |J| = l mod 2: a polynomial in
+    u with nonnegative coefficients and no constant term for l >= 1, so
+    |b_l(2h, 0)| and l |b_l(2h, 0)| / 2h = |dot of the odd weights with
+    b_{l-1}, b_{l-3}, ...| both grow with h, and every term of that dot
+    has the one sign (-1)^l.  P^0 = [1, 0, 0, ...] costs nothing and
+    P^m runs the scalar recurrence above.  P^1..P^{m-1} run in groups
+    of consecutive h, from the top down.  Column b, just above a group,
+    is already grown and bounds both numbers for every h < b, exactly;
+    that bound fixes the group's slot width.  Each index then takes one
+    dot of the positive weights n k alpha_p(k) with the packed ints
+    X_j = sum_h |b_j(2h, 0)| 2^(w (h - a)) over the group's slots h >= a
+    of w bits each, with no carry or borrow between slots, and each slot
+    is cut out, multiplied by 2h and divided by l with ``divmod`` as
+    above.  So a growth of the
+    power columns to index L costs one scalar column plus one packed dot
+    per index and group, ~L^2/4 multiply-adds each on wide ints where the
+    columns one by one took ~m L^2/4 on narrow ones.  A packed int holds
+    at most ``_PACKED_BYTES`` bytes; a slot wider than half of that runs
+    the scalar recurrence alone, since a group of one only adds work.  A
+    group's packed history is dropped when its growth ends.
+
+    Assembly of A_p reads only the m+1 power columns to index m^2 and
+    the column b(-1, -1) to index m^2 - m, ~m^3 coefficients in ~m^4/4
+    multiply-adds per packed group and for P^m (~m^5/4 one column at a
+    time), and combines them row by row, bottom-up in
+    K^{-1} = b(-1, -1) (see ``modeq``), in another ~m^5/6 multiply-adds.
     """
 
-    __slots__ = ("p", "n", "_odd", "_even", "_columns")
+    __slots__ = ("p", "n", "_odd", "_even", "_columns", "_powers")
 
     def __init__(self, p):
         self.p = p
@@ -138,12 +179,14 @@ class BTable:
         self._odd = []         # -n k alpha_p(k) at k = 1, 3, 5, ...
         self._even = []        # -n k alpha_p(k) at k = 2, 4, 6, ...
         self._columns = {}
+        self._powers = []      # P^0..P^m, built at the first ``powers`` call
 
     def column(self, u, v, top):
         """b_0..b_top at the integer point (u, v), as a list of ints.
 
         The list is the table's own column and may be longer than
-        top + 1; callers slice it and never modify it.
+        top + 1; callers slice it and never modify it.  It is independent
+        of ``powers``: a lone point (2h, 0) never builds the family.
         """
         try:
             u, v = index(u), index(v)
@@ -158,10 +201,29 @@ class BTable:
             self._grow(column, u, v, top)
         return column
 
+    def powers(self, top):
+        """The columns P^h = b(2h, 0) for h = 0..m, each to index top at least.
+
+        The list and its columns are the table's own, equal in length and
+        possibly longer than top + 1; callers slice them and never modify
+        them.  A read that needs no growth is one length check.
+        """
+        family = self._powers
+        if family and len(family[0]) > top:
+            return family
+        return self._grow_powers(top)
+
     def _grow(self, column, u, v, top):
         p, n = self.p, self.n
         if len(self._odd) + len(self._even) < top:
             g = k_alpha_prefix(p, top)
+            # the sign lemma of the packed power columns
+            bad = next((k for k in range(1, top + 1, 2) if g[k] <= 0), None)
+            if bad is not None:
+                raise ArithmeticError(
+                    "k alpha_p(k) = %d at odd k = %d for p = %d; it is sigma_1(k) + "
+                    "p sigma_1(k/p) > 0" % (g[bad], bad, p)
+                )
             self._odd = [-n * x for x in g[1::2]]
             self._even = [-n * x for x in g[2::2]]
         odd, even = self._odd, self._even
@@ -178,6 +240,61 @@ class BTable:
                     "b_%d(%d, %d) is not an integer for p = %d, n = %d" % (l, u, v, p, n)
                 )
             column.append(b_l)
+
+    def _grow_powers(self, top):
+        m = reduced(self.p)[0]
+        family = self._powers or [[1] for _ in range(m + 1)]
+        start = len(family[0])
+        self._grow(family[m], 2 * m, 0, top)  # sieves the weights first, and checks their sign
+        weights = [-w for w in self._odd]
+        b = m
+        while b > 1:
+            # slot h < b holds |b_l(2h, 0)| <= |b_l(2b, 0)| and its dot
+            # l |b_l(2h, 0)| / 2h <= l |b_l(2b, 0)| / 2b
+            above = family[b]
+            dots = map(mul, range(top + 1), map(abs, above))
+            size = _slot_bytes(max(max(map(abs, above)), max(dots) // (2 * b)))
+            count = min(b - 1, _PACKED_BYTES // size)
+            if count > 1:
+                self._grow_packed(family[b - count : b], b - count, size, weights, top)
+            else:
+                # a slot wider than half the cap would pack alone, which only adds work;
+                # the scalar column bounds the group below it all the same
+                count = 1
+                self._grow(family[b - 1], 2 * b - 2, 0, top)
+            b -= count
+        family[0] += [0] * (top + 1 - start)
+        self._powers = family
+        return family
+
+    def _grow_packed(self, columns, a, size, weights, top):
+        """Grow the columns P^a, P^(a+1), ... to index top as one packed recurrence."""
+        to_bytes, from_bytes = int.to_bytes, int.from_bytes
+        start = len(columns[0])
+        width = size * len(columns)
+        twice = range(2 * a, 2 * (a + len(columns)), 2)
+        cuts = [slice(i, i + size) for i in range(0, width, size)]
+
+        def pack(values):
+            return from_bytes(b"".join([to_bytes(x, size, "little") for x in values]), "little")
+
+        history = [pack(map(abs, row)) for row in zip(*columns)]
+        rows = []
+        for l in range(start, top + 1):
+            raw = to_bytes(sum(map(mul, weights, history[l - 1 :: -2])), width, "little")
+            # slot h - a of raw is the dot l |b_l(2h, 0)| / 2h
+            quotients, rems = zip(
+                *[divmod(t * from_bytes(raw[cut], "little"), l) for t, cut in zip(twice, cuts)]
+            )
+            if any(rems):
+                h = a + next(j for j, rem in enumerate(rems) if rem)
+                raise IntegralityError(
+                    "b_%d(%d, 0) is not an integer for p = %d, n = %d" % (l, 2 * h, self.p, self.n)
+                )
+            history.append(pack(quotients))
+            rows.append(quotients)
+        for column, values in zip(columns, zip(*rows)):
+            column += [-x if l & 1 else x for l, x in enumerate(values, start)]
 
 
 def p_poly(s, m):

@@ -63,10 +63,10 @@ MAX_ORDER = 2500
 
 # scan solves one row-1 block per odd prime, with m up to (p+1)/2.  Each
 # class n shares one b-table and one factorization, built to the class's
-# largest m = M: ~M^3/4 multiply-adds for the columns and ~M^3/3
-# subtractions for the forward differences, once per class, so its time
-# grows like max-p^3; each prime adds O(m^2).  --max-p 400 took
-# 0.55-0.65 s on a 2-core VM, ten runs (see README).
+# largest m = M: ~M^2/4 multiply-adds per packed group of power columns
+# (see bpoly.BTable) and ~M^3/3 subtractions for the forward differences,
+# once per class, so its time grows like max-p^3; each prime adds O(m^2).
+# --max-p 400 took 0.69-1.16 s on a busy 2-core VM, ten runs (see README).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits
@@ -78,7 +78,7 @@ MAX_PVALS_SUM = 400
 # seconds on a 2-core VM, timed as one CLI process each.
 
 # ode-check builds lambda and takes six products of series of length
-# order, four of them squares: --order 1000 took 0.42-0.69 s over ten runs.
+# order, four of them squares: --order 1000 took 0.38-0.65 s over ten runs.
 MAX_ODE_ORDER = 1000
 
 # series lambda --order 2000 took 0.40-0.42 s (two powers of the sparse

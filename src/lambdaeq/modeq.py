@@ -33,7 +33,15 @@ Every b_l(r+2h, r) comes from one integer table per prime, ``BTable(p)``:
 k alpha_p(k) is an integer (``arith.k_alpha``; the table sieves all of
 k = 1..top at once with ``arith.k_alpha_prefix``), so the recurrence
 runs on ints, and its exact division by l checks the integrality of the
-eta-quotient coefficients at every step (see ``bpoly.BTable``).
+eta-quotient coefficients at every step (see ``bpoly.BTable``).  The
+m+1 power columns P^h = b(2h, 0) that assembly, ``_factor`` and the
+global check read grow together (``BTable.powers``): P^0 = 1 is
+written out, P^m runs the one-column recurrence, and the rest run as
+one recurrence on packed ints, one dot per index for a group of
+columns.  Every odd weight -n k alpha_p(k) is negative, so every term
+of a dot has one sign and |b_l(2h, 0)| grows with h; the column above a
+group bounds its slots exactly, and no slot carries into the next.
+Every other point, and a lone b(2h, 0), is a column of its own.
 
 Assembly does not need a full column for every point (r+2h, r).  The
 generating function sum_l b_l(u, v) q^l is exp(sum_k w_k q^k / k) and
@@ -86,9 +94,11 @@ K^{-1} to m - 1.  So the table of the class's largest prime p_top, which
 ``_factor`` reads to M = m(p_top) < p_top, equals the table of p at every
 index p reads.  ``_factor`` on p_top checks rows l <= M over h <= M, and
 each prime's C is the leading (m+1) block of that C, so each prime's
-factorization is still proved, by the same numbers.  The M + 1 columns
-cost ~M^3/4 multiply-adds and the differences ~M^3/3 subtractions, once
-per class; each prime adds its power and its solve, O(m^2).
+factorization is still proved, by the same numbers.  The M + 1 power
+columns cost ~M^2/4 multiply-adds each for P^M and for every packed
+group (~M^3/4 one column at a time) and the differences ~M^3/3
+subtractions, once per class; each prime adds its power and its solve,
+O(m^2).
 
 The blocks C_i are solved in ints too, through one factorization
 C = L U.  In b_l(u, v) a partition J of l contributes a term of degree
@@ -276,8 +286,9 @@ def scan_row1(primes):
     only for its power ``_row0_power``, its solve (forward substitution
     and a Taylor shift, O(m^2)) and, in ``cli``, its moment check, whose
     P_1(m) and P_2(m) are closed forms; the weights cost one divisor
-    sieve, and the columns and differences ~M^3/4 and ~M^3/3 once per
-    class, with M = m(p_top).  A ``FactorizationError`` of a class names
+    sieve, and the power columns and differences ~M^2/4 multiply-adds
+    per packed group and ~M^3/3 subtractions once per class, with
+    M = m(p_top).  A ``FactorizationError`` of a class names
     p_top.
     """
     primes = [PrimeParams(p) for p in primes]
@@ -320,8 +331,7 @@ def _factor(params, table):
     order: the first bad (l, h) is the one a row-by-row pass would find.
     """
     m, n = params.m, params.n
-    columns = [table.column(2 * h, 0, m)[: m + 1] for h in range(m + 1)]
-    rows = list(zip(*columns))
+    rows = list(zip(*[column[: m + 1] for column in table.powers(m)[: m + 1]]))
     step = max(1, _FLAT_ENTRIES // (m + 1))
     lower = []
     for start in range(0, m + 1, step):
@@ -397,13 +407,16 @@ def _solve_leading(params, i, lower, rhs):
 def _add_row_series(window, weight, head, table):
     """window + weight A(P), A(P) = sum_h head[h] P^h, to the window's last index.
 
-    Each P^h is the column b(2h, 0), read to that index.
+    Each P^h is the power column b(2h, 0), read to that index; P^0 = 1
+    adds head[0] at index 0 alone.
     """
-    top = len(window) - 1
-    for h, a in enumerate(head):
+    powers = table.powers(len(window) - 1)
+    window = list(window)
+    window[0] += weight * head[0]
+    for a, power in zip(head[1:], powers[1:]):
         if a:
             coef = weight * a
-            window = [x + coef * b for x, b in zip(window, table.column(2 * h, 0, top))]
+            window = [x + coef * b for x, b in zip(window, power)]
     return window
 
 
@@ -415,7 +428,7 @@ def _row0_power(params, table):
     the m coefficients P_1..P_m on the integer ``Series`` ring.
     """
     m = params.m
-    power = Series(table.column(2, 0, m)[1 : m + 1]) ** m
+    power = Series(table.powers(m)[1][1 : m + 1]) ** m
     return [0] * m + [(-1) ** m * c for c in power.coeffs]
 
 
@@ -608,15 +621,16 @@ def verify_global_vanish(matrix, order=None, table=None):
     order = global_order(params, order)
     table = _table_for(params, table)
     kernel = table.column(1, 1, order - m)
+    powers = table.powers(order)
     weight = 2 ** n
     acc = None
     for i in range(m, -1, -1):
-        # acc = A_i(P) + 2^n q^m K acc, to index order - m*i
+        # acc = A_i(P) + 2^n q^m K acc, to index order - m*i; P^0 = 1 adds a_{i,0} at index 0
         top = order - m * i
-        series = [0] * (top + 1)
-        for h, a in enumerate(matrix.entries[i]):
+        row = matrix.entries[i]
+        series = [row[0]] + [0] * top
+        for a, power in zip(row[1:], powers[1:]):
             if a:
-                power = table.column(2 * h, 0, top)
                 series = [x + a * b for x, b in zip(series, power)]
         if acc is not None:
             product = _truncated_product(kernel, acc, top - m)

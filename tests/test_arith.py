@@ -150,3 +150,11 @@ def test_k_alpha_prefix_is_the_per_k_route(p):
     assert k_alpha_prefix(p, 0) == [0]
     with pytest.raises(ValueError):
         k_alpha_prefix(p, -1)
+
+
+def test_k_alpha_prefix_is_positive_at_odd_k():
+    # k alpha_p(k) = sigma_1(k) + p sigma_1(k/p) at odd k: the sign lemma that
+    # fixes the slot width of the packed power columns (bpoly.BTable.powers)
+    for p in filter(is_odd_prime, range(3, 1000)):
+        prefix = k_alpha_prefix(p, 4 * p + 4)
+        assert all(w > 0 for w in prefix[1::2]), p

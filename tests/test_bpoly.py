@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lambdaeq.bpoly as bpoly
 from lambdaeq import (
     ENUMERATION_THRESHOLD,
     BTable,
@@ -365,3 +366,104 @@ def test_table_raises_at_the_first_non_integer_coefficient():
 def test_table_refuses_non_integer_points(u, v):
     with pytest.raises(ValueError):
         BTable(5).column(u, v, 3)
+
+
+def _scalar_powers(p, top):
+    """P^0..P^m by the one-column recurrence, on a table of their own."""
+    table = BTable(p)
+    return [table.column(2 * h, 0, top)[: top + 1] for h in range(PrimeParams(p).m + 1)]
+
+
+POWER_PRIMES = [p for p in filter(is_odd_prime, range(3, 220)) if PrimeParams(p).m <= 27]
+
+
+@pytest.mark.parametrize("p", POWER_PRIMES)
+def test_powers_match_the_scalar_columns_at_once_and_in_two_steps(p):
+    m = PrimeParams(p).m
+    top = m * m + 2 * m
+    expected = _scalar_powers(p, top)
+    at_once = BTable(p).powers(top)
+    stepped = BTable(p)
+    first = stepped.powers(m * m)
+    assert [column[: m * m + 1] for column in first] == [c[: m * m + 1] for c in expected]
+    second = stepped.powers(top)
+    assert second is first  # the family grows in place
+    assert at_once == second == expected
+    assert all(type(x) is int for column in second for x in column)
+    assert stepped.powers(m) is first  # a shorter read grows nothing
+    assert [len(column) for column in first] == [top + 1] * (m + 1)
+
+
+@pytest.mark.parametrize("cap", [16, 48, 200, 10**9])
+@pytest.mark.parametrize("p", [7, 13, 43, 191])  # (m, n) = (1, 1), (7, 4), (11, 2), (24, 1)
+def test_powers_are_exact_in_groups_of_every_size(p, cap, monkeypatch):
+    # a cap of 16 bytes packs no slot (each P^h runs the scalar recurrence),
+    # 48 and 200 split the slots into groups, 10^9 packs all m - 1 at once
+    monkeypatch.setattr(bpoly, "_PACKED_BYTES", cap)
+    m = PrimeParams(p).m
+    table = BTable(p)
+    table.powers(m)
+    assert table.powers(m * m) == _scalar_powers(p, m * m)
+
+
+@pytest.mark.parametrize("p", [23, 31, 43, 71, 79])
+def test_power_slots_one_byte_short_of_the_bound_break(p, monkeypatch):
+    # the width is exact: one byte less overflows a slot at these primes
+    slot_bytes = bpoly._slot_bytes
+    monkeypatch.setattr(bpoly, "_slot_bytes", lambda bound: slot_bytes(bound) - 1)
+    m = PrimeParams(p).m
+    try:
+        family = BTable(p).powers(m * m)
+    except (OverflowError, IntegralityError):
+        return
+    assert family != _scalar_powers(p, m * m)
+
+
+def test_a_non_negative_odd_weight_raises_before_any_packing(monkeypatch):
+    sieve = bpoly.k_alpha_prefix
+
+    def forced(p, top):
+        weights = sieve(p, top)
+        weights[5] = 0  # the odd weight -n 5 alpha_p(5) becomes 0
+        return weights
+
+    packed = []
+    monkeypatch.setattr(bpoly, "k_alpha_prefix", forced)
+    monkeypatch.setattr(BTable, "_grow_packed", lambda *args: packed.append(args))
+    table = BTable(13)
+    with pytest.raises(ArithmeticError, match="odd k = 5"):
+        table.powers(49)
+    assert packed == [] and table._powers == []
+    with pytest.raises(ArithmeticError, match="odd k = 5"):
+        table.column(2, 0, 10)
+
+
+def test_a_lone_power_point_builds_no_family():
+    # series xy reads one column b(2h, 0); m may be ~10^11 there
+    table = BTable(10**12 - 11)
+    assert table.column(2, 0, 10) == b_series(table.p, 10, 2, 0)
+    assert table._powers == []
+
+
+def test_p0_is_written_out_not_grown(monkeypatch):
+    # P^0 = [1, 0, 0, ...] costs no recurrence step, so no divmod on zeros
+    grown = []
+    grow = BTable._grow
+
+    def spy(self, column, u, v, top):
+        grown.append((u, v))
+        grow(self, column, u, v, top)
+
+    monkeypatch.setattr(BTable, "_grow", spy)
+    family = BTable(13).powers(49)
+    assert family[0] == [1] + [0] * 49
+    assert (0, 0) not in grown
+
+
+def test_packed_step_raises_at_a_non_integer_coefficient():
+    # weights n k alpha_p(k) = 1, 2 at k = 1, 3 give 3 b_3(2h, 0) = 2h (b_2 + 2),
+    # with b_2(2, 0) = 2 and b_2(4, 0) = 8: no integer at h = 1 or 2
+    columns = [[1], [1]]
+    with pytest.raises(IntegralityError, match=r"^b_3\(2, 0\) is not an integer"):
+        BTable(13)._grow_packed(columns, 1, 8, [1, 2], 3)
+    assert columns == [[1], [1]]

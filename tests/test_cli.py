@@ -383,6 +383,20 @@ def test_series_xy(capsys):
     assert out.startswith("1 - 6*q")
 
 
+def test_series_xy_at_a_huge_prime_reads_one_column(capsys):
+    # m ~ 1.25 * 10^11 here: a lone b(2h, 0) must not build the power family
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "series", "xy", "--p", "999999999989", "--i", "0", "--h", "1", "--order", "10"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out == (
+        "1 - 8*q + 32*q^2 - 96*q^3 + 256*q^4 - 624*q^5 + 1408*q^6 - 3008*q^7 + 6144*q^8"
+        " - 12072*q^9 + 22976*q^10 + O(q^11)\n"
+    )
+
+
 def test_series_xy_needs_p(capsys):
     code, _, err = run(capsys, "series", "xy", "--order", "3")
     assert code == 2
@@ -487,6 +501,14 @@ LARGE_M_SHA256 = {
     ("verify", "23"): "465f9974c35ebb7c3b827cb4fb7863a8cb96e084d0e6bc6b53b6d3aed13ec058",
     ("scan", "--max-p", "199"):
         "7492ca7d57c703e0d01952a3a2bbac49b8375851a496223fade4a9ce0acb2c64",
+}
+
+
+# stdout at m = 48, the MAX_M edge, where the power family is widest; it
+# takes 15-20 s, so CI checks it on the installed entry point, not tier-1
+MAX_M_SHA256 = {
+    ("matrix", "383", "--format", "structured"):
+        "ab424991e27dfc93add215e43307552ab08d2ee2caa718e9f978426976520dee",
 }
 
 
@@ -680,8 +702,24 @@ def _corrupt_column(monkeypatch, point, index):
     monkeypatch.setattr(BTable, "column", corrupted)
 
 
+def _corrupt_power(monkeypatch, h, index):
+    """Make every b-table return the power column P^h with entry ``index`` off by one."""
+    from lambdaeq import BTable
+
+    powers = BTable.powers
+
+    def corrupted(self, top):
+        family = powers(self, top)[:]
+        if len(family) > h and len(family[h]) > index:
+            family[h] = family[h][:]
+            family[h][index] += 1
+        return family
+
+    monkeypatch.setattr(BTable, "powers", corrupted)
+
+
 def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
-    _corrupt_column(monkeypatch, (6, 0), 2)  # entry (l, h) = (2, 3) of C for p = 13
+    _corrupt_power(monkeypatch, 3, 2)  # entry (l, h) = (2, 3) of C for p = 13
     code, out, err = run(capsys, "verify", "13")
     assert code == 1
     assert out == ""
@@ -693,7 +731,7 @@ def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
 def test_scan_stops_at_the_first_prime_of_a_broken_class(monkeypatch, capsys):
     # column h = 8 of C: of the classes of --max-p 23, only n = 4 reads it
     # (p_top = 17, m = 9), and its first prime, 5, comes right after 3 (n = 2)
-    _corrupt_column(monkeypatch, (16, 0), 2)
+    _corrupt_power(monkeypatch, 8, 2)
     code, out, err = run(capsys, "scan", "--max-p", "23")
     assert code == 1
     assert [line.split()[0] for line in out.splitlines()] == ["p=3"]
@@ -774,7 +812,11 @@ def tables(monkeypatch):
 
 
 def column_lengths(table):
-    return {key: len(column) for key, column in table._columns.items()}
+    """Column lengths by point: the power family's P^h at (2h, 0), then every other column."""
+    lengths = {(2 * h, 0): len(column) for h, column in enumerate(table._powers)}
+    assert lengths.keys().isdisjoint(table._columns)  # no point has two columns
+    lengths.update((key, len(column)) for key, column in table._columns.items())
+    return lengths
 
 
 def factored_layout(m, power_top):

@@ -61,6 +61,15 @@ from oracles import (
     with_entry,
 )
 
+
+def column_lengths(table):
+    """Column lengths by point: the power family's P^h at (2h, 0), then every other column."""
+    lengths = {(2 * h, 0): len(column) for h, column in enumerate(table._powers)}
+    assert lengths.keys().isdisjoint(table._columns)  # no point has two columns
+    lengths.update((key, len(column)) for key, column in table._columns.items())
+    return lengths
+
+
 A5 = ((1, -3, 3, -1), (-3, -26, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A11 = ((1, -3, 3, -1), (-3, -10, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
 A23 = ((1, -3, 3, -1), (-3, 2, -3, 0), (3, -3, 0, 0), (-1, 0, 0, 0))
@@ -273,7 +282,7 @@ def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
     # row 0's series from the intact columns: a perturbed entry would make
     # their later coefficients fail the table's own integrality check
     window = _add_row_series([0] * (m * i + m - i + 1), 1, row0(m), table)
-    table.column(2 * h, 0, m)[l] += 1  # the table's own list
+    table.powers(m)[h][l] += 1  # the table's own list
     message = r"C of A_%d: row l=%d of \[b_l\(2h, 0\)\] " % (p, l)
     with pytest.raises(FactorizationError, match=message):
         _solve_rows(params, table, i, window, _factor(params, table))
@@ -566,10 +575,9 @@ def test_solve_row1_reads_no_column_past_index_m(monkeypatch):
     for p in (7, 11, 13, 53):
         ((params, _),) = scan_row1([p])
         m = params.m
-        lengths = {key: len(column) for key, column in built[-1]._columns.items()}
         layout = {(2 * h, 0): m + 1 for h in range(m + 1)}
         layout[(-1, -1)] = m
-        assert lengths == layout, p
+        assert column_lengths(built[-1]) == layout, p
     assert len(built) == 4
 
 
@@ -712,6 +720,8 @@ def test_flat_factor_fails_like_the_rowwise_route(p):
         bad_entries += [(step - 1, m, 1), (step, 0, -1)]
     for l, h, delta in bad_entries:
         table = BTable(p)
+        # _factor reads the power family, the rowwise oracle the scalar column
+        table.powers(m)[h][l] += delta
         table.column(2 * h, 0, m)[l] += delta
         with pytest.raises(FactorizationError) as flat:
             _factor(params, table)
@@ -950,10 +960,10 @@ def test_one_table_serves_assembly_dets_and_global():
     table = BTable(params.p)
     matrix = assemble(19, table)
     assert matrix.entries == REFERENCE[19]
-    grown = {key: len(col) for key, col in table._columns.items()}
+    grown = column_lengths(table)
     assert verify_block_determinants(params, table).passed
     # dets adds the heads b(i+2h, i), i >= 1, and leaves assembly's columns as they were
-    after = {key: len(col) for key, col in table._columns.items()}
+    after = column_lengths(table)
     assert {key: after[key] for key in grown} == grown
     assert all(i >= 1 and (u - i) % 2 == 0 for u, i in set(after) - set(grown))
     assert verify_global_vanish(matrix, table=table).passed
