@@ -103,10 +103,10 @@ def b_series(p, max_l, u, v):
 
 
 # the packed ints of one group of power columns hold at most this many
-# bytes.  A term of a dot costs about the same up to ~128 bytes and then
-# grows with the width (~0.7 ns a byte past 256 bytes on a 2-core VM), so
-# only narrow slots gain from packing, and a wider cap would only keep a
-# longer history alive
+# bytes, unless one slot alone is wider.  A term of a dot costs about the
+# same up to ~128 bytes and then grows with the width (~0.7 ns a byte past
+# 256 bytes on a 2-core VM), so only narrow slots share a packed int, and
+# a wider cap would only keep a longer history alive
 _PACKED_BYTES = 256
 
 
@@ -121,16 +121,15 @@ class BTable:
     Each column is computed once and extended only when a longer prefix
     is asked for, so every consumer of one table shares the work.  At
     integer (u, v) the weights w_k = -n * scale * (k alpha_p(k)) are
-    integers.  The table keeps -n k alpha_p(k) for k = 1..top, from one
+    integers.  The table keeps n k alpha_p(k) for k = 1..top, from one
     divisor sieve (``arith.k_alpha_prefix``), split once into an odd-k
     and an even-k list; it sieves and splits again only when a column
-    reaches past them.  Step l is then u times the dot of the odd list
-    with b_{l-1}, b_{l-3}, ..., plus v times the dot of the even list
+    reaches past them.  Step l is then -u times the dot of the odd list
+    with b_{l-1}, b_{l-3}, ..., minus v times the dot of the even list
     with b_{l-2}, b_{l-4}, ... when v != 0: no weight list is built per
     column, and at v = 0, as for the columns b(2h, 0), only the odd list
-    is read, which halves the work; at u = 0 the odd dot is skipped, so
-    the column b(0, 0) = [1, 0, 0, ...] costs no dots.  The recurrence
-    runs on ints and divides by l with ``divmod``; a nonzero remainder raises
+    is read, which halves the work.  The recurrence runs on ints and
+    divides by l with ``divmod``; a nonzero remainder raises
     ``IntegralityError``, which makes every step an integrality check.
     At the points (r+2h, r) the b_l are integer eta-quotient
     coefficients and the check always holds; elsewhere (e.g.
@@ -141,8 +140,9 @@ class BTable:
     The m+1 power columns P^h = b(2h, 0), h = 0..m, that assembly,
     ``_factor`` and the global check read come from ``powers`` instead,
     grown together.  At odd k, k alpha_p(k) = sigma_1(k) + p sigma_1(k/p)
-    > 0, so every odd weight is negative (checked where the weights are
-    sieved).  Then (-1)^l b_l(u, 0) = sum over the partitions J of l into
+    > 0, so every stored odd weight is positive and every odd w_k at
+    u > 0 negative (checked where the weights are sieved).  Then
+    (-1)^l b_l(u, 0) = sum over the partitions J of l into
     odd parts of n^|J| u^|J| W_p(J), since |J| = l mod 2: a polynomial in
     u with nonnegative coefficients and no constant term for l >= 1, so
     |b_l(2h, 0)| and l |b_l(2h, 0)| / 2h = |dot of the odd weights with
@@ -152,17 +152,18 @@ class BTable:
     of consecutive h, from the top down.  Column b, just above a group,
     is already grown and bounds both numbers for every h < b, exactly;
     that bound fixes the group's slot width.  Each index then takes one
-    dot of the positive weights n k alpha_p(k) with the packed ints
+    dot of the stored odd weights with the packed ints
     X_j = sum_h |b_j(2h, 0)| 2^(w (h - a)) over the group's slots h >= a
     of w bits each, with no carry or borrow between slots, and each slot
     is cut out, multiplied by 2h and divided by l with ``divmod`` as
     above.  So a growth of the
     power columns to index L costs one scalar column plus one packed dot
     per index and group, ~L^2/4 multiply-adds each on wide ints where the
-    columns one by one took ~m L^2/4 on narrow ones.  A packed int holds
-    at most ``_PACKED_BYTES`` bytes; a slot wider than half of that runs
-    the scalar recurrence alone, since a group of one only adds work.  A
-    group's packed history is dropped when its growth ends.
+    columns one by one took ~m L^2/4 on narrow ones.  Every P^1..P^{m-1}
+    takes this one route: a group packs as many slots as fit in
+    ``_PACKED_BYTES`` bytes, and at least one, so a slot wider than half
+    of that is a group of one.  A group's packed history is dropped when
+    its growth ends.
 
     Assembly of A_p reads only the m+1 power columns to index m^2 and
     the column b(-1, -1) to index m^2 - m, ~m^3 coefficients in ~m^4/4
@@ -176,8 +177,8 @@ class BTable:
     def __init__(self, p):
         self.p = p
         self.n = reduced(p)[1]
-        self._odd = []         # -n k alpha_p(k) at k = 1, 3, 5, ...
-        self._even = []        # -n k alpha_p(k) at k = 2, 4, 6, ...
+        self._odd = []         # n k alpha_p(k) at k = 1, 3, 5, ...
+        self._even = []        # n k alpha_p(k) at k = 2, 4, 6, ...
         self._columns = {}
         self._powers = []      # P^0..P^m, built at the first ``powers`` call
 
@@ -224,16 +225,15 @@ class BTable:
                     "k alpha_p(k) = %d at odd k = %d for p = %d; it is sigma_1(k) + "
                     "p sigma_1(k/p) > 0" % (g[bad], bad, p)
                 )
-            self._odd = [-n * x for x in g[1::2]]
-            self._even = [-n * x for x in g[2::2]]
+            self._odd = [n * x for x in g[1::2]]
+            self._even = [n * x for x in g[2::2]]
         odd, even = self._odd, self._even
         for l in range(len(column), top + 1):
-            # w_1 b_{l-1} + w_2 b_{l-2} + ... with w_k = u odd[k // 2] or v even[k // 2 - 1];
-            # at u = 0 the odd dot is skipped, so b(0, 0) = [1, 0, 0, ...] costs no dots;
+            # w_1 b_{l-1} + w_2 b_{l-2} + ... with w_k = -u odd[k // 2] or -v even[k // 2 - 1];
             # at l = 1 there is no even term, and the slice from l - 2 = -1 would wrap
-            total = u * sum(map(mul, odd, column[l - 1 :: -2])) if u else 0
+            total = -u * sum(map(mul, odd, column[l - 1 :: -2]))
             if v and l > 1:
-                total += v * sum(map(mul, even, column[l - 2 :: -2]))
+                total -= v * sum(map(mul, even, column[l - 2 :: -2]))
             b_l, rem = divmod(total, l)
             if rem:
                 raise IntegralityError(
@@ -246,7 +246,6 @@ class BTable:
         family = self._powers or [[1] for _ in range(m + 1)]
         start = len(family[0])
         self._grow(family[m], 2 * m, 0, top)  # sieves the weights first, and checks their sign
-        weights = [-w for w in self._odd]
         b = m
         while b > 1:
             # slot h < b holds |b_l(2h, 0)| <= |b_l(2b, 0)| and its dot
@@ -254,22 +253,17 @@ class BTable:
             above = family[b]
             dots = map(mul, range(top + 1), map(abs, above))
             size = _slot_bytes(max(max(map(abs, above)), max(dots) // (2 * b)))
-            count = min(b - 1, _PACKED_BYTES // size)
-            if count > 1:
-                self._grow_packed(family[b - count : b], b - count, size, weights, top)
-            else:
-                # a slot wider than half the cap would pack alone, which only adds work;
-                # the scalar column bounds the group below it all the same
-                count = 1
-                self._grow(family[b - 1], 2 * b - 2, 0, top)
+            # a slot wider than the cap is a group of one
+            count = max(1, min(b - 1, _PACKED_BYTES // size))
+            self._grow_packed(family[b - count : b], b - count, size, top)
             b -= count
         family[0] += [0] * (top + 1 - start)
         self._powers = family
         return family
 
-    def _grow_packed(self, columns, a, size, weights, top):
+    def _grow_packed(self, columns, a, size, top):
         """Grow the columns P^a, P^(a+1), ... to index top as one packed recurrence."""
-        to_bytes, from_bytes = int.to_bytes, int.from_bytes
+        odd, to_bytes, from_bytes = self._odd, int.to_bytes, int.from_bytes
         start = len(columns[0])
         width = size * len(columns)
         twice = range(2 * a, 2 * (a + len(columns)), 2)
@@ -281,7 +275,7 @@ class BTable:
         history = [pack(map(abs, row)) for row in zip(*columns)]
         rows = []
         for l in range(start, top + 1):
-            raw = to_bytes(sum(map(mul, weights, history[l - 1 :: -2])), width, "little")
+            raw = to_bytes(sum(map(mul, odd, history[l - 1 :: -2])), width, "little")
             # slot h - a of raw is the dot l |b_l(2h, 0)| / 2h
             quotients, rems = zip(
                 *[divmod(t * from_bytes(raw[cut], "little"), l) for t, cut in zip(twice, cuts)]

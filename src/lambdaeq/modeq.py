@@ -38,9 +38,10 @@ m+1 power columns P^h = b(2h, 0) that assembly, ``_factor`` and the
 global check read grow together (``BTable.powers``): P^0 = 1 is
 written out, P^m runs the one-column recurrence, and the rest run as
 one recurrence on packed ints, one dot per index for a group of
-columns.  Every odd weight -n k alpha_p(k) is negative, so every term
-of a dot has one sign and |b_l(2h, 0)| grows with h; the column above a
-group bounds its slots exactly, and no slot carries into the next.
+columns (a slot too wide to share a packed int is a group of one).
+Every odd weight n k alpha_p(k) is positive, so every term of a dot
+has one sign and |b_l(2h, 0)| grows with h; the column above a group
+bounds its slots exactly, and no slot carries into the next.
 Every other point, and a lone b(2h, 0), is a column of its own.
 
 Assembly does not need a full column for every point (r+2h, r).  The

@@ -1,4 +1,4 @@
-"""Smoke test of the truncated-product kernel for interpreters without pytest.
+"""Smoke test of the int-packing kernels for interpreters without pytest.
 
 Run from the repository root with any Python >= 3.10:
 
@@ -7,7 +7,10 @@ Run from the repository root with any Python >= 3.10:
 It checks ``qseries._truncated_product`` on squares (one object on both
 sides) against the same call on an equal copy and against a pairwise
 loop, on both routes and either side of the count and width edges, and
-that each call takes the expected route.  Then it runs ``ode-check
+that each call takes the expected route.  It checks the packed power
+columns ``bpoly.BTable.powers`` against the one-column recurrence at
+p = 53, and at p = 43 with ``_PACKED_BYTES`` forced to 16, where every
+column of the growth to m^2 is a packed group of one.  Then it runs ``ode-check
 --order 10`` and ``--order 1000`` in process and compares the sha256 of
 their stdout with the ``ROUTE_SHA256`` pins of ``tests/test_cli.py``,
 read with ``ast`` so that pytest need not be installed.  It prints one
@@ -24,7 +27,7 @@ import os
 import random
 import sys
 
-from lambdaeq import cli, qseries
+from lambdaeq import bpoly, cli, qseries, reduced
 from lambdaeq.qseries import _KRONECKER_CUBE, _KRONECKER_MIN, _slot_bytes, _truncated_product
 
 
@@ -79,6 +82,31 @@ def kernel_checks():
     qseries._kronecker = kronecker
 
 
+def power_checks():
+    groups = []
+    grow_packed = bpoly.BTable._grow_packed
+
+    def spy(self, columns, a, size, top):
+        groups.append((top, len(columns)))
+        return grow_packed(self, columns, a, size, top)
+
+    bpoly.BTable._grow_packed = spy
+    saved = bpoly._PACKED_BYTES
+    for p, cap in ((53, saved), (43, 16)):
+        bpoly._PACKED_BYTES = cap
+        m = reduced(p)[0]
+        top = m * m
+        del groups[:]
+        family = bpoly.BTable(p).powers(top)
+        scalar = bpoly.BTable(p)
+        columns = [scalar.column(2 * h, 0, top) for h in range(m + 1)]
+        check(family == columns, "p = %d, cap %d: powers(m^2) equals the scalar columns" % (p, cap))
+        if cap == 16:
+            check(groups == [(top, 1)] * (m - 1), "p = %d, cap 16: %d groups of one" % (p, m - 1))
+    bpoly._PACKED_BYTES = saved
+    bpoly.BTable._grow_packed = grow_packed
+
+
 def route_pins():
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_cli.py")
     with open(path) as fh:
@@ -103,4 +131,5 @@ def ode_check_pins():
 if __name__ == "__main__":
     print("Python %s" % sys.version.split()[0])
     kernel_checks()
+    power_checks()
     ode_check_pins()

@@ -306,7 +306,7 @@ def test_table_v0_branch_matches_b_series(p):
 
 @pytest.mark.parametrize("p", [23, 11, 13])  # n = 1, 2, 4
 def test_table_u0_columns_skip_the_odd_weights(p):
-    # at u = 0 the odd-k dot is skipped: b(0, 0) is 1 and zeros, and b(0, v)
+    # at u = 0 the odd-k terms vanish: b(0, 0) is 1 and zeros, and b(0, v)
     # keeps its even-k terms
     table = BTable(p)
     assert table.column(0, 0, 3) == [1, 0, 0, 0]
@@ -332,8 +332,8 @@ def test_table_grown_in_two_steps_matches_one_grown_at_once(p):
     n = stepped.n
 
     def split(top):
-        # -n k alpha_p(k) at odd k = 1, 3, ... and at even k = 2, 4, ..., k <= top
-        weights = [-n * x for x in k_alpha_prefix(p, top)]
+        # n k alpha_p(k) at odd k = 1, 3, ... and at even k = 2, 4, ..., k <= top
+        weights = [n * x for x in k_alpha_prefix(p, top)]
         return weights[1::2], weights[2::2]
 
     for u, v in points:
@@ -397,13 +397,33 @@ def test_powers_match_the_scalar_columns_at_once_and_in_two_steps(p):
 @pytest.mark.parametrize("cap", [16, 48, 200, 10**9])
 @pytest.mark.parametrize("p", [7, 13, 43, 191])  # (m, n) = (1, 1), (7, 4), (11, 2), (24, 1)
 def test_powers_are_exact_in_groups_of_every_size(p, cap, monkeypatch):
-    # a cap of 16 bytes packs no slot (each P^h runs the scalar recurrence),
-    # 48 and 200 split the slots into groups, 10^9 packs all m - 1 at once
+    # a cap of 16 bytes makes each slot of the growth to m^2 a group of one,
+    # 48 and 200 split the slots into groups, 10^9 packs all m - 1 at once;
+    # whatever the groups, P^m is the one power column on the scalar recurrence
     monkeypatch.setattr(bpoly, "_PACKED_BYTES", cap)
+    grown, groups = [], []
+    grow, grow_packed = BTable._grow, BTable._grow_packed
+
+    def grow_spy(self, column, u, v, top):
+        grown.append((u, v))
+        grow(self, column, u, v, top)
+
+    def packed_spy(self, columns, a, size, top):
+        groups.append((top, a, len(columns)))
+        grow_packed(self, columns, a, size, top)
+
+    monkeypatch.setattr(BTable, "_grow", grow_spy)
+    monkeypatch.setattr(BTable, "_grow_packed", packed_spy)
     m = PrimeParams(p).m
     table = BTable(p)
     table.powers(m)
-    assert table.powers(m * m) == _scalar_powers(p, m * m)
+    family = table.powers(m * m)
+    assert set(grown) == {(2 * m, 0)}
+    if cap == 16:
+        assert [(a, count) for top, a, count in groups if top == m * m] == [
+            (h, 1) for h in range(m - 1, 0, -1)
+        ]
+    assert family == _scalar_powers(p, m * m)
 
 
 @pytest.mark.parametrize("p", [23, 31, 43, 71, 79])
@@ -424,7 +444,7 @@ def test_a_non_negative_odd_weight_raises_before_any_packing(monkeypatch):
 
     def forced(p, top):
         weights = sieve(p, top)
-        weights[5] = 0  # the odd weight -n 5 alpha_p(5) becomes 0
+        weights[5] = 0  # the odd weight n 5 alpha_p(5) becomes 0
         return weights
 
     packed = []
@@ -464,6 +484,8 @@ def test_packed_step_raises_at_a_non_integer_coefficient():
     # weights n k alpha_p(k) = 1, 2 at k = 1, 3 give 3 b_3(2h, 0) = 2h (b_2 + 2),
     # with b_2(2, 0) = 2 and b_2(4, 0) = 8: no integer at h = 1 or 2
     columns = [[1], [1]]
+    table = BTable(13)
+    table._odd = [1, 2]
     with pytest.raises(IntegralityError, match=r"^b_3\(2, 0\) is not an integer"):
-        BTable(13)._grow_packed(columns, 1, 8, [1, 2], 3)
+        table._grow_packed(columns, 1, 8, 3)
     assert columns == [[1], [1]]

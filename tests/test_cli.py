@@ -504,11 +504,15 @@ LARGE_M_SHA256 = {
 }
 
 
-# stdout at m = 48, the MAX_M edge, where the power family is widest; it
-# takes 15-20 s, so CI checks it on the installed entry point, not tier-1
+# stdout at m = 48, the MAX_M edge, where the power family is widest, and
+# at p = 89 (m = 45, n = 4), where most power slots are too wide to share a
+# packed int and grow as groups of one; each takes 15-20 s, so CI checks
+# them on the installed entry point, not tier-1
 MAX_M_SHA256 = {
     ("matrix", "383", "--format", "structured"):
         "ab424991e27dfc93add215e43307552ab08d2ee2caa718e9f978426976520dee",
+    ("matrix", "89", "--format", "structured"):
+        "e80192704a7b7174935f6435f0c0b01676c2a4930e43fa6a693d5bd04bf8093b",
 }
 
 
