@@ -63,8 +63,8 @@ def b_eval(p, l, u, v):
         raise ValueError("l must be nonnegative")
     if l > ENUMERATION_THRESHOLD:
         raise ValueError(
-            "l=%d exceeds the enumeration threshold %d; use b_series"
-            % (l, ENUMERATION_THRESHOLD)
+            "l=%d exceeds the enumeration threshold %d; the recurrence (b_series, "
+            "bpoly --method recurrence) has no such limit" % (l, ENUMERATION_THRESHOLD)
         )
     total = Fraction(0)
     for part in partitions_of(l):

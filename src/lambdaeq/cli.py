@@ -6,13 +6,14 @@ factorization or gap assertion raised ``ArithmeticError``), 2 invalid
 input, including an ``--out`` file or ``--cache-dir`` that cannot be
 written (``OSError``).  Every input whose cost grows without bound is
 refused with exit 2 before any work; each budget is a ``MAX_*``
-constant below.  All configuration is by flags; the only state on disk
-is the optional matrix cache.  A cached matrix is served only if it is
-a JSON object whose entries are JSON integers, its prime is the one
-asked for and it passes ``matrix``'s built-in checks, the two
-symmetries and the row-1 moments; any other entry is rebuilt, and the
-rebuilt matrix is cached only once it passes them.  Nothing else about
-a cached matrix is re-checked.
+constant below, except the l of ``bpoly --method partition``, which
+``bpoly.ENUMERATION_THRESHOLD`` bounds.  All configuration is by flags;
+the only state on disk is the optional matrix cache.  A cached matrix
+is served only if it is a JSON object whose entries are JSON integers,
+its prime is the one asked for and it passes ``matrix``'s built-in
+checks, the two symmetries and the row-1 moments; any other entry is
+rebuilt, and the rebuilt matrix is cached only once it passes them.
+Nothing else about a cached matrix is re-checked.
 
 The argument parser is built once, at import, and is the only state
 this module keeps between ``main`` calls: each call parses into a fresh

@@ -117,14 +117,14 @@ triangular, so C_i = L_i U_i for the leading blocks and one L serves
 every row.  ``_factor`` does not assume this: it builds the forward
 differences of every row of C from the integer columns and checks that
 the l-th differences of row l all equal (-2n)^l, over all (m+1)^2
-entries of C.  Rows 0..m lie in one flat list (in blocks of rows at
-large m), and each of the m + 1 rounds of differences is one
-``map(sub, ...)`` pass over all the rows not yet checked.  Newton's
-formula on the m+1 points h = 0..m is exact, so that check proves
-C = L U, and a failure raises ``FactorizationError``.  Each
-row is then forward substitution with an exact division by (-2n)^l per
-row, back-substitution through U, and an exact division by 2^{ni};
-every division asserts a zero remainder.  U[j][h] = C(h, j) says that
+entries of C.  The power columns lie in one flat list column after
+column (in blocks of rows at large m), and each of the m + 1 rounds of
+differences in h is one ``map(sub, ...)`` pass over all the rows not
+yet checked.  Newton's formula on the m+1 points h = 0..m is exact, so
+that check proves C = L U, and a failure raises ``FactorizationError``.
+Each row is then forward substitution with an exact division by
+(-2n)^l per row, back-substitution through U, and an exact division by
+2^{ni}; every division asserts a zero remainder.  U[j][h] = C(h, j) says that
 y = U x holds the coefficients of x(t + 1), so the back-substitution is
 the Taylor shift x(t) = y(t - 1): ~size^2/2 additions and no binomials.
 
@@ -320,34 +320,33 @@ def _factor(params, table):
     """The rows of L in C = L U, C = [b_l(2h, 0)]: row l holds Delta^0..Delta^{l-1}
     of row l of C at h = 0, and its l-th differences must all equal (-2n)^l.
 
-    Every entry of C for l, h <= m is read and differenced.  Consecutive
-    rows of C lie in one flat row-major list of at most ``_FLAT_ENTRIES``
-    entries, all m + 1 rows for m <= 63.  Round j of a block takes the
-    j-th differences of all its rows in one ``map(sub, ...)`` pass and
-    drops the terms that straddle two rows; from its first row on, round
-    j first compares the j-th differences of row j with (-2n)^j by
-    ``count`` (the bad index is searched for only when the check fails)
-    and leaves row j out of the pass.  So a block of rows a..b-1 takes b
-    rounds, m + 1 in all for one block, and the rows are checked in
-    order: the first bad (l, h) is the one a row-by-row pass would find.
+    Every entry of C for l, h <= m is read and differenced, in blocks of
+    rows of at most ``_FLAT_ENTRIES`` entries (one block for m <= 63).  A
+    block's size rows lie in one flat list column after column, as the
+    power columns hold them, so round j takes the j-th differences of
+    every row in one ``map(sub, ...)`` pass, each entry from the one size
+    places on.  From the block's first row on, round j first compares row
+    j, ``flat[::size]``, with (-2n)^j by ``count`` (the bad index is
+    searched for only on failure) and deletes it; the first column then
+    holds Delta^j C[l][0] for the rows l > j.  A block of rows a..b-1 takes
+    b rounds, and the first bad (l, h) is the one a row-by-row pass finds.
     """
     m, n = params.m, params.n
-    rows = list(zip(*[column[: m + 1] for column in table.powers(m)[: m + 1]]))
+    columns = table.powers(m)[: m + 1]
     step = max(1, _FLAT_ENTRIES // (m + 1))
     lower = []
     for start in range(0, m + 1, step):
         stop = min(start + step, m + 1)
-        diffs = list(chain.from_iterable(rows[start:stop]))
-        width = m + 1
-        # firsts[j][l - start] = Delta^j C[l][0] for the rows l > j of the block
-        firsts = []
+        size = stop - start
+        flat = list(chain.from_iterable(column[start:stop] for column in columns))
+        pending = [[] for _ in range(size)]
+        lower += pending
         lead = 1
         for j in range(stop):
-            # diffs holds the j-th differences of rows max(j, start)..stop-1
-            done = 0
+            # flat: the j-th differences of rows stop - size..stop-1; pending: their rows of L
             if j >= start:
-                row = diffs[:width]
-                if row.count(lead) != width:
+                row = flat[::size]
+                if row.count(lead) != len(row):
                     bad = next(h for h, d in enumerate(row) if d != lead)
                     raise FactorizationError(
                         "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial "
@@ -355,15 +354,13 @@ def _factor(params, table):
                         "forward difference at h=%d is %d"
                         % (params.p, j, j, lead, j, bad, row[bad])
                     )
-                done = width
-            firsts.append([0] * max(0, j - start) + diffs[::width])
-            # each row's last term straddles into the next row; islice, not
-            # slices, so that the pass makes no copy of the rows
-            diffs = list(map(sub, islice(diffs, done + 1, None), islice(diffs, done, None)))
-            del diffs[width - 1 :: width]
-            width -= 1
+                del flat[::size], pending[0]
+                size -= 1
+            for entries, first in zip(pending, flat):
+                entries.append(first)
+            # islice, not a slice, so that the pass makes no copy of the block
+            flat = list(map(sub, islice(flat, size, None), flat))
             lead *= -2 * n
-        lower += [list(row[:l]) for l, row in enumerate(zip(*firsts), start)]
     return lower
 
 

@@ -10,7 +10,11 @@ loop, on both routes and either side of the count and width edges, and
 that each call takes the expected route.  It checks the packed power
 columns ``bpoly.BTable.powers`` against the one-column recurrence at
 p = 53, and at p = 43 with ``_PACKED_BYTES`` forced to 16, where every
-column of the growth to m^2 is a packed group of one.  Then it runs ``ode-check
+column of the growth to m^2 is a packed group of one.  It checks the
+column-major differences of ``modeq._factor`` against the row-by-row
+oracle ``rowwise_factor`` of ``tests/oracles.py`` at p = 397 (m = 199,
+blocks of 20 rows) and at p = 149 with ``_FLAT_ENTRIES`` forced to 50
+(blocks of one row).  Then it runs ``ode-check
 --order 10`` and ``--order 1000`` in process and compares the sha256 of
 their stdout with the ``ROUTE_SHA256`` pins of ``tests/test_cli.py``,
 read with ``ast`` so that pytest need not be installed.  It prints one
@@ -27,8 +31,9 @@ import os
 import random
 import sys
 
-from lambdaeq import bpoly, cli, qseries, reduced
+from lambdaeq import bpoly, cli, modeq, qseries, reduced
 from lambdaeq.qseries import _KRONECKER_CUBE, _KRONECKER_MIN, _slot_bytes, _truncated_product
+from oracles import rowwise_factor
 
 
 def check(ok, what):
@@ -107,6 +112,18 @@ def power_checks():
     bpoly.BTable._grow_packed = grow_packed
 
 
+def factor_checks():
+    saved = modeq._FLAT_ENTRIES
+    for p, entries in ((397, saved), (149, 50)):
+        modeq._FLAT_ENTRIES = entries
+        params = modeq.PrimeParams(p)
+        step = max(1, entries // (params.m + 1))
+        flat = modeq._factor(params, bpoly.BTable(p))
+        check(flat == rowwise_factor(params, bpoly.BTable(p)),
+              "p = %d, %d-row blocks: _factor equals the rowwise oracle" % (p, step))
+    modeq._FLAT_ENTRIES = saved
+
+
 def route_pins():
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_cli.py")
     with open(path) as fh:
@@ -132,4 +149,5 @@ if __name__ == "__main__":
     print("Python %s" % sys.version.split()[0])
     kernel_checks()
     power_checks()
+    factor_checks()
     ode_check_pins()

@@ -418,6 +418,10 @@ def test_bpoly_rejects_bad_rational(capsys):
 def test_bpoly_partition_method_threshold(capsys):
     code, _, err = run(capsys, "bpoly", "5", "40", "--u", "1", "--v", "1", "--method", "partition")
     assert code == 2
+    assert err == (
+        "error: l=40 exceeds the enumeration threshold 30; the recurrence (b_series, "
+        "bpoly --method recurrence) has no such limit\n"
+    )
     code, out, _ = run(capsys, "bpoly", "5", "40", "--u", "1", "--v", "1")
     assert code == 0
 

@@ -706,14 +706,21 @@ def test_flat_factor_matches_the_rowwise_route(entries, monkeypatch):
         assert _factor(params, BTable(p)) == rowwise_factor(params, BTable(p)), p
 
 
-@pytest.mark.parametrize("p", [7, 13, 19, 47, 149])  # n = 1, 4, 2, 1, 4; m = 75 at 149
-def test_flat_factor_fails_like_the_rowwise_route(p):
+# n = 1, 4, 2, 1, 4; m = 75 at 149; the default size keeps the id of p alone
+@pytest.mark.parametrize(
+    "p, entries",
+    [pytest.param(p, entries, id=str(p) if entries == _FLAT_ENTRIES else "%d-%d" % (p, entries))
+     for entries in (_FLAT_ENTRIES, 50) for p in (7, 13, 19, 47, 149)],
+)
+def test_flat_factor_fails_like_the_rowwise_route(p, entries, monkeypatch):
     # a corrupted entry of C, first and last rows and columns and the rows on
     # either side of a block boundary included, is found at the same first
-    # bad (l, h) with the same message by both routes
+    # bad (l, h) with the same message by both routes; 50 entries make blocks
+    # of 6 rows at m = 7 and of one row from m = 50 on
+    monkeypatch.setattr("lambdaeq.modeq._FLAT_ENTRIES", entries)
     params = PrimeParams(p)
     m = params.m
-    step = _FLAT_ENTRIES // (m + 1)
+    step = max(1, entries // (m + 1))
     bad_entries = [(0, 0, 1), (0, m, -1), (m, 0, 1), (m, m, 1), (m // 2, m, 3),
                    (m, m // 2, -2), (1, 1, 1)]
     if step <= m:
