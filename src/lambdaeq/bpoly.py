@@ -33,7 +33,8 @@ weight routes check each other too.
 
 from fractions import Fraction
 from math import comb, factorial, lcm
-from operator import index, mul
+from itertools import repeat
+from operator import index, itemgetter, mul, neg
 
 from .arith import k_alpha, k_alpha_prefix, partition_weight, reduced
 from .exact import IntegralityError
@@ -110,9 +111,9 @@ def b_series(p, max_l, u, v):
 _PACKED_BYTES = 256
 
 
-def _slot_bytes(bound):
-    """Bytes per packed slot that hold every int in [0, bound]."""
-    return (bound.bit_length() + 7) // 8
+def _slot_bytes(bits):
+    """Bytes per packed slot of at least ``bits`` bits."""
+    return (bits + 7) // 8
 
 
 class BTable:
@@ -145,31 +146,31 @@ class BTable:
     (-1)^l b_l(u, 0) = sum over the partitions J of l into
     odd parts of n^|J| u^|J| W_p(J), since |J| = l mod 2: a polynomial in
     u with nonnegative coefficients and no constant term for l >= 1, so
-    |b_l(2h, 0)| and l |b_l(2h, 0)| / 2h = |dot of the odd weights with
-    b_{l-1}, b_{l-3}, ...| both grow with h, and every term of that dot
-    has the one sign (-1)^l.  P^0 = [1, 0, 0, ...] costs nothing and
-    P^m runs the scalar recurrence above.  P^1..P^{m-1} run in groups
-    of consecutive h, from the top down.  Column b, just above a group,
-    is already grown and bounds both numbers for every h < b, exactly;
-    that bound fixes the group's slot width.  Each index then takes one
-    dot of the stored odd weights with the packed ints
-    X_j = sum_h |b_j(2h, 0)| 2^(w (h - a)) over the group's slots h >= a
-    of w bits each, with no carry or borrow between slots, and each slot
-    is cut out, multiplied by 2h and divided by l with ``divmod`` as
-    above.  So a growth of the
-    power columns to index L costs one scalar column plus one packed dot
-    per index and group, ~L^2/4 multiply-adds each on wide ints where the
-    columns one by one took ~m L^2/4 on narrow ones.  Every P^1..P^{m-1}
-    takes this one route: a group packs as many slots as fit in
-    ``_PACKED_BYTES`` bytes, and at least one, so a slot wider than half
-    of that is a group of one.  A group's packed history is dropped when
-    its growth ends.
-
-    Assembly of A_p reads only the m+1 power columns to index m^2 and
-    the column b(-1, -1) to index m^2 - m, ~m^3 coefficients in ~m^4/4
-    multiply-adds per packed group and for P^m (~m^5/4 one column at a
-    time), and combines them row by row, bottom-up in
-    K^{-1} = b(-1, -1) (see ``modeq``), in another ~m^5/6 multiply-adds.
+    |b_l(2h, 0)| grows with h and every term of the odd dot of step l
+    has the one sign (-1)^l.  P^0 = [1, 0, 0, ...] costs nothing and P^m
+    runs the scalar recurrence above.  P^1..P^{m-1} run in groups
+    h = a..a+g-1, from the top down, each as one recurrence on packed
+    ints.  Column a+g, already grown, bounds every |b_l(2h, 0)| of the
+    group below 2^bits, so with the guard c = bits(top) a slot of
+    w >= bits + c bits holds l |b_l(2h, 0)|.  The history is
+    X_j = sum_h |b_j(2h, 0)| 2^(w (h - a)), and step l is one dot d of
+    the odd weights with X_{l-1}, X_{l-3}, ...: slot j of d is
+    d_j = l |b_l(2h, 0)| / 2h, h = a + j, with no carry or borrow.  With
+    M_t masking the slots whose j has bit t set, sum_t (d & M_t) << t
+    holds j d_j in slot j, so e = 2 (a d + that sum) holds 2h d_j =
+    l |b_l(2h, 0)| in slot j, again carry-free.  Then one exact division:
+    q, r = divmod(e, l) is accepted only if r = 0 and q sets none of the
+    top c bits of any slot.  Each slot of l q is then below
+    l 2^(w-c) < 2^w, so l q = e digit by digit in base 2^w and every
+    slot divided exactly; conversely, exact slots give such a q, as
+    |b_l(2h, 0)| < 2^bits.  q is X_l.  A failure names the first slot
+    with a remainder (``IntegralityError``), or a slot too narrow
+    (``OverflowError``).  The columns are decoded once, at the end.  A
+    growth to index L costs one scalar column plus one packed dot per
+    index and group, ~L^2/4 multiply-adds each on wide ints where the
+    columns one by one took ~m L^2/4 on narrow ones.  A group packs as
+    many slots as fit in ``_PACKED_BYTES`` bytes, and at least one;
+    assembly grows them to L = m^2 (see ``modeq``).
     """
 
     __slots__ = ("p", "n", "_odd", "_even", "_columns", "_powers")
@@ -246,13 +247,12 @@ class BTable:
         family = self._powers or [[1] for _ in range(m + 1)]
         start = len(family[0])
         self._grow(family[m], 2 * m, 0, top)  # sieves the weights first, and checks their sign
+        guard = top.bit_length()
         b = m
         while b > 1:
-            # slot h < b holds |b_l(2h, 0)| <= |b_l(2b, 0)| and its dot
-            # l |b_l(2h, 0)| / 2h <= l |b_l(2b, 0)| / 2b
-            above = family[b]
-            dots = map(mul, range(top + 1), map(abs, above))
-            size = _slot_bytes(max(max(map(abs, above)), max(dots) // (2 * b)))
+            # slot h < b holds |b_l(2h, 0)| <= |b_l(2b, 0)|, and l |b_l(2h, 0)| below
+            # 2^guard times that
+            size = _slot_bytes(max(map(abs, family[b])).bit_length() + guard)
             # a slot wider than the cap is a group of one
             count = max(1, min(b - 1, _PACKED_BYTES // size))
             self._grow_packed(family[b - count : b], b - count, size, top)
@@ -264,31 +264,48 @@ class BTable:
     def _grow_packed(self, columns, a, size, top):
         """Grow the columns P^a, P^(a+1), ... to index top as one packed recurrence."""
         odd, to_bytes, from_bytes = self._odd, int.to_bytes, int.from_bytes
-        start = len(columns[0])
-        width = size * len(columns)
-        twice = range(2 * a, 2 * (a + len(columns)), 2)
-        cuts = [slice(i, i + size) for i in range(0, width, size)]
-
-        def pack(values):
-            return from_bytes(b"".join([to_bytes(x, size, "little") for x in values]), "little")
-
-        history = [pack(map(abs, row)) for row in zip(*columns)]
-        rows = []
+        start, count, w = len(columns[0]), len(columns), 8 * size
+        width = size * count
+        # slot j of (d & masks[t]) << (t + 1) is 2^(t+1) d_j if bit t of j is set, else 0
+        masks = [
+            sum(((1 << w) - 1) << (w * j) for j in range(count) if j >> t & 1)
+            for t in range((count - 1).bit_length())
+        ]
+        guard = top.bit_length()
+        high = sum(((1 << guard) - 1) << (w * j + w - guard) for j in range(count))
+        history = [
+            from_bytes(b"".join([to_bytes(abs(x), size, "little") for x in row]), "little")
+            for row in zip(*columns)
+        ]
         for l in range(start, top + 1):
-            raw = to_bytes(sum(map(mul, odd, history[l - 1 :: -2])), width, "little")
-            # slot h - a of raw is the dot l |b_l(2h, 0)| / 2h
-            quotients, rems = zip(
-                *[divmod(t * from_bytes(raw[cut], "little"), l) for t, cut in zip(twice, cuts)]
+            # slot j of d is l |b_l(2h, 0)| / 2h, h = a + j, and of e 2h times that
+            d = sum(map(mul, odd, history[l - 1 :: -2]))
+            e = 2 * a * d
+            for t, mask in enumerate(masks, 1):
+                e += (d & mask) << t
+            q, r = divmod(e, l)
+            if r or q & high:
+                self._packed_failure(e, l, a, count, w)
+            history.append(q)
+        raw = list(map(to_bytes, history[start:], repeat(width), repeat("little")))
+        odd_l = (start + 1) & 1  # b_l(2h, 0) < 0 at odd l
+        for j, column in enumerate(columns):
+            cut = itemgetter(slice(j * size, (j + 1) * size))
+            values = list(map(from_bytes, map(cut, raw), repeat("little")))
+            values[odd_l::2] = map(neg, values[odd_l::2])
+            column += values
+
+    def _packed_failure(self, e, l, a, count, w):
+        slots = [(e >> (w * j)) & ((1 << w) - 1) for j in range(count)]
+        bad = next((j for j, x in enumerate(slots) if x % l), None)
+        if bad is None:
+            raise OverflowError(
+                "packed slots of %d bits overflow at index %d of P^%d..P^%d for p = %d"
+                % (w, l, a, a + count - 1, self.p)
             )
-            if any(rems):
-                h = a + next(j for j, rem in enumerate(rems) if rem)
-                raise IntegralityError(
-                    "b_%d(%d, 0) is not an integer for p = %d, n = %d" % (l, 2 * h, self.p, self.n)
-                )
-            history.append(pack(quotients))
-            rows.append(quotients)
-        for column, values in zip(columns, zip(*rows)):
-            column += [-x if l & 1 else x for l, x in enumerate(values, start)]
+        raise IntegralityError(
+            "b_%d(%d, 0) is not an integer for p = %d, n = %d" % (l, 2 * (a + bad), self.p, self.n)
+        )
 
 
 def p_poly(s, m):

@@ -101,6 +101,15 @@ MAX_PRIME = 10**12
 MAX_ALPHA_K = 10**12
 
 
+def _int_arg(text):
+    # int() alone also takes "1_3", non-ASCII digits and surrounding spaces
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return int(text)
+    raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+
+
 def _rational_arg(text):
     # Fraction("1e999999999") would build a power of ten with 10^9 digits
     if "e" in text.lower():
@@ -119,7 +128,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_matrix = sub.add_parser("matrix", help="compute and print the matrix A_p")
-    p_matrix.add_argument("p", type=int)
+    p_matrix.add_argument("p", type=_int_arg)
     p_matrix.add_argument(
         "--format", choices=("text", "structured", "typeset"), default="text"
     )
@@ -127,7 +136,7 @@ def _build_parser():
     p_matrix.add_argument("--cache-dir", metavar="DIR")
 
     p_verify = sub.add_parser("verify", help="run verification checks for one prime")
-    p_verify.add_argument("p", type=int)
+    p_verify.add_argument("p", type=_int_arg)
     p_verify.add_argument(
         "--checks",
         metavar="LIST",
@@ -135,22 +144,22 @@ def _build_parser():
     )
     p_verify.add_argument(
         "--order",
-        type=int,
+        type=_int_arg,
         help="q-order for the global check (default m^2+2m; at most %d)" % MAX_ORDER,
     )
 
     p_series = sub.add_parser("series", help="print exact q-expansions")
     p_series.add_argument("kind", choices=("lambda", "xy"))
-    p_series.add_argument("--p", type=int)
-    p_series.add_argument("--i", type=int, default=0)
-    p_series.add_argument("--h", type=int, default=0)
+    p_series.add_argument("--p", type=_int_arg)
+    p_series.add_argument("--i", type=_int_arg, default=0)
+    p_series.add_argument("--h", type=_int_arg, default=0)
     p_series.add_argument(
-        "--order", type=int, required=True, help="at most %d" % MAX_SERIES_ORDER
+        "--order", type=_int_arg, required=True, help="at most %d" % MAX_SERIES_ORDER
     )
 
     p_bpoly = sub.add_parser("bpoly", help="evaluate b_l(u, v)")
-    p_bpoly.add_argument("p", type=int)
-    p_bpoly.add_argument("l", type=int, help="at most %d" % MAX_BPOLY_L)
+    p_bpoly.add_argument("p", type=_int_arg)
+    p_bpoly.add_argument("l", type=_int_arg, help="at most %d" % MAX_BPOLY_L)
     p_bpoly.add_argument("--u", type=_rational_arg, required=True)
     p_bpoly.add_argument("--v", type=_rational_arg, required=True)
     p_bpoly.add_argument(
@@ -161,18 +170,18 @@ def _build_parser():
     p_bpoly._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_alpha = sub.add_parser("alpha", help="evaluate alpha_p(k)")
-    p_alpha.add_argument("p", type=int)
-    p_alpha.add_argument("k", type=int, help="at most %d" % MAX_ALPHA_K)
+    p_alpha.add_argument("p", type=_int_arg)
+    p_alpha.add_argument("k", type=_int_arg, help="at most %d" % MAX_ALPHA_K)
 
     p_pvals = sub.add_parser("pvals", help="evaluate the moment polynomial P_s(m)")
-    p_pvals.add_argument("s", type=int)
-    p_pvals.add_argument("m", type=int, help="at most %d - s" % MAX_PVALS_SUM)
+    p_pvals.add_argument("s", type=_int_arg)
+    p_pvals.add_argument("m", type=_int_arg, help="at most %d - s" % MAX_PVALS_SUM)
 
     p_ode = sub.add_parser("ode-check", help="verify the lambda differential equation")
-    p_ode.add_argument("--order", type=int, default=50, help="at most %d" % MAX_ODE_ORDER)
+    p_ode.add_argument("--order", type=_int_arg, default=50, help="at most %d" % MAX_ODE_ORDER)
 
     p_scan = sub.add_parser("scan", help="row-1 moment identities for all odd primes <= max-p")
-    p_scan.add_argument("--max-p", type=int, required=True, help="at most %d" % MAX_SCAN_P)
+    p_scan.add_argument("--max-p", type=_int_arg, required=True, help="at most %d" % MAX_SCAN_P)
 
     return parser
 

@@ -35,13 +35,9 @@ k = 1..top at once with ``arith.k_alpha_prefix``), so the recurrence
 runs on ints, and its exact division by l checks the integrality of the
 eta-quotient coefficients at every step (see ``bpoly.BTable``).  The
 m+1 power columns P^h = b(2h, 0) that assembly, ``_factor`` and the
-global check read grow together (``BTable.powers``): P^0 = 1 is
-written out, P^m runs the one-column recurrence, and the rest run as
-one recurrence on packed ints, one dot per index for a group of
-columns (a slot too wide to share a packed int is a group of one).
-Every odd weight n k alpha_p(k) is positive, so every term of a dot
-has one sign and |b_l(2h, 0)| grows with h; the column above a group
-bounds its slots exactly, and no slot carries into the next.
+global check read grow together (``BTable.powers``), as recurrences
+on packed ints with one exact division per step, which the ``BTable``
+docstring proves; ``run_checks`` grows them once per plan.
 Every other point, and a lone b(2h, 0), is a column of its own.
 
 Assembly does not need a full column for every point (r+2h, r).  The
@@ -805,8 +801,9 @@ def run_checks(params, names=None, order=None):
     m = 3; theorem52 is ``closed_form_row1``, ``row2_pipeline`` and
     ``bordered_determinant``.  ``order`` is the global check's.  An
     unknown name, or theorem52 when m != 3, raises ``ValueError`` before
-    any table work.  A_p is then assembled once, and one b-table serves
-    assembly and every check.
+    any table work.  One b-table serves assembly and every check, and its
+    power columns grow once: to the global order first when the plan
+    runs global, then A_p is assembled once.
     """
     if names is None:
         names = ["symmetry", "rowsums", "dets", "global"]
@@ -818,6 +815,8 @@ def run_checks(params, names=None, order=None):
     if "theorem52" in names and params.m != 3:
         raise ValueError("the theorem52 checks need m = 3 (p in {5, 11, 23})")
     table = BTable(params.p)
+    if "global" in names:
+        table.powers(global_order(params, order))  # assembly reads m^2 of them
     matrix = assemble(params.p, table)
     return [result for name in names for result in _PLAN[name](matrix, table, order)]
 

@@ -10,16 +10,18 @@ loop, on both routes and either side of the count and width edges, and
 that each call takes the expected route.  It checks the packed power
 columns ``bpoly.BTable.powers`` against the one-column recurrence at
 p = 53, and at p = 43 with ``_PACKED_BYTES`` forced to 16, where every
-column of the growth to m^2 is a packed group of one.  It checks the
-column-major differences of ``modeq._factor`` against the row-by-row
-oracle ``rowwise_factor`` of ``tests/oracles.py`` at p = 397 (m = 199,
-blocks of 20 rows) and at p = 149 with ``_FLAT_ENTRIES`` forced to 50
-(blocks of one row).  Then it runs ``ode-check
---order 10`` and ``--order 1000`` in process and compares the sha256 of
-their stdout with the ``ROUTE_SHA256`` pins of ``tests/test_cli.py``,
-read with ``ast`` so that pytest need not be installed.  It prints one
-line per check and exits 1 on the first failure.  It is a smoke test,
-not part of the tier-1 suite, which needs pytest and hypothesis.
+column of the growth to m^2 is a packed group of one, and that a packed
+step names the first non-integer slot even where the whole packed int
+divides exactly.  It checks the column-major differences of
+``modeq._factor`` against the row-by-row oracle ``rowwise_factor`` of
+``tests/oracles.py`` at p = 397 (m = 199, blocks of 20 rows) and at
+p = 149 with ``_FLAT_ENTRIES`` forced to 50 (blocks of one row).  Then
+it runs ``ode-check --order 10`` and ``--order 1000`` in process and
+compares the sha256 of their stdout with the ``ROUTE_SHA256`` pins of
+``tests/test_cli.py``, read with ``ast`` so that pytest need not be
+installed.  It prints one line per check and exits 1 on the first
+failure.  It is a smoke test, not part of the tier-1 suite, which needs
+pytest and hypothesis.
 """
 
 import ast
@@ -110,6 +112,18 @@ def power_checks():
             check(groups == [(top, 1)] * (m - 1), "p = %d, cap 16: %d groups of one" % (p, m - 1))
     bpoly._PACKED_BYTES = saved
     bpoly.BTable._grow_packed = grow_packed
+    # odd weights 1, 2 make b_3(2h, 0) = -2h (2h^2 + 2)/3: an integer at h = 3, not
+    # at h = 1, 2 or 4; at h = 1, 2 the whole packed int divides by 3 all the same
+    table = bpoly.BTable(13)
+    table._odd = [1, 2]
+    for a, h in ((1, 1), (3, 4)):
+        try:
+            table._grow_packed([[1], [1]], a, 8, 3)
+            message = ""
+        except bpoly.IntegralityError as exc:
+            message = str(exc)
+        check(message.startswith("b_3(%d, 0) is not an integer" % (2 * h)),
+              "packed step at h = %d, %d: b_3(%d, 0) is named" % (a, a + 1, 2 * h))
 
 
 def factor_checks():

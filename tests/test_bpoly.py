@@ -426,17 +426,39 @@ def test_powers_are_exact_in_groups_of_every_size(p, cap, monkeypatch):
     assert family == _scalar_powers(p, m * m)
 
 
-@pytest.mark.parametrize("p", [23, 31, 43, 71, 79])
+# primes where a slot narrower than the proof's width breaks the growth to m^2,
+# and the narrowings that break it there: one byte short, the guard dropped, both
+NARROW_BREAKS = {
+    23: ("short", "both"),
+    31: ("both",),
+    43: ("both",),
+    47: ("short", "guard", "both"),
+    71: ("both",),
+    79: ("both",),
+}
+
+
+@pytest.mark.parametrize("p", sorted(NARROW_BREAKS))
 def test_power_slots_one_byte_short_of_the_bound_break(p, monkeypatch):
-    # the width is exact: one byte less overflows a slot at these primes
+    # the proof's slot is bits + guard wide: the column above bounds |b_l(2h, 0)|
+    # below 2^bits, and l < 2^guard; where a narrower slot carries, the growth
+    # must raise or give other columns
     slot_bytes = bpoly._slot_bytes
-    monkeypatch.setattr(bpoly, "_slot_bytes", lambda bound: slot_bytes(bound) - 1)
     m = PrimeParams(p).m
-    try:
-        family = BTable(p).powers(m * m)
-    except (OverflowError, IntegralityError):
-        return
-    assert family != _scalar_powers(p, m * m)
+    guard = (m * m).bit_length()
+    widths = {
+        "short": lambda bits: slot_bytes(bits) - 1,
+        "guard": lambda bits: slot_bytes(bits - guard),
+        "both": lambda bits: slot_bytes(bits - guard) - 1,
+    }
+    expected = _scalar_powers(p, m * m)
+    for name in NARROW_BREAKS[p]:
+        monkeypatch.setattr(bpoly, "_slot_bytes", widths[name])
+        try:
+            family = BTable(p).powers(m * m)
+        except (OverflowError, IntegralityError):
+            continue
+        assert family != expected, name
 
 
 def test_a_non_negative_odd_weight_raises_before_any_packing(monkeypatch):
@@ -481,11 +503,16 @@ def test_p0_is_written_out_not_grown(monkeypatch):
 
 
 def test_packed_step_raises_at_a_non_integer_coefficient():
-    # weights n k alpha_p(k) = 1, 2 at k = 1, 3 give 3 b_3(2h, 0) = 2h (b_2 + 2),
-    # with b_2(2, 0) = 2 and b_2(4, 0) = 8: no integer at h = 1 or 2
-    columns = [[1], [1]]
+    # weights n k alpha_p(k) = 1, 2 at k = 1, 3 give 3 b_3(2h, 0) = -2h (b_2 + 2) with
+    # b_2(2h, 0) = 2h^2: no integer at h = 1 or 2, though the packed int of the
+    # slots 3 |b_3| = 8, 40 divides by 3; -40 at h = 3, but no integer at h = 4
     table = BTable(13)
     table._odd = [1, 2]
-    with pytest.raises(IntegralityError, match=r"^b_3\(2, 0\) is not an integer"):
-        table._grow_packed(columns, 1, 8, 3)
-    assert columns == [[1], [1]]
+    for a, h in ((1, 1), (3, 4)):
+        columns = [[1], [1]]
+        with pytest.raises(IntegralityError, match=r"^b_3\(%d, 0\) is not an integer" % (2 * h)):
+            table._grow_packed(columns, a, 8, 3)
+        assert columns == [[1], [1]]
+    columns = [[1], [1]]
+    table._grow_packed(columns, 3, 8, 2)
+    assert columns == [[1, -6, 18], [1, -8, 32]]

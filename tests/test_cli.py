@@ -279,6 +279,35 @@ def test_verify_m3_builds_one_table_and_assembles_once(monkeypatch, capsys):
     assert counts == {"tables": 1, "assemble": 1}
 
 
+# the one index each command grows the power columns to: m = 7 at p = 13, and
+# m = 3 at p = 23, which runs theorem52 too; the default global order is m^2 + 2m
+POWER_TOPS = {
+    ("verify", "13"): 63,
+    ("verify", "23"): 15,
+    ("verify", "13", "--checks", "global", "--order", "70"): 70,
+    ("verify", "13", "--checks", "global", "--order", "49"): 49,
+    ("verify", "13", "--checks", "symmetry,rowsums,dets"): 49,
+    ("matrix", "13"): 49,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(POWER_TOPS), ids=" ".join)
+def test_the_power_columns_grow_once(argv, monkeypatch, capsys):
+    from lambdaeq import BTable
+
+    tops = []
+    grow = BTable._grow_powers
+
+    def spy(self, top):
+        tops.append(top)
+        return grow(self, top)
+
+    monkeypatch.setattr(BTable, "_grow_powers", spy)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "FAIL" not in out
+    assert tops == [POWER_TOPS[argv]]
+
+
 def test_verify_theorem_checks_need_m3(capsys):
     code, _, err = run(capsys, "verify", "7", "--checks", "theorem52")
     assert code == 2
@@ -358,6 +387,29 @@ def test_verify_refuses_an_empty_check_selection(no_table_work, capsys, checks):
     code, out, err = run(capsys, "verify", "13", "--checks", checks)
     assert code == 2 and out == ""
     assert err.startswith("error: --checks %r selects no check" % checks)
+
+
+# integer arguments that int() alone reads ("1_3" as 13, the Arabic-Indic digit
+# three as 3), and the argument each is refused as
+NON_ASCII_INTEGERS = {("matrix", "1_3"): "p", ("matrix", "\u0663"): "p", ("alpha", "5", "1_0"): "k"}
+
+
+@pytest.mark.parametrize("argv", sorted(NON_ASCII_INTEGERS), ids=" ".join)
+def test_integer_arguments_are_ascii_decimals(argv, capsys):
+    from lambdaeq.modeq import render_text
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("usage: lambdaeq %s" % argv[0])
+    assert err.endswith(
+        "error: argument %s: invalid int value: %r\n" % (NON_ASCII_INTEGERS[argv], argv[-1])
+    )
+    for p in ("13", "+13"):
+        code, out, _ = run(capsys, "matrix", p)
+        assert code == 0 and out == render_text(assemble(13)) + "\n"
 
 
 def test_alpha_command(capsys):
