@@ -16,7 +16,6 @@ from .bpoly import *
 from .exact import *
 from .modeq import *
 from .ode import *
-from .partitions import *
 from .qseries import *
 
 __version__ = "0.1.0"

@@ -1,18 +1,18 @@
-"""Divisor sums and the multiplicative partition weights of an odd prime.
+"""Divisor sums and the alpha weights of an odd prime.
 
 The central object is alpha_p(k), a six-term combination of normalized
 divisor sums sigma_1(x)/x taken at x = k, k/2, k/4, k/p, k/2p, k/4p
 (a term drops out whenever its argument is not a positive integer).
 It is exactly the k-th logarithmic expansion coefficient of the
 eta-quotient for (lambda(t) * lambda(pt))^{1/8} up to sign, which is
-why it shows up as the measure on integer partitions everywhere else
-in this package.  For gcd(k, 2p) = 1 it collapses to sigma_1(k)/k, and
-it is multiplicative in k.
+why it weighs the integer partitions in ``bpoly.partition_weight``.
+For gcd(k, 2p) = 1 it collapses to sigma_1(k)/k, and it is
+multiplicative in k.
 """
 
 from fractions import Fraction
 from itertools import repeat
-from math import factorial, gcd, isqrt
+from math import gcd, isqrt
 from operator import add, index
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "is_odd_prime",
     "k_alpha",
     "k_alpha_prefix",
-    "partition_weight",
     "reduced",
     "sigma1",
 ]
@@ -108,12 +107,3 @@ def alpha(p, k):
     Equals sigma_1(k)/k when gcd(k, 2p) = 1, and is multiplicative in k.
     """
     return Fraction(k_alpha(p, k), k)
-
-
-def partition_weight(p, partition):
-    """W_p(J) = prod over parts k of alpha_p(k)^{j_k} / j_k!."""
-    w = Fraction(1)
-    for k, j in partition.items():
-        w *= alpha(p, k) ** j
-        w /= factorial(j)
-    return w

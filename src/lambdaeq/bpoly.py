@@ -15,7 +15,8 @@ recurrence
 with g(k) = u*alpha_p(k) for odd k and v*alpha_p(k) for even k.  Three
 evaluation routes exist on purpose:
 
-* ``b_eval`` sums over the explicit partition list (the oracle; only
+* ``b_eval`` sums ``partition_weight`` over ``partitions_of(l)``, each
+  partition a dict {part k: multiplicity j_k} (the oracle; only
   feasible for small l),
 * ``b_series`` runs it at any rational (u, v) = (a/d, c/d), scaled by
   l! d^l to ints, and divides each b_l once at the end,
@@ -31,14 +32,14 @@ and ``b_series`` from ``arith.k_alpha`` one k at a time, so the two
 weight routes check each other too.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, lcm
 from itertools import repeat
 from operator import index, itemgetter, mul, neg
 
-from .arith import k_alpha, k_alpha_prefix, partition_weight, reduced
+from .arith import alpha, k_alpha, k_alpha_prefix, reduced
 from .exact import IntegralityError
-from .partitions import partitions_of
 
 __all__ = [
     "ENUMERATION_THRESHOLD",
@@ -46,11 +47,42 @@ __all__ = [
     "b_eval",
     "b_series",
     "p_poly",
+    "partition_weight",
+    "partitions_of",
 ]
 
 # p(30) = 5604 partitions is still cheap to enumerate; beyond that the
 # recurrence is the only sensible route.
 ENUMERATION_THRESHOLD = 30
+
+
+def partitions_of(n):
+    """All partitions of n as dicts {part k: multiplicity j_k}, largest part first."""
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
+    out = []
+    parts = []
+
+    def rec(remaining, largest):
+        if remaining == 0:
+            out.append(dict(Counter(parts)))
+            return
+        for k in range(min(largest, remaining), 0, -1):
+            parts.append(k)
+            rec(remaining - k, k)
+            parts.pop()
+
+    rec(n, n)
+    return out
+
+
+def partition_weight(p, partition):
+    """W_p(J) = prod over parts k of alpha_p(k)^{j_k} / j_k!."""
+    w = Fraction(1)
+    for k, j in partition.items():
+        w *= alpha(p, k) ** j
+        w /= factorial(j)
+    return w
 
 
 def b_eval(p, l, u, v):
@@ -69,10 +101,10 @@ def b_eval(p, l, u, v):
         )
     total = Fraction(0)
     for part in partitions_of(l):
-        term = (-n) ** part.norm * partition_weight(p, part)
-        term *= u ** part.odd_count  # 0**0 == 1 keeps the empty cases right
-        term *= v ** part.even_count
-        total += term
+        odd = sum(j for k, j in part.items() if k % 2)
+        even = sum(part.values()) - odd
+        # 0**0 == 1 keeps the empty cases right
+        total += (-n) ** (odd + even) * partition_weight(p, part) * u**odd * v**even
     return total
 
 

@@ -317,11 +317,8 @@ def _cmd_verify(args):
         selected = list(dict.fromkeys(c for c in names if c))
         if not selected:
             raise ValueError("--checks %r selects no check" % (args.checks,))
-    # the order budget is refused before any b-table work, as run_checks
-    # refuses a bad name; the default plan runs global
-    order = None
-    if selected is None or "global" in selected:
-        order = _sized_order(params, args.order)
+    # a given order is sized before any b-table work, whatever the plan
+    order = None if args.order is None else _sized_order(params, args.order)
     results = run_checks(params, selected, order)
     for res in results:
         _print_check(res)
@@ -329,6 +326,8 @@ def _cmd_verify(args):
 
 
 def _cmd_series(args):
+    if args.order < 1:
+        raise ValueError("--order must be at least 1")
     _refuse_above(
         "--order", args.order, MAX_SERIES_ORDER,
         "series products grow like order^2 bignum multiply-adds",

@@ -800,10 +800,11 @@ def run_checks(params, names=None, order=None):
     ``None`` runs symmetry, rowsums, dets, global, then theorem52 when
     m = 3; theorem52 is ``closed_form_row1``, ``row2_pipeline`` and
     ``bordered_determinant``.  ``order`` is the global check's.  An
-    unknown name, or theorem52 when m != 3, raises ``ValueError`` before
-    any table work.  One b-table serves assembly and every check, and its
-    power columns grow once: to the global order first when the plan
-    runs global, then A_p is assembled once.
+    unknown name, theorem52 when m != 3, or an order below m^2 (whatever
+    the plan) raises ``ValueError`` before any table work.  One b-table
+    serves assembly and every check, and its power columns grow once: to
+    the global order first when the plan runs global, then A_p is
+    assembled once.
     """
     if names is None:
         names = ["symmetry", "rowsums", "dets", "global"]
@@ -814,9 +815,10 @@ def run_checks(params, names=None, order=None):
         raise ValueError("unknown checks: %s" % ", ".join(unknown))
     if "theorem52" in names and params.m != 3:
         raise ValueError("the theorem52 checks need m = 3 (p in {5, 11, 23})")
+    order = global_order(params, order)
     table = BTable(params.p)
     if "global" in names:
-        table.powers(global_order(params, order))  # assembly reads m^2 of them
+        table.powers(order)  # assembly reads m^2 of them
     matrix = assemble(params.p, table)
     return [result for name in names for result in _PLAN[name](matrix, table, order)]
 

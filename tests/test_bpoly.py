@@ -107,10 +107,12 @@ def test_closed_form_table_at_random_rational_points():
 
 
 def _partition_terms(p, l):
-    return [
-        (j.norm, j.odd_count, j.even_count, partition_weight(p, j))
-        for j in partitions_of(l)
-    ]
+    terms = []
+    for j in partitions_of(l):
+        odd = sum(count for k, count in j.items() if k % 2)
+        even = sum(count for k, count in j.items() if k % 2 == 0)
+        terms.append((odd + even, odd, even, partition_weight(p, j)))
+    return terms
 
 
 def test_recurrence_matches_partition_sum_full_grid():

@@ -348,10 +348,27 @@ def test_verify_refuses_the_order_budget_before_unknown_checks(no_table_work, ca
     code, out, err = run(capsys, "verify", "7", "--checks", "bogus,global", "--order", "99999")
     assert code == 2 and out == ""
     assert err.startswith("error: --order 99999 is above the budget 2500;")
-    # without global the order is never read, and the names are refused
+    # a given order is sized whatever the plan, so without global too
     code, out, err = run(capsys, "verify", "7", "--checks", "bogus", "--order", "99999")
     assert code == 2 and out == ""
-    assert err == "error: unknown checks: bogus\n"
+    assert err.startswith("error: --order 99999 is above the budget 2500;")
+
+
+def test_verify_sizes_a_given_order_without_global(no_table_work, capsys):
+    code, out, err = run(capsys, "verify", "13", "--checks", "dets", "--order", "5")
+    assert code == 2 and out == ""
+    assert err == "error: order must be >= m^2 = 49 to cover all solved equations\n"
+    code, out, err = run(capsys, "verify", "13", "--checks", "dets", "--order", "99999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --order 99999 is above the budget 2500;")
+
+
+def test_run_checks_refuses_an_order_below_m_squared_whatever_the_plan(no_table_work):
+    from lambdaeq import PrimeParams, run_checks
+
+    for names in (["dets"], ["symmetry", "rowsums"], ["global"], None):
+        with pytest.raises(ValueError, match="order must be >= m\\^2 = 49"):
+            run_checks(PrimeParams(13), names, 48)
 
 
 def test_verify_help_lists_the_check_names(capsys):
@@ -447,6 +464,21 @@ def test_series_xy_at_a_huge_prime_reads_one_column(capsys):
         "1 - 8*q + 32*q^2 - 96*q^3 + 256*q^4 - 624*q^5 + 1408*q^6 - 3008*q^7 + 6144*q^8"
         " - 12072*q^9 + 22976*q^10 + O(q^11)\n"
     )
+
+
+@pytest.mark.parametrize("order", ["0", "-1"])
+@pytest.mark.parametrize("kind", [["lambda"], ["xy", "--p", "7", "--i", "1", "--h", "0"]])
+def test_series_refuses_an_order_below_one(kind, order, capsys):
+    code, out, err = run(capsys, "series", *kind, "--order", order)
+    assert code == 2 and out == ""
+    assert err == "error: --order must be at least 1\n"
+
+
+def test_series_order_one_works_for_both_kinds(capsys):
+    code, out, _ = run(capsys, "series", "lambda", "--order", "1")
+    assert code == 0 and out == "16*q + O(q^2)\n"
+    code, out, _ = run(capsys, "series", "xy", "--p", "7", "--i", "1", "--h", "0", "--order", "1")
+    assert code == 0 and out == "1 - q + O(q^2)\n"
 
 
 def test_series_xy_needs_p(capsys):
@@ -990,9 +1022,12 @@ def test_order_budget_bounds_only_an_explicit_order(tables, monkeypatch, capsys)
     assert err.startswith("error: --order 21 is above the budget 20;")
     code, out, _ = run(capsys, "verify", "5", "--checks", "global", "--order", "20")
     assert code == 0 and "global: PASS" in out
-    # without the global check the order is never read
-    code, _, _ = run(capsys, "verify", "5", "--checks", "symmetry", "--order", "21")
-    assert code == 0
+    # a given order is bounded without the global check too
+    code, out, err = run(capsys, "verify", "5", "--checks", "symmetry", "--order", "21")
+    assert code == 2 and out == "" and len(tables) == 1  # the global run's table
+    assert err.startswith("error: --order 21 is above the budget 20;")
+    code, out, _ = run(capsys, "verify", "5", "--checks", "symmetry", "--order", "20")
+    assert code == 0 and out == "symmetry: PASS\n"
 
 
 def test_order_budget_admits_every_default_order():

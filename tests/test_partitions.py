@@ -1,8 +1,8 @@
-"""Partition enumeration tests against the classical counting recurrence."""
+"""Partition enumeration, as multiplicity dicts, against the classical counting recurrences."""
 
 import pytest
 
-from lambdaeq import Partition, partitions_of
+from lambdaeq import partitions_of
 
 
 def partition_counts(limit):
@@ -26,52 +26,12 @@ def partition_counts(limit):
     return p
 
 
-def test_statistics_simple():
-    j = Partition({1: 2, 2: 1})
-    assert j.weight == 4
-    assert j.norm == 3
-    assert j.odd_count == 2
-    assert j.even_count == 1
-
-
-def test_statistics_sparse_parts():
-    assert Partition({3: 1, 5: 1}).weight == 8
-    j = Partition({1: 7})  # the all-ones partition that drives the row-1 moments
-    assert (j.norm, j.odd_count, j.even_count) == (7, 7, 0)
-
-
-def test_statistics_empty():
-    j = Partition()
-    assert (j.weight, j.norm, j.odd_count, j.even_count) == (0, 0, 0, 0)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition({0: 1})
-    with pytest.raises(ValueError):
-        Partition({2: 0})
-    with pytest.raises(ValueError):
-        Partition({-3: 2})
-
-
-def test_partition_equality_and_hash():
-    assert Partition({2: 1, 1: 2}) == Partition({1: 2, 2: 1})
-    assert hash(Partition({3: 2, 1: 1})) == hash(Partition({1: 1, 3: 2}))
-    assert Partition({1: 1}) != Partition({2: 1})
-
-
 def test_enumerate_zero():
-    assert partitions_of(0) == [Partition()]
+    assert partitions_of(0) == [{}]
 
 
 def test_enumerate_four_in_order():
-    expected = [
-        Partition({4: 1}),
-        Partition({3: 1, 1: 1}),
-        Partition({2: 2}),
-        Partition({2: 1, 1: 2}),
-        Partition({1: 4}),
-    ]
+    expected = [{4: 1}, {3: 1, 1: 1}, {2: 2}, {2: 1, 1: 2}, {1: 4}]
     assert partitions_of(4) == expected
 
 
@@ -86,10 +46,20 @@ def test_enumerate_counts_match_recurrence():
 def test_enumerate_no_duplicates_and_correct_weight():
     for n in (7, 13, 20):
         parts = partitions_of(n)
-        assert len(set(parts)) == len(parts)
+        assert len({frozenset(j.items()) for j in parts}) == len(parts)
         for j in parts:
-            assert j.weight == n
-            assert j.norm == j.odd_count + j.even_count
+            assert sum(k * count for k, count in j.items()) == n
+            assert all(k >= 1 and count >= 1 for k, count in j.items())
+
+
+def test_euler_odd_parts_equal_distinct_parts():
+    # Euler: as many partitions of n into odd parts as into distinct parts
+    for n in range(31):
+        parts = partitions_of(n)
+        odd = [j for j in parts if all(k % 2 for k in j)]
+        distinct = [j for j in parts if all(count == 1 for count in j.values())]
+        assert len(odd) == len(distinct), n
+    assert len(odd) == 296  # q(30), OEIS A000009
 
 
 def test_negative_weight_rejected():
