@@ -13,7 +13,6 @@ nonlinear differential equation satisfied by lambda itself.
 
 from .arith import *
 from .bpoly import *
-from .exact import *
 from .modeq import *
 from .ode import *
 from .qseries import *

@@ -16,6 +16,7 @@ from math import gcd, isqrt
 from operator import add, index
 
 __all__ = [
+    "IntegralityError",
     "alpha",
     "is_odd_prime",
     "k_alpha",
@@ -23,6 +24,10 @@ __all__ = [
     "reduced",
     "sigma1",
 ]
+
+
+class IntegralityError(ArithmeticError):
+    """A value that must be an integer was not (never expected)."""
 
 
 def sigma1(n):

@@ -38,8 +38,7 @@ from math import comb, factorial, lcm
 from itertools import repeat
 from operator import index, itemgetter, mul, neg
 
-from .arith import alpha, k_alpha, k_alpha_prefix, reduced
-from .exact import IntegralityError
+from .arith import IntegralityError, alpha, k_alpha, k_alpha_prefix, reduced
 
 __all__ = [
     "ENUMERATION_THRESHOLD",

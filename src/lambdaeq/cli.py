@@ -9,10 +9,11 @@ refused with exit 2 before any work; each budget is a ``MAX_*``
 constant below, except the l of ``bpoly --method partition``, which
 ``bpoly.ENUMERATION_THRESHOLD`` bounds.  All configuration is by flags;
 the only state on disk is the optional matrix cache.  A cached matrix
-is served only if it is a JSON object whose entries are JSON integers,
-its prime is the one asked for and it passes ``matrix``'s built-in
-checks, the two symmetries and the row-1 moments; any other entry is
-rebuilt, and the rebuilt matrix is cached only once it passes them.
+is served only if it is a JSON object whose header and entries are
+JSON integers, its prime is the one asked for and it passes
+``matrix``'s built-in checks, the two symmetries and the row-1 moments;
+any other entry is rebuilt, and the rebuilt matrix is cached only once
+it passes them.
 Nothing else about a cached matrix is re-checked.
 
 The argument parser is built once, at import, and is the only state
@@ -44,59 +45,51 @@ from .modeq import (
     to_doc,
     verify_row_moments,
     verify_symmetry,
+    xy_normalized_lemma,
 )
 from .ode import ode_residual
-from .qseries import lambda_series, xy_normalized_lemma
+from .qseries import lambda_series
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
-# Assembly runs ~m^5 bignum multiply-adds; every m <= 48 assembles in
-# under a minute on a 2-core VM (see README).
+# Each budget keeps the costliest admitted input within seconds to a minute;
+# README's budget table times each one.  Assembly runs ~m^5/6 bignum
+# multiply-adds on coefficients that lengthen with m (``modeq.assemble``).
 MAX_M = 48
 
 # Past the default order the global check runs ~(m+1) order^2 bignum
-# multiply-adds; at order 2500 the costliest admitted m is 48, whose
-# default order m^2 + 2m = 2400 is below it, so no admitted order costs
-# much more than a full verify at m = 48 (see README).
+# multiply-adds; every admitted default order m^2 + 2m is at most 2400, below
+# this, so no admitted order costs much more than a full verify at m = 48.
 MAX_ORDER = 2500
 
-# scan solves one row-1 block per odd prime, with m up to (p+1)/2.  Each
-# class n shares one b-table and one factorization, built to the class's
-# largest m = M: ~M^2/4 multiply-adds per packed group of power columns
-# (see bpoly.BTable) and ~M^3/3 subtractions for the forward differences,
-# once per class, so its time grows like max-p^3; each prime adds O(m^2).
-# --max-p 400 took 0.69-1.16 s on a busy 2-core VM, ten runs (see README).
+# scan builds one b-table and one factorization per class n, to the class's
+# largest m = M: ~M^2/4 multiply-adds per packed group of power columns and
+# ~M^3/3 subtractions (``modeq.scan_row1``), so its time grows like max-p^3;
+# each prime adds O(m^2).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits
-# long, and divides once by (s+m)!; at s + m = 400 the costliest pair,
-# m = 400, takes ~5 ms in-process on a 2-core VM.
+# long, and divides once by (s+m)!.
 MAX_PVALS_SUM = 400
 
-# Each budget below keeps the costliest admitted input within a few
-# seconds on a 2-core VM, timed as one CLI process each.
-
-# ode-check builds lambda and takes six products of series of length
-# order, four of them squares: --order 1000 took 0.38-0.65 s over ten runs.
+# ode-check takes six products of series of length order, four of them
+# squares: ~order^2 multiply-adds.
 MAX_ODE_ORDER = 1000
 
-# series lambda --order 2000 took 0.40-0.42 s (two powers of the sparse
-# psi series and one product); series xy at order 2000 with
-# i + h = 1000 took 1.3 s, and its coefficients lengthen with i + h.
+# series lambda takes two powers of sparse bases and one product, ~order^2
+# multiply-adds; the coefficients of series xy lengthen with i + h.
 MAX_SERIES_ORDER = 2000
 MAX_XY_EXPONENT = 1000
 
 # bpoly runs the recurrence scaled to ints, ~l^2/2 bignum products whose
-# length grows with l and with the size of u and v: l = 200 with both
-# u and v 32-bit fractions took 0.44-0.46 s.
+# length grows with l and with the size of u and v.
 MAX_BPOLY_L = 200
 MAX_BPOLY_BITS = 32
 
-# Primality (for the p of alpha, bpoly and series xy) and sigma_1 (for
-# the k of alpha) are trial division up to the square root: alpha at
-# k = 10^12 took 0.46 s, at p = 10^12 0.2 s.
+# Primality (for the p of alpha, bpoly and series xy) and sigma_1 (for the k
+# of alpha) are trial division up to the square root.
 MAX_PRIME = 10**12
 MAX_ALPHA_K = 10**12
 

@@ -7,45 +7,30 @@ there is an (m+1) x (m+1) integer matrix A_p = (a_{i,h}) such that
 
     sum_{i,h} a_{i,h} X^i Y^h = 0,     a_{i,h} = 0 for i + h > m,
 
-normalized by a_{0,0} = 1.  Substituting the normalized expansions
-X^i Y^h = 2^{ni} q^{mi} sum_l b_l(i+2h, i) q^l and collecting powers of
-q turns this into the master system
+normalized by a_{0,0} = 1.  Substituting X^i Y^h = 2^{ni} q^{mi}
+sum_l b_l(i+2h, i) q^l (``xy_normalized_lemma``) and collecting powers
+of q turns this into the master system
 
     0 = sum_{i=0..m} 2^{ni} sum_l ( sum_h a_{i,h} b_l(i+2h, i) ) q^{mi+l}.
 
 Row 0 is the alternating binomial row a_{0,h} = (-1)^h C(m,h).  Row i
-is then determined by the coefficients of q^{mi}..q^{mi+(m-i)}: they
-give the square system
+is then determined by the coefficients of q^{mi}..q^{mi+(m-i)}, the
+square system
 
     2^{ni} B(i,i) a'_i + 2^{n(i-1)} B(i,i-1) a'_{i-1} + ... + B(i,0) a_0 = 0
 
-over the blocks B(i,r) = [b_{l+m(i-r)}(r+2h, r)] with rows l = 0..m-i
-and columns h = 0..m-r, where a'_r holds the first m+1-r entries of row
-r (the rest are zero).  B(i,i) is nonsingular with determinant
-(-2n)^{(m+1-i)(m-i)/2}, so each row is uniquely determined; the solved
-entries always come out integral, and the transpose symmetry
-a_{i,h} = a_{h,i}, the horizontal symmetry
-a_{i,h} = (-1)^{m(i-1)} a_{i,m-i-h}, and the vanishing of all master
-coefficients beyond the ones used in solving are emergent facts that
-the verify_* functions check after the fact.
+over the blocks B(i,r) (``block``), where a'_r holds the first m+1-r
+entries of row r.  det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} is nonzero, so
+each row is unique.  That the entries come out integral, the symmetries
+a_{i,h} = a_{h,i} and a_{i,h} = (-1)^{m(i-1)} a_{i,m-i-h}, and the
+vanishing of every master coefficient no solve reads are emergent
+facts, which the verify_* functions check after the fact.
 
-Every b_l(r+2h, r) comes from one integer table per prime, ``BTable(p)``:
-k alpha_p(k) is an integer (``arith.k_alpha``; the table sieves all of
-k = 1..top at once with ``arith.k_alpha_prefix``), so the recurrence
-runs on ints, and its exact division by l checks the integrality of the
-eta-quotient coefficients at every step (see ``bpoly.BTable``).  The
-m+1 power columns P^h = b(2h, 0) that assembly, ``_factor`` and the
-global check read grow together (``BTable.powers``), as recurrences
-on packed ints with one exact division per step, which the ``BTable``
-docstring proves; ``run_checks`` grows them once per plan.
-Every other point, and a lone b(2h, 0), is a column of its own.
-
-Assembly does not need a full column for every point (r+2h, r).  The
-generating function sum_l b_l(u, v) q^l is exp(sum_k w_k q^k / k) and
-w_k is linear in (u, v), so b(u1+u2, v1+v2) is the product series
-b(u1, v1) b(u2, v2).  With K = b(1, 1) and P = b(2, 0), b(r+2h, r) =
-K^r P^h, K^{-1} = b(-1, -1) is an integer column of the same table, and
-the master series is
+The row loop.  Every b_l(u, v) comes from one integer table per prime,
+``bpoly.BTable``.  The generating function sum_l b_l(u, v) q^l is the
+exponential of a series linear in (u, v), so b(r+2h, r) = K^r P^h with
+K = b(1, 1) and P = b(2, 0), K^{-1} = b(-1, -1) is an integer column of
+the same table, and the master series is
 
     F = sum_i 2^{ni} q^{mi} K^i A_i(P),     A_i(P) = sum_h a_{i,h} P^h.
 
@@ -56,103 +41,27 @@ row i's equations are equally the coefficients mi..mi+(m-i) of
     G_1 = K^{-1} A_0(P),   G_{i+1} = K^{-1} (G_i + 2^{ni} q^{mi} A_i(P)).
 
 Row i therefore solves 2^{ni} C_i a'_i = -G_i[mi..mi+m-i], where C_i is
-the leading (m-i+1) block of the one matrix C = [b_l(2h, 0)] with
-l, h = 0..m.  The coefficients m(i-1)..mi-1 of G_i are row i-1's
-equations and the gap equations, which no solve reads: the row loop
-asserts that they vanish, and a nonzero one raises ``ArithmeticError``
-naming i, the index and the value.  Each step is one integer combination
-of the columns P^h = b(2h, 0) and one truncated product with the column
-K^{-1}, whose coefficients stay short.  ``assemble`` runs the loop to
-row m and reads b(2h, 0) to index m^2 and b(-1, -1) to index m^2 - m
-(each product skips the m entries the gap check cleared): ~m^3
-coefficients, and ~m^5/6 multiply-adds in the products.
-
-``scan_row1`` stops after row 1, whose equations are the coefficients
-m..2m-1 of A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times
-E^m to index m - 1, a power of the coefficients P_1..P_m on the integer
-``Series`` ring: ~m^2/2 multiply-adds by Miller's recurrence, each step
-an exact division.  So every column b(2h, 0) it reads stops at index m,
-where ``_factor`` reads it anyway, and b(-1, -1) at m - 1.  The gap
-check before row 1 reads m zeros by construction.  What the column sum
-had to show there,
-sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m, is an m-th difference of
-row t of C, which ``_factor`` proves has degree t.  ``assemble`` keeps
-the column sum for row 0, since its later rows read those columns to
-index m^2 anyway.
-
-``scan_row1`` solves row 1 for a list of primes and shares one b-table
-and one ``_factor`` per class n among them; a list of one prime is the
-per-prime route, on a fresh b-table of p.  k alpha_p(k) has no p-term
-below k = p (``arith.k_alpha``), so b_l(u, v) with l < p depends on n
-alone: the tables of two primes p < p' of one class agree through index
-p - 1, and at index p, b_p(u, v) of p minus that of p' is -n u.  Every
-index a prime's row 1 reads is at most m < p: P and the columns b(2h, 0) to m,
-K^{-1} to m - 1.  So the table of the class's largest prime p_top, which
-``_factor`` reads to M = m(p_top) < p_top, equals the table of p at every
-index p reads.  ``_factor`` on p_top checks rows l <= M over h <= M, and
-each prime's C is the leading (m+1) block of that C, so each prime's
-factorization is still proved, by the same numbers.  The M + 1 power
-columns cost ~M^2/4 multiply-adds each for P^M and for every packed
-group (~M^3/4 one column at a time) and the differences ~M^3/3
-subtractions, once per class; each prime adds its power and its solve,
-O(m^2).
-
-The blocks C_i are solved in ints too, through one factorization
-C = L U.  In b_l(u, v) a partition J of l contributes a term of degree
-J_o <= |J| <= l in u, with equality only for the all-ones partition,
-whose term is (-n)^l u^l alpha_p(1)^l / l! = (-n)^l u^l / l!.  Along row
-l of C the point is (u, v) = (2h, 0), so the row is a polynomial of
-degree l in h with leading term (-2n)^l h^l / l!; in the binomial basis
-C(h, j) its coefficients are its forward differences Delta_h^j C[l][0],
-zero for j > l and (-2n)^l at j = l.  Hence
-
-    C = L U,    L[l][j] = Delta_h^j C[l][0],    U[j][h] = C(h, j),
-
-with L lower triangular with diagonal (-2n)^l and U unit upper
-triangular, so C_i = L_i U_i for the leading blocks and one L serves
-every row.  ``_factor`` does not assume this: it builds the forward
-differences of every row of C from the integer columns and checks that
-the l-th differences of row l all equal (-2n)^l, over all (m+1)^2
-entries of C.  The power columns lie in one flat list column after
-column (in blocks of rows at large m), and each of the m + 1 rounds of
-differences in h is one ``map(sub, ...)`` pass over all the rows not
-yet checked.  Newton's formula on the m+1 points h = 0..m is exact, so
-that check proves C = L U, and a failure raises ``FactorizationError``.
-Each row is then forward substitution with an exact division by
-(-2n)^l per row, back-substitution through U, and an exact division by
-2^{ni}; every division asserts a zero remainder.  U[j][h] = C(h, j) says that
-y = U x holds the coefficients of x(t + 1), so the back-substitution is
-the Taylor shift x(t) = y(t - 1): ~size^2/2 additions and no binomials.
+the leading (m-i+1) block of the one matrix C = [b_l(2h, 0)], l, h =
+0..m, factored once as C = L U (``_factor``, ``_solve_leading``).  The
+coefficients m(i-1)..mi-1 of G_i are row i-1's equations and the gap
+equations, which no solve reads; the loop (``_solve_rows``) asserts
+that they vanish.  Each step is one integer combination of the power
+columns P^h = b(2h, 0) and one truncated product with K^{-1}.
+``assemble`` runs the loop to row m, and ``scan_row1`` stops it after
+row 1.
 
 The checks stay independent of the row loop:
 
-* ``verify_block_determinants`` reads each B(i,i) with ``block``, an
-  int grid of the heads b(i+2h, i) that assembly never reads, and
-  computes its determinant by fraction-free Bareiss elimination
-  (``exact.integer_det``), every division an exact ``divmod``.  That
-  is generic elimination: it never reads an L or its diagonal, which
-  is the product formula det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} itself,
-  so the check is not its own oracle.
-* ``verify_global_vanish`` recomputes the master series from the
-  matrix entries alone, by Horner's rule in 2^n q^m K:
-
-      F = sum_i (2^n q^m K)^i A_i(P),
-      acc = A_m(P);  acc = A_i(P) + 2^n q^m K acc  for i = m-1..0,
-
-  with the step at row i truncated to index order - m i.  Each step is
-  an integer combination of the columns P^h = b(2h, 0) plus one
-  truncated product with the single column K = b(1, 1), of length
-  order - m(i+1): ~m^5/6 multiply-adds, and no column b(i, i) with
-  i >= 2.  It never sees assembly's G_i or K^{-1}, and runs top-down
-  where assembly runs bottom-up, so a fault in them cannot cancel out.
-* ``row2_pipeline`` (theorem52) reads whole blocks from the direct
-  columns b(r+2h, r), solves B(1,1) and B(2,2) by Cramer's rule with
-  every determinant a Bareiss ``integer_det`` on ints, and compares its
-  row 2 with the matrix.  It never calls ``_factor``, ``_solve_leading``
-  or ``_solve_rows``, so it stays independent of the L U solve.
-
-``bordered_determinant`` and ``qseries.xy_normalized_lemma`` read direct
-columns too.
+* ``verify_block_determinants`` reads each B(i,i) from the direct
+  columns b(i+2h, i), which assembly never reads, and takes its
+  determinant by generic elimination (``integer_det``).  It never reads
+  L, whose diagonal is the product formula it checks, so the check is
+  not its own oracle.
+* ``verify_global_vanish`` recomputes F from the matrix entries alone,
+  top-down by Horner's rule in 2^n q^m K.  It never sees assembly's G_i
+  or K^{-1}, so a fault in them cannot cancel out.
+* ``row2_pipeline`` (theorem52) solves B(1,1) and B(2,2) from the
+  direct columns by Cramer's rule, and never touches the L U solve.
 """
 
 from dataclasses import dataclass, field
@@ -161,9 +70,8 @@ from itertools import accumulate, chain, islice
 from math import comb, gcd
 from operator import mul, sub
 
-from .arith import alpha, is_odd_prime, k_alpha, reduced
+from .arith import IntegralityError, alpha, is_odd_prime, k_alpha, reduced
 from .bpoly import BTable, p_poly
-from .exact import IntegralityError, integer_det
 from .qseries import Series, _truncated_product
 
 __all__ = [
@@ -179,6 +87,7 @@ __all__ = [
     "closed_form_row1",
     "from_doc",
     "global_order",
+    "integer_det",
     "render_text",
     "render_typeset",
     "row0",
@@ -190,6 +99,7 @@ __all__ = [
     "verify_global_vanish",
     "verify_row_moments",
     "verify_symmetry",
+    "xy_normalized_lemma",
 ]
 
 SCHEMA_VERSION = 1
@@ -270,23 +180,44 @@ def block(params, i, r, table=None):
     return tuple(zip(*columns))
 
 
+def xy_normalized_lemma(params, i, h, order):
+    """X^i Y^h / (2^{ni} q^{mi}) with coefficient b_l(i+2h, i) at q^l.
+
+    From the eta quotients of lambda and 1 - lambda, with
+    Q(at) = prod_{k>=1} (1 - q^{ak}), the series is
+    [Q(t)^{n(i+2h)} Q(4t)^{n(2i+h)} Q(2t)^{-3n(i+h)}] times the same at
+    pt, since (p+1)/8 = m/n makes the q-power exponent ni(p+1)/8 = mi.
+    That product is the test oracle; this route reads the direct b-table
+    column (i+2h, i).
+    """
+    if i < 0 or h < 0:
+        raise ValueError("exponents i, h must be nonnegative")
+    return Series(BTable(params.p).column(i + 2 * h, i, order), order)
+
+
 def scan_row1(primes):
     """Yield (params, row 1 of A_p) for each odd prime p of ``primes``, in order.
 
-    Row 1 is the m+1 ints a_{1,0}..a_{1,m}, the last 0.  It comes from the
-    row loop of ``assemble`` stopped after row 1, which raises as
-    ``assemble`` does, but each class n shares one b-table and one
-    factorization: both come from the class's largest prime p_top, built
-    at its first prime.  The sharing is exact because every index a
-    prime's route reads is at most m < p <= p_top, and below p its table
-    and p_top's agree (see the module docstring).  Each prime then pays
-    only for its power ``_row0_power``, its solve (forward substitution
-    and a Taylor shift, O(m^2)) and, in ``cli``, its moment check, whose
-    P_1(m) and P_2(m) are closed forms; the weights cost one divisor
-    sieve, and the power columns and differences ~M^2/4 multiply-adds
-    per packed group and ~M^3/3 subtractions once per class, with
-    M = m(p_top).  A ``FactorizationError`` of a class names
-    p_top.
+    Row 1 is the m+1 ints a_{1,0}..a_{1,m}, the last 0, from the row loop
+    of ``assemble`` stopped after row 1, which raises as ``assemble``
+    does.  Its equations are the coefficients m..2m-1 of
+    A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times E^m to
+    index m - 1, a ``Series`` power of P_1..P_m (``_row0_power``): ~m^2/2
+    multiply-adds.  So the route reads the columns b(2h, 0) to index m,
+    where ``_factor`` reads them anyway, and K^{-1} to m - 1.  The gap
+    check before row 1 reads m zeros by construction: the column sum
+    sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m is an m-th difference
+    of row t of C, which ``_factor`` proves has degree t.
+
+    Each class n shares one b-table and one ``_factor``, both from the
+    class's largest prime p_top and built at its first prime.  k alpha_p(k)
+    has no p-term below k = p (``arith.k_alpha``), so b_l(u, v) with l < p
+    depends on n alone, and as m < p <= p_top, p_top's table equals p's at
+    every index p reads.  p's C is the leading (m+1) block of p_top's, so
+    its factorization is proved by the same numbers.  The power columns
+    and the differences to M = m(p_top) are paid once per class; each
+    prime adds its power and its solve, O(m^2).  A ``FactorizationError``
+    of a class names p_top; a list of one prime is the per-prime route.
     """
     primes = [PrimeParams(p) for p in primes]
     tops = {params.n: params for params in sorted(primes, key=lambda q: q.p)}
@@ -313,19 +244,34 @@ _FLAT_ENTRIES = 4096
 
 
 def _factor(params, table):
-    """The rows of L in C = L U, C = [b_l(2h, 0)]: row l holds Delta^0..Delta^{l-1}
-    of row l of C at h = 0, and its l-th differences must all equal (-2n)^l.
+    """The rows of L in C = L U, C = [b_l(2h, 0)] with l, h = 0..m.
 
-    Every entry of C for l, h <= m is read and differenced, in blocks of
-    rows of at most ``_FLAT_ENTRIES`` entries (one block for m <= 63).  A
-    block's size rows lie in one flat list column after column, as the
-    power columns hold them, so round j takes the j-th differences of
-    every row in one ``map(sub, ...)`` pass, each entry from the one size
-    places on.  From the block's first row on, round j first compares row
-    j, ``flat[::size]``, with (-2n)^j by ``count`` (the bad index is
-    searched for only on failure) and deletes it; the first column then
-    holds Delta^j C[l][0] for the rows l > j.  A block of rows a..b-1 takes
-    b rounds, and the first bad (l, h) is the one a row-by-row pass finds.
+    In b_l(u, v) a partition J of l has degree J_o <= l in u, with
+    equality only for the all-ones partition, whose term is
+    (-n)^l u^l alpha_p(1)^l / l! = (-n)^l u^l / l!.  At (u, v) = (2h, 0),
+    row l of C is thus a degree-l polynomial in h with leading term
+    (-2n)^l h^l / l!; in the binomial basis C(h, j) its coefficients are
+    its forward differences Delta_h^j C[l][0], zero for j > l and
+    (-2n)^l at j = l.  Hence
+
+        C = L U,    L[l][j] = Delta_h^j C[l][0],    U[j][h] = C(h, j),
+
+    with L lower triangular with diagonal (-2n)^l and U unit upper
+    triangular, so every leading block is C_i = L_i U_i and one L serves
+    every row.  Nothing here assumes it: the l-th differences of every
+    row l must equal (-2n)^l over all (m+1)^2 entries, which by Newton's
+    formula on h = 0..m proves C = L U; a failure raises
+    ``FactorizationError``.  Row l of the result holds Delta^0..Delta^{l-1}
+    of row l at h = 0.
+
+    The rows go in blocks of at most ``_FLAT_ENTRIES`` entries (one block
+    for m <= 63).  A block's size rows lie in one flat list column after
+    column, as the power columns hold them, so round j takes the j-th
+    differences of every row in one ``map(sub, ...)`` pass, each entry
+    from the one size places on.  From the block's first row on, round j
+    first compares row j, ``flat[::size]``, with (-2n)^j by ``count`` and
+    deletes it; the first column then holds Delta^j C[l][0] for the rows
+    l > j.  The first bad (l, h) is the one a row-by-row pass finds.
     """
     m, n = params.m, params.n
     columns = table.powers(m)[: m + 1]
@@ -415,12 +361,7 @@ def _add_row_series(window, weight, head, table):
 
 
 def _row0_power(params, table):
-    """Row 0's series A_0(P) = (1 - P)^m to index 2m - 1, from P to index m.
-
-    With E = (P - 1)/q, (1 - P)^m = (-1)^m q^m E^m: coefficients 0..m-1
-    are 0, and m..2m-1 are (-1)^m times E^m to index m - 1, a power of
-    the m coefficients P_1..P_m on the integer ``Series`` ring.
-    """
+    """Row 0's series A_0(P) = (1 - P)^m to index 2m - 1, as ``scan_row1`` takes it."""
     m = params.m
     power = Series(table.powers(m)[1][1 : m + 1]) ** m
     return [0] * m + [(-1) ** m * c for c in power.coeffs]
@@ -429,17 +370,14 @@ def _row0_power(params, table):
 def _solve_rows(params, table, last, window, lower):
     """The heads of rows 0..last of A_p, bottom-up in K^{-1} (see the module docstring).
 
-    The caller passes row 0's series A_0(P) to some index top, which
-    bounds every equation the loop reads: ``assemble`` sums it from the
-    columns b(2h, 0) (``_add_row_series``), ``scan_row1`` takes it as a
-    power (``_row0_power``).  ``lower`` is L of C = L U from ``_factor``:
-    ``assemble`` factors its own table, ``scan_row1`` passes its class's
-    shared one, whose rows 0..m are this prime's.  Past the factorization
-    the loop costs ~m^5/6 multiply-adds to row m and O(m^2) for row 1.
-    ``window`` holds G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index
-    m(i-1).  K^{-1} is a unit series, so the window and G_i = K^{-1} window
-    share their first nonzero entry, and checking the window's first m
-    entries is the gap check on G_i.
+    ``window`` is row 0's series A_0(P) to the last index any equation
+    of the loop reads (``_add_row_series`` or ``_row0_power``), and
+    ``lower`` is L of C = L U from ``_factor``.  At row i the window holds
+    G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index m(i-1).  K^{-1}
+    is a unit series, so the window and G_i = K^{-1} window share their
+    first nonzero entry, and checking the window's first m entries is the
+    gap check on G_i; a nonzero one raises ``ArithmeticError`` naming i,
+    the index and the value.
     """
     m, n, p = params.m, params.n, params.p
     kernel = table.column(-1, -1, len(window) - 1 - m)
@@ -462,8 +400,10 @@ def _solve_rows(params, table, last, window, lower):
 def assemble(p, table=None):
     """Build the full matrix A_p, asserting integrality of every entry.
 
-    ``table`` may be the prime's shared b-table; assembly reads only its
-    columns b(2h, 0) and b(-1, -1) (see the module docstring).
+    ``table`` may be the prime's shared b-table.  Assembly reads only its
+    columns b(2h, 0), to index m^2, and b(-1, -1), to m^2 - m (each
+    product skips the m entries the gap check cleared): ~m^3
+    coefficients, and ~m^5/6 multiply-adds in the products.
     """
     params = PrimeParams(p)
     m = params.m
@@ -570,6 +510,47 @@ def verify_row_moments(params, row):
     return CheckResult("rowsums", ok0 and ok1 and ok2, details, note)
 
 
+def integer_det(rows):
+    """Exact determinant of a square int grid by Bareiss elimination.
+
+    The library's only general elimination.  Step c replaces every entry
+    below and right of the pivot by (pivot * x - f * y) / previous pivot,
+    which Sylvester's identity makes an exact division (Bareiss 1968);
+    each is a ``divmod`` whose nonzero remainder raises
+    ``IntegralityError``.  The pivot is the first nonzero entry of its
+    column, a fixed rule that keeps every intermediate reproducible.  The
+    last pivot is the determinant up to the sign of the row swaps.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    if not n or any(len(row) != n for row in a):
+        raise ValueError("determinant needs a nonempty square grid")
+    sign = 1
+    previous = 1
+    for c in range(n - 1):
+        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            sign = -sign
+        top = a[c]
+        pivot = top[c]
+        for r in range(c + 1, n):
+            row = a[r]
+            f = row[c]
+            steps = [
+                divmod(pivot * x - f * y, previous) for x, y in zip(row[c + 1 :], top[c + 1 :])
+            ]
+            if any(rem for _, rem in steps):
+                raise IntegralityError(
+                    "Bareiss step %d of a %dx%d determinant left a remainder" % (c, n, n)
+                )
+            row[c + 1 :] = [value for value, _ in steps]
+        previous = pivot
+    return sign * a[n - 1][n - 1]
+
+
 def verify_block_determinants(params, table=None):
     """det B(i,i) = (-2n)^{(m+1-i)(m-i)/2} for every 1 <= i <= m.
 
@@ -604,11 +585,16 @@ def verify_global_vanish(matrix, order=None, table=None):
     equations no solve ever used, so it also exercises the zero triangle
     and the trailing padding.  The order must be at least m^2 (the
     largest index any solve touched); the default adds 2m surplus
-    equations on top.  The sum is evaluated by Horner's rule in
-    2^n q^m K (see the module docstring) and reads only
-    ``matrix.entries`` and the columns b(2h, 0) and K = b(1, 1), which
-    it extends to the order and to order - m; ``table`` may be the
-    prime's shared b-table.
+    equations on top.  The master series is evaluated top-down by
+    Horner's rule in 2^n q^m K,
+
+        acc = A_m(P);  acc = A_i(P) + 2^n q^m K acc  for i = m-1..0,
+
+    the step at row i truncated to index order - m i: an integer
+    combination of the power columns P^h = b(2h, 0) plus one truncated
+    product with K = b(1, 1), ~m^5/6 multiply-adds.  It reads only
+    ``matrix.entries`` and those columns, to the order and to order - m;
+    ``table`` may be the prime's shared b-table.
     """
     params = matrix.params
     m, n = params.m, params.n
@@ -845,18 +831,23 @@ def from_doc(doc):
     """Parse a structured document back into a ModularMatrix.
 
     The document must be a JSON object with the keys of ``to_doc``, its
-    matrix a list of rows, each a list, and every entry a JSON integer;
-    anything else raises ``ValueError`` rather than being coerced.
+    schema_version, p, m and n JSON integers, its matrix a list of rows,
+    each a list, and every entry a JSON integer; anything else raises
+    ``ValueError`` rather than being coerced.
     """
     if not isinstance(doc, dict):
         raise ValueError("a structured document is a JSON object, not %s" % type(doc).__name__)
     missing = [key for key in ("schema_version", "p", "m", "n", "matrix") if key not in doc]
     if missing:
         raise ValueError("the structured document has no %s" % ", ".join(missing))
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError("unsupported schema_version %r" % (doc["schema_version"],))
-    params = PrimeParams(doc["p"])
-    if params.m != doc["m"] or params.n != doc["n"]:
+    # != alone would take true for 1 and 3.0 for 3
+    version, p, m, n = (doc[key] for key in ("schema_version", "p", "m", "n"))
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError("unsupported schema_version %r" % (version,))
+    if type(p) is not int:
+        raise ValueError("p must be an odd prime, got %r" % (p,))
+    params = PrimeParams(p)
+    if type(m) is not int or type(n) is not int or (params.m, params.n) != (m, n):
         raise ValueError("inconsistent (p, m, n) in document")
     rows = doc["matrix"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):

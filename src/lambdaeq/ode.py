@@ -20,17 +20,14 @@ D^2 s - 5 (D^2 f)^2 for s = (D f)^2, and ``ode_residual`` evaluates
 
 six products and no power, where the expanded form takes nine products
 and the power (D f)^4.  Four of the six are squares, (D f)^2, (D^2 f)^2,
-s^2 and f^2: ``s * s`` passes one operand twice, so the product kernel
-sums each symmetric pair once, about half the multiply-adds of a
-general product.  g is written f - f^2 rather than f (1 - f) so that its
-product is one of them, with the same certified order (f's own, in
-either form).  The factored and expanded forms give the same
-coefficients and the same certified order: D^2 s is known as far as the product (D^3 f)(D f), and
+s^2 and f^2, which ``s * s`` hands the product kernel as squares; g is
+written f - f^2 rather than f (1 - f) so that its product is one of
+them.  Both forms give the same coefficients and the same certified
+order: D^2 s is known as far as the product (D^3 f)(D f), and
 s^2 = (D f)^4 bounds the order of both groupings.  Only this cleared
 form is checked: it needs no Laurent series for the valuation -2
-quotients, and every coefficient comparison is exact.  The lambda
-expansion has integer coefficients and the cleared form has no
-division, so the whole residual is computed on plain ints.  The same
+quotients, and it has no division, so the residual of the integral
+lambda expansion is computed on plain ints.  The same
 identity rescaled by 3/2-powers is the familiar Schwarzian-style
 normalization 3 (f''/f'^2)^2 - 2 f'''/f'^3 = (1 - f + f^2)/(f^2(1-f)^2);
 verifying one form verifies the other.

@@ -1,71 +1,24 @@
-"""Truncated formal power series in q with exact coefficients.
+"""Truncated formal power series in q with int coefficients, and lambda.
 
 A ``Series`` stores coefficients c_0..c_T; terms beyond q^T are unknown
-(not zero).  Coefficients are plain ints: products accumulate in ints,
-and only a series with constant term +-1 is inverted, so its inverse
-stays integral.  Every operation records how far its output can be trusted:
+(not zero).  Every operation records how far its output can be trusted:
 sums keep the smaller order, while products use valuations, so that a
 product of series vanishing to high order stays valid beyond the naive
 min (the unknown tail of one factor first pollutes the output at
-order + valuation of the other factor).  A product strips both
-valuations and runs ``_truncated_product``, which ``modeq`` shares; a
-square, ``s * s`` with one object on both sides, passes one sliced
-object as both operands, and the kernel then sums each symmetric pair
-once, about half the multiply-adds.  The kernel has two routes.
-The int route is one int multiply by Kronecker substitution: each
-operand is packed into one int, coefficient i in byte-aligned slot i,
-and slot t of the product is coefficient t.  The slot holds the bound
-|c_t| <= max|a| max|b| (top + 1) and a sign bit, so no slot carries
-into the next, and reading the slots back is exact.  It runs for a
-product of count >= ``_KRONECKER_MIN`` coefficients whose slots are
-narrow for its length: size^3 < ``_KRONECKER_CUBE`` count, size in
-bytes.  Otherwise the schoolbook loop runs, which the tests hold the
-int route to.  Powers, ``** -1`` among them, run J.C.P. Miller's
-recurrence instead: one pass over the base's nonzero terms, O(L nnz)
-multiply-adds and an exact division per coefficient, so the power of a
-base with O(sqrt L) nonzero terms costs O(L^1.5), less than one
-product.  A power
-keeps the order the valuation-aware product would give it: order +
-(e - 1) v for e >= 1 and a base of valuation v, order for e <= 0.  This
-bookkeeping is what lets the differential-equation residual be
-certified coefficient by coefficient with no hand analysis.
-
-Results the ring builds from its own series alone go through
-``_ring_series``, which skips the per-coefficient type scan of
-``Series(...)``: they can hold nothing but ints.  A result with an int
-scalar operand keeps the checked constructor.
-
-The module also builds the eta-quotient expansion in q = e^{i pi t}
-
-    lambda(t) = 16 q Q(t)^8 Q(4t)^16 / Q(2t)^24 = 16 q psi(q^2)^8 / psi(q)^8
-
-with Q(at) = prod_{k>=1} (1 - q^{ak}) and psi(q) = sum_{k>=0} q^{k(k+1)/2}
-= Q(2t)^2 / Q(t), so psi(q^2) / psi(q) = Q(t) Q(4t)^2 / Q(2t)^3.
-``lambda_series`` takes the psi form: psi has O(sqrt L) nonzero terms,
-so its two powers are sparse and one product remains.  The module also
-builds the normalized expansions of X^i Y^h for
-X = (lambda(t) lambda(pt))^{n/8}, Y = ((1-lambda(t))(1-lambda(pt)))^{n/8}.
-Multiplying the factored forms gives
-
-    X^i Y^h / (2^{ni} q^{mi}) =
-        [Q(t)^{n(i+2h)} Q(4t)^{n(2i+h)} Q(2t)^{-3n(i+h)}] * [same at pt],
-
-since (p+1)/8 = m/n makes the q-power exponent ni(p+1)/8 = mi.  That
-product is the brute-force oracle (``tests/oracles.py``); the same
-series has coefficient b_l(i+2h, i) at q^l, which is the route
-``xy_normalized_lemma`` takes.  psi has constant term 1, so lambda runs
-on ints.
+order + valuation of the other factor).  This bookkeeping is what lets
+the differential-equation residual (``ode``) be certified coefficient
+by coefficient with no hand analysis.  Products run
+``_truncated_product``, which ``modeq`` shares, and powers run Miller's
+recurrence (``Series.__pow__``).
 """
 
 from operator import mul
 
-from .bpoly import BTable
-from .exact import IntegralityError
+from .arith import IntegralityError
 
 __all__ = [
     "Series",
     "lambda_series",
-    "xy_normalized_lemma",
 ]
 
 
@@ -362,8 +315,11 @@ def _psi(step, order):
 def lambda_series(order):
     """q-expansion of the modular lambda function: 16q - 128q^2 + 704q^3 - ...
 
-    Built as 16 q psi(q^2)^8 psi(q)^-8: two powers of sparse bases and
-    one product.
+    In q = e^{i pi t}, lambda(t) = 16 q Q(t)^8 Q(4t)^16 / Q(2t)^24 with
+    Q(at) = prod_{k>=1} (1 - q^{ak}).  As psi(q) = sum_{k>=0} q^{k(k+1)/2}
+    = Q(2t)^2 / Q(t), that is 16 q psi(q^2)^8 psi(q)^-8: two powers of
+    bases with O(sqrt L) nonzero terms and one product, all on ints,
+    since psi has constant term 1.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -371,9 +327,3 @@ def lambda_series(order):
     unit = _psi(2, t) ** 8 * _psi(1, t) ** -8
     return (unit * 16).shift(1)
 
-
-def xy_normalized_lemma(params, i, h, order):
-    """X^i Y^h / (2^{ni} q^{mi}) with coefficient b_l(i+2h, i) at q^l."""
-    if i < 0 or h < 0:
-        raise ValueError("exponents i, h must be nonnegative")
-    return Series(BTable(params.p).column(i + 2 * h, i, order), order)

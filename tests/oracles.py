@@ -2,7 +2,7 @@
 
 ``Matrix`` is a dense matrix of exact rationals with its own Gaussian
 ``det`` and ``solve``.  The library eliminates only on integers
-(``exact.integer_det``); ``Matrix`` is the independent reference that
+(``modeq.integer_det``); ``Matrix`` is the independent reference that
 ``integer_det``, the row solves and the direct column route are
 compared against.  Pivoting picks the first nonzero entry in column
 order, as ``integer_det`` does.
@@ -12,7 +12,7 @@ of the acceptance suite, and ``with_entry`` builds the perturbed
 matrices of the negative controls.  ``euler_product`` is
 prod_{k>=1} (1 - q^{ak}), and the eta-quotient oracles are built from
 it: ``xy_normalized_direct`` is X^i Y^h / (2^{ni} q^{mi}) multiplied
-out of Euler products, the reference for ``xy_normalized_lemma``;
+out of Euler products, the reference for ``modeq.xy_normalized_lemma``;
 ``eta_lambda_series`` is lambda from its eta quotient, the route the
 library took before it used psi(q^2)/psi(q); and
 ``one_minus_lambda_series`` is 1 - lambda from its own eta quotient, the

@@ -1,5 +1,6 @@
 """Command-line interface tests: output, exit codes, cache behaviour."""
 
+import itertools
 import json
 import os
 import re
@@ -184,6 +185,24 @@ def test_matrix_cache_refuses_non_integer_entries(tmp_path, capsys, entry):
     assert code == 0
     assert out == cold
     assert json.loads(path.read_text())["matrix"][0][0] == 1  # rewritten
+
+
+@pytest.mark.parametrize(
+    "key, value", [("schema_version", 1.0), ("schema_version", True), ("p", 13.0), ("m", 7.0)]
+)
+def test_matrix_cache_refuses_a_header_that_is_not_an_int(tmp_path, capsys, key, value):
+    # json.loads reads 1.0 as a float equal to 1; the entry is a miss and is rebuilt
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "A13.schema1.json"
+    _, cold, _ = run(capsys, "matrix", "13")
+    doc = to_doc(assemble(13))
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "matrix", "13", "--cache-dir", str(cache))
+    assert code == 0
+    assert out == cold
+    assert type(json.loads(path.read_text())[key]) is int  # rewritten
 
 
 # valid JSON that is not an object; "deep" nests past the recursion limit
@@ -1257,6 +1276,31 @@ README_COMMANDS = [
 
 def test_readme_lists_its_cli_examples():
     assert len(README_COMMANDS) == 13
+
+
+def _readme_budgets():
+    """{constant: limit} from README's budget table, e.g. {"cli.MAX_M": 48}."""
+    lines = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if "| refused above |" in line)
+    header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+    budgets = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :]):
+        row = dict(zip(header, (cell.strip() for cell in line.strip("|").split("|"))))
+        base, _, power = row["refused above"].partition("^")
+        budgets[row["constant"].strip("`")] = int(base) ** int(power or 1)
+    return budgets
+
+
+def test_readme_budget_table_equals_the_constants():
+    import lambdaeq.bpoly as bpoly
+    import lambdaeq.cli as cli
+
+    budgets = _readme_budgets()
+    modules = {"cli": cli, "bpoly": bpoly}
+    stated = {name: getattr(modules[name.split(".")[0]], name.split(".")[1]) for name in budgets}
+    assert budgets == stated
+    every_max = {"cli." + name for name in vars(cli) if name.startswith("MAX_")}
+    assert set(budgets) == every_max | {"bpoly.ENUMERATION_THRESHOLD"}
 
 
 @pytest.mark.parametrize("line", README_COMMANDS)

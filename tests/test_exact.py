@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambdaeq import IntegralityError
-from lambdaeq.exact import integer_det
+from lambdaeq.modeq import integer_det
 from oracles import Matrix, SingularMatrixError
 
 

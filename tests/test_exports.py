@@ -1,8 +1,15 @@
-"""Every name in a module's ``__all__`` exists, and the package re-exports exactly those names."""
+"""The package's shape: its exports, its import graph and its immutable values.
 
+Every name in a module's ``__all__`` exists, the package re-exports
+exactly those names, each library module imports only the siblings
+below it, and matrices, series and check results refuse assignment.
+"""
+
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +23,7 @@ MODULES = sorted(
 
 
 def test_the_library_modules_declare_their_exports():
-    assert MODULES == ["arith", "bpoly", "exact", "modeq", "ode", "qseries"]
+    assert MODULES == ["arith", "bpoly", "modeq", "ode", "qseries"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -57,3 +64,74 @@ def test_the_library_keeps_no_memo():
         if hasattr(value, "cache_clear")
     ]
     assert memos == []
+
+
+# the sibling modules each library module may import: arith is the base,
+# bpoly and qseries build on it alone, modeq on all three, ode on the ring
+IMPORTS = {
+    "arith": set(),
+    "bpoly": {"arith"},
+    "qseries": {"arith"},
+    "modeq": {"arith", "bpoly", "qseries"},
+    "ode": {"qseries"},
+}
+
+
+def _sibling_imports(name):
+    """The package modules that module ``name`` imports, relatively or as lambdaeq.*."""
+    tree = ast.parse(Path(lambdaeq.__file__).with_name(name + ".py").read_text())
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            siblings.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            siblings.update(module[9:] for module in modules if module.startswith("lambdaeq."))
+    return {sibling.split(".")[0] for sibling in siblings}
+
+
+def test_every_library_module_has_a_place_in_the_import_graph():
+    assert sorted(IMPORTS) == MODULES
+
+
+@pytest.mark.parametrize("name", sorted(IMPORTS))
+def test_the_import_graph(name):
+    assert _sibling_imports(name) == IMPORTS[name]
+
+
+def test_nothing_imports_the_cli():
+    names = [info.name for info in pkgutil.iter_modules(lambdaeq.__path__)] + ["__init__"]
+    assert [name for name in names if "cli" in _sibling_imports(name)] == []
+
+
+def _immutables():
+    from lambdaeq import CheckResult, Series, assemble
+
+    matrix = assemble(5)
+    return {
+        "ModularMatrix": (matrix, "entries"),
+        "PrimeParams": (matrix.params, "m"),
+        "CheckResult": (CheckResult("symmetry", True, {}), "passed"),
+        "Series": (Series([1, 2, 3]), "order"),
+    }
+
+
+@pytest.mark.parametrize("name", ["ModularMatrix", "PrimeParams", "CheckResult", "Series"])
+def test_matrices_series_and_check_results_refuse_attribute_assignment(name):
+    value, field = _immutables()[name]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        setattr(value, "extra", 1)
+    assert getattr(value, field) == before
+
+
+def test_check_details_are_a_fresh_dict_per_call():
+    from lambdaeq import assemble, verify_symmetry
+
+    matrix = assemble(5)
+    first, second = verify_symmetry(matrix), verify_symmetry(matrix)
+    assert first.details == second.details and first.details is not second.details

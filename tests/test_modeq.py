@@ -41,7 +41,7 @@ from lambdaeq import (
     verify_row_moments,
     verify_symmetry,
 )
-from lambdaeq.exact import integer_det
+from lambdaeq.modeq import integer_det
 from lambdaeq.modeq import (
     _FLAT_ENTRIES,
     _add_row_series,
@@ -924,6 +924,13 @@ MALFORMED = {
        for key in ("schema_version", "p", "m", "n", "matrix")},
     "matrix-an-int": (lambda doc: doc.update(matrix=5), "a list of lists"),
     "row-an-int": (_set_row_1, "a list of lists"),
+    # a header value equal to the int but not an int is refused, not coerced
+    "schema_version-true": (lambda doc: doc.update(schema_version=True), "schema_version True"),
+    "schema_version-a-float": (lambda doc: doc.update(schema_version=1.0), "schema_version 1.0"),
+    "p-a-float": (lambda doc: doc.update(p=5.0), "got 5.0"),
+    "m-a-float": (lambda doc: doc.update(m=3.0), "inconsistent"),
+    "n-a-float": (lambda doc: doc.update(n=4.0), "inconsistent"),
+    "all-three": (lambda doc: doc.update(schema_version=True, m=3.0, n=4.0), "schema_version True"),
 }
 
 
