@@ -169,11 +169,13 @@ class BTable:
 
     A column of length L costs ~L^2/2 multiply-adds (~L^2/4 at v = 0).
 
-    The m+1 power columns P^h = b(2h, 0), h = 0..m, that assembly,
-    ``_factor`` and the global check read come from ``powers`` instead,
-    grown together.  At odd k, k alpha_p(k) = sigma_1(k) + p sigma_1(k/p)
-    > 0, so every stored odd weight is positive and every odd w_k at
-    u > 0 negative (checked where the weights are sieved).  Then
+    The m+1 power columns P^h = b(2h, 0), h = 0..m, that assembly and
+    the global check read come from ``powers`` instead, grown together;
+    L of the row solves, whose columns are the powers (P - 1)^j, comes
+    from the scalar column b(2, 0) (``modeq._lower``).  At odd k,
+    k alpha_p(k) = sigma_1(k) + p sigma_1(k/p) > 0, so every stored odd
+    weight is positive and every odd w_k at u > 0 negative (checked
+    where the weights are sieved).  Then
     (-1)^l b_l(u, 0) = sum over the partitions J of l into
     odd parts of n^|J| u^|J| W_p(J), since |J| = l mod 2: a polynomial in
     u with nonnegative coefficients and no constant term for l >= 1, so

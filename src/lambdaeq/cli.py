@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes are stable across commands: 0 success, 1 a verification
-failed (a check reported FAIL, or an exact step such as an integrality,
-factorization or gap assertion raised ``ArithmeticError``), 2 invalid
-input, including an ``--out`` file or ``--cache-dir`` that cannot be
-written (``OSError``).  Every input whose cost grows without bound is
+failed (a check reported FAIL, or an exact step such as an integrality
+or gap assertion raised ``ArithmeticError``), 2 invalid input,
+including an ``--out`` file or ``--cache-dir`` that cannot be written
+(``OSError``).  Every input whose cost grows without bound is
 refused with exit 2 before any work; each budget is a ``MAX_*``
 constant below, except the l of ``bpoly --method partition``, which
 ``bpoly.ENUMERATION_THRESHOLD`` bounds.  All configuration is by flags;
@@ -64,10 +64,10 @@ MAX_M = 48
 # this, so no admitted order costs much more than a full verify at m = 48.
 MAX_ORDER = 2500
 
-# scan builds one b-table and one factorization per class n, to the class's
-# largest m = M: ~M^2/4 multiply-adds per packed group of power columns and
-# ~M^3/3 subtractions (``modeq.scan_row1``), so its time grows like max-p^3;
-# each prime adds O(m^2).
+# scan grows one column P = b(2, 0) to the largest m = M of each class n,
+# ~M^2/4 multiply-adds, and builds L from the powers (P - 1)^j, ~M^3/6
+# (``modeq.scan_row1``), so its time grows like max-p^3; each prime adds
+# one power of (P - 1)/q, one product with K^-1 and one solve, O(m^2).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits

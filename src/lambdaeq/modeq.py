@@ -42,7 +42,8 @@ row i's equations are equally the coefficients mi..mi+(m-i) of
 
 Row i therefore solves 2^{ni} C_i a'_i = -G_i[mi..mi+m-i], where C_i is
 the leading (m-i+1) block of the one matrix C = [b_l(2h, 0)], l, h =
-0..m, factored once as C = L U (``_factor``, ``_solve_leading``).  The
+0..m.  The binomial theorem in P - 1 factors it once as C = L U, the
+columns of L the powers (P - 1)^j (``_lower``, ``_solve_leading``).  The
 coefficients m(i-1)..mi-1 of G_i are row i-1's equations and the gap
 equations, which no solve reads; the loop (``_solve_rows``) asserts
 that they vanish.  Each step is one integer combination of the power
@@ -66,9 +67,9 @@ The checks stay independent of the row loop:
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate
 from math import comb, gcd
-from operator import mul, sub
+from operator import mul
 
 from .arith import IntegralityError, alpha, is_odd_prime, k_alpha, reduced
 from .bpoly import BTable, p_poly
@@ -78,7 +79,6 @@ __all__ = [
     "CHECK_NAMES",
     "SCHEMA_VERSION",
     "CheckResult",
-    "FactorizationError",
     "ModularMatrix",
     "PrimeParams",
     "assemble",
@@ -201,23 +201,22 @@ def scan_row1(primes):
     Row 1 is the m+1 ints a_{1,0}..a_{1,m}, the last 0, from the row loop
     of ``assemble`` stopped after row 1, which raises as ``assemble``
     does.  Its equations are the coefficients m..2m-1 of
-    A_0(P) = (1 - P)^m.  With E = (P - 1)/q they are (-1)^m times E^m to
-    index m - 1, a ``Series`` power of P_1..P_m (``_row0_power``): ~m^2/2
-    multiply-adds.  So the route reads the columns b(2h, 0) to index m,
-    where ``_factor`` reads them anyway, and K^{-1} to m - 1.  The gap
-    check before row 1 reads m zeros by construction: the column sum
-    sum_h (-1)^h C(m,h) b_t(2h, 0) = 0 for t < m is an m-th difference
-    of row t of C, which ``_factor`` proves has degree t.
+    A_0(P) = (1 - P)^m = (-1)^m q^m E^m, E = (P - 1)/q: (-1)^m times E^m
+    to index m - 1, a ``Series`` power of P_1..P_m (``_row0_power``),
+    ~m^2/2 multiply-adds.  So the route reads two columns, b(2, 0) to
+    index m, where ``_lower`` reads it anyway, and K^{-1} to m - 1.  The
+    gap check before row 1 reads m zeros by construction, as A_0(P) has
+    valuation m.
 
-    Each class n shares one b-table and one ``_factor``, both from the
-    class's largest prime p_top and built at its first prime.  k alpha_p(k)
+    Each class n shares one b-table and one L, both from the class's
+    largest prime p_top and built at its first prime.  k alpha_p(k)
     has no p-term below k = p (``arith.k_alpha``), so b_l(u, v) with l < p
     depends on n alone, and as m < p <= p_top, p_top's table equals p's at
-    every index p reads.  p's C is the leading (m+1) block of p_top's, so
-    its factorization is proved by the same numbers.  The power columns
-    and the differences to M = m(p_top) are paid once per class; each
-    prime adds its power and its solve, O(m^2).  A ``FactorizationError``
-    of a class names p_top; a list of one prime is the per-prime route.
+    every index p reads.  Row l of L reads E to index l - 1, so p's L is
+    the leading m+1 rows of p_top's.  The column b(2, 0) and L to
+    M = m(p_top), ~M^3/6 multiply-adds, are paid once per class; each
+    prime adds its power and its solve, O(m^2).  A list of one prime is
+    the per-prime route.
     """
     primes = [PrimeParams(p) for p in primes]
     tops = {params.n: params for params in sorted(primes, key=lambda q: q.p)}
@@ -226,7 +225,7 @@ def scan_row1(primes):
         if params.n not in shared:
             top = tops[params.n]
             table = BTable(top.p)
-            shared[params.n] = table, _factor(top, table)
+            shared[params.n] = table, _lower(top, table)
         table, lower = shared[params.n]
         # row 1 reads indices <= m < p, and below p the table of p_top is p's
         assert table.n == params.n and params.m < params.p <= table.p
@@ -234,86 +233,40 @@ def scan_row1(primes):
         yield params, _solve_rows(params, table, 1, window, lower)[1] + (0,)
 
 
-class FactorizationError(ArithmeticError):
-    """C = [b_l(2h, 0)] is not L U with diagonal (-2n)^l (never expected)."""
-
-
-# at most this many entries of C are differenced in one flat list, so that the
-# two lists alive in a pass stay small however large m is; m <= 63 is one block
-_FLAT_ENTRIES = 4096
-
-
-def _factor(params, table):
+def _lower(params, table):
     """The rows of L in C = L U, C = [b_l(2h, 0)] with l, h = 0..m.
 
-    In b_l(u, v) a partition J of l has degree J_o <= l in u, with
-    equality only for the all-ones partition, whose term is
-    (-n)^l u^l alpha_p(1)^l / l! = (-n)^l u^l / l!.  At (u, v) = (2h, 0),
-    row l of C is thus a degree-l polynomial in h with leading term
-    (-2n)^l h^l / l!; in the binomial basis C(h, j) its coefficients are
-    its forward differences Delta_h^j C[l][0], zero for j > l and
-    (-2n)^l at j = l.  Hence
+    By the binomial theorem P^h = sum_j C(h, j) (P - 1)^j, and
+    (P - 1)^j = q^j E^j with E = (P - 1)/q, so
 
-        C = L U,    L[l][j] = Delta_h^j C[l][0],    U[j][h] = C(h, j),
+        C = L U,    L[l][j] = E^j[l - j],    U[j][h] = C(h, j).
 
-    with L lower triangular with diagonal (-2n)^l and U unit upper
-    triangular, so every leading block is C_i = L_i U_i and one L serves
-    every row.  Nothing here assumes it: the l-th differences of every
-    row l must equal (-2n)^l over all (m+1)^2 entries, which by Newton's
-    formula on h = 0..m proves C = L U; a failure raises
-    ``FactorizationError``.  Row l of the result holds Delta^0..Delta^{l-1}
-    of row l at h = 0.
-
-    The rows go in blocks of at most ``_FLAT_ENTRIES`` entries (one block
-    for m <= 63).  A block's size rows lie in one flat list column after
-    column, as the power columns hold them, so round j takes the j-th
-    differences of every row in one ``map(sub, ...)`` pass, each entry
-    from the one size places on.  From the block's first row on, round j
-    first compares row j, ``flat[::size]``, with (-2n)^j by ``count`` and
-    deletes it; the first column then holds Delta^j C[l][0] for the rows
-    l > j.  The first bad (l, h) is the one a row-by-row pass finds.
+    L is lower triangular with diagonal E[0]^l = b_1(2, 0)^l = (-2n)^l,
+    as n k alpha_p(k) = n at k = 1, and U is unit upper triangular, so
+    every leading block is C_i = L_i U_i and one L serves every row.
+    Column j of L is E^j to index m - j, one truncated product per j
+    from the scalar column b(2, 0) to index m: ~m^3/6 multiply-adds.
+    Row l of the result holds L[l][0..l-1]; ``_solve_leading`` divides by
+    the diagonal.
     """
-    m, n = params.m, params.n
-    columns = table.powers(m)[: m + 1]
-    step = max(1, _FLAT_ENTRIES // (m + 1))
-    lower = []
-    for start in range(0, m + 1, step):
-        stop = min(start + step, m + 1)
-        size = stop - start
-        flat = list(chain.from_iterable(column[start:stop] for column in columns))
-        pending = [[] for _ in range(size)]
-        lower += pending
-        lead = 1
-        for j in range(stop):
-            # flat: the j-th differences of rows stop - size..stop-1; pending: their rows of L
-            if j >= start:
-                row = flat[::size]
-                if row.count(lead) != len(row):
-                    bad = next(h for h, d in enumerate(row) if d != lead)
-                    raise FactorizationError(
-                        "C of A_%d: row l=%d of [b_l(2h, 0)] is not a degree-%d polynomial "
-                        "in h with leading binomial coefficient (-2n)^l = %d; its %d-th "
-                        "forward difference at h=%d is %d"
-                        % (params.p, j, j, lead, j, bad, row[bad])
-                    )
-                del flat[::size], pending[0]
-                size -= 1
-            for entries, first in zip(pending, flat):
-                entries.append(first)
-            # islice, not a slice, so that the pass makes no copy of the block
-            flat = list(map(sub, islice(flat, size, None), flat))
-            lead *= -2 * n
-    return lower
+    m = params.m
+    e = table.column(2, 0, m)[1 : m + 1]
+    columns = [[1] + [0] * m]
+    for j in range(1, m):
+        columns.append(_truncated_product(columns[-1], e, m - j))
+    return [[columns[j][l - j] for j in range(l)] for l in range(m + 1)]
 
 
 def _solve_leading(params, i, lower, rhs):
     """The int solution a of 2^{ni} C_i a = rhs, C_i = L_i U_i the leading block of C.
 
-    Forward substitution divides row l by (-2n)^l, kept as a running
-    product.  U[j][h] = C(h, j) says that y_j is the coefficient of t^j in
-    x(t + 1), with x(t) = sum_h x_h t^h, so x(t) = y(t - 1): a Taylor
-    shift by -1, done as size - 1 passes of running sums over the
-    coefficients, about size^2/2 additions and no binomials.
+    ``lower`` is L from ``_lower``, whose column j is (P - 1)^j / q^j.
+    Forward substitution divides row l by its diagonal entry (-2n)^l,
+    kept as a running product.  U[j][h] = C(h, j) says that y_j is the
+    coefficient of t^j in x(t + 1), with x(t) = sum_h x_h t^h, so
+    x(t) = y(t - 1): a Taylor shift by -1, done as size - 1 passes of
+    running sums over the coefficients, about size^2/2 additions and no
+    binomials.
     """
     n, p = params.n, params.p
     size = len(rhs)
@@ -363,7 +316,7 @@ def _add_row_series(window, weight, head, table):
 def _row0_power(params, table):
     """Row 0's series A_0(P) = (1 - P)^m to index 2m - 1, as ``scan_row1`` takes it."""
     m = params.m
-    power = Series(table.powers(m)[1][1 : m + 1]) ** m
+    power = Series(table.column(2, 0, m)[1 : m + 1]) ** m
     return [0] * m + [(-1) ** m * c for c in power.coeffs]
 
 
@@ -372,7 +325,7 @@ def _solve_rows(params, table, last, window, lower):
 
     ``window`` is row 0's series A_0(P) to the last index any equation
     of the loop reads (``_add_row_series`` or ``_row0_power``), and
-    ``lower`` is L of C = L U from ``_factor``.  At row i the window holds
+    ``lower`` is L of C = L U from ``_lower``.  At row i the window holds
     G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index m(i-1).  K^{-1}
     is a unit series, so the window and G_i = K^{-1} window share their
     first nonzero entry, and checking the window's first m entries is the
@@ -401,15 +354,20 @@ def assemble(p, table=None):
     """Build the full matrix A_p, asserting integrality of every entry.
 
     ``table`` may be the prime's shared b-table.  Assembly reads only its
-    columns b(2h, 0), to index m^2, and b(-1, -1), to m^2 - m (each
-    product skips the m entries the gap check cleared): ~m^3
-    coefficients, and ~m^5/6 multiply-adds in the products.
+    power columns b(2h, 0), to index m^2, b(-1, -1), to m^2 - m (each
+    product skips the m entries the gap check cleared), and the scalar
+    column b(2, 0), to index m: ~m^3 coefficients, and ~m^5/6
+    multiply-adds in the products.  L comes from the scalar column and
+    row 0's series from the packed family, so each route checks the
+    other to index m: a packed entry P^h[l], h >= 1, l < m, off by d
+    moves coefficient l of row 0's series by d a_{0,h} != 0, which the
+    gap check before row 1 reads.
     """
     params = PrimeParams(p)
     m = params.m
     table = _table_for(params, table)
     window = _add_row_series([0] * (m * m + 1), 1, row0(m), table)
-    heads = _solve_rows(params, table, m, window, _factor(params, table))
+    heads = _solve_rows(params, table, m, window, _lower(params, table))
     return ModularMatrix(params, tuple(head + (0,) * i for i, head in enumerate(heads)))
 
 

@@ -12,14 +12,13 @@ columns ``bpoly.BTable.powers`` against the one-column recurrence at
 p = 53, and at p = 43 with ``_PACKED_BYTES`` forced to 16, where every
 column of the growth to m^2 is a packed group of one, and that a packed
 step names the first non-integer slot even where the whole packed int
-divides exactly.  It checks the column-major differences of
-``modeq._factor`` against the row-by-row oracle ``rowwise_factor`` of
-``tests/oracles.py`` at p = 397 (m = 199, blocks of 20 rows) and at
-p = 149 with ``_FLAT_ENTRIES`` forced to 50 (blocks of one row).  Then
-it runs ``ode-check --order 10`` and ``--order 1000`` in process and
-compares the sha256 of their stdout with the ``ROUTE_SHA256`` pins of
-``tests/test_cli.py``, read with ``ast`` so that pytest need not be
-installed.  It prints one line per check and exits 1 on the first
+divides exactly.  It checks L of the row solves, built from the powers
+(P - 1)^j by ``modeq._lower``, against the forward differences of the
+oracle ``rowwise_factor`` of ``tests/oracles.py`` at p = 397 (m = 199)
+and p = 149 (m = 75).  Then it runs ``ode-check --order 10`` and
+``--order 1000`` in process and compares the sha256 of their stdout with
+the ``ROUTE_SHA256`` pins of ``tests/test_cli.py``, read with ``ast`` so
+that pytest need not be installed.  It prints one line per check and exits 1 on the first
 failure.  It is a smoke test, not part of the tier-1 suite, which needs
 pytest and hypothesis.
 """
@@ -127,15 +126,11 @@ def power_checks():
 
 
 def factor_checks():
-    saved = modeq._FLAT_ENTRIES
-    for p, entries in ((397, saved), (149, 50)):
-        modeq._FLAT_ENTRIES = entries
+    for p in (397, 149):
         params = modeq.PrimeParams(p)
-        step = max(1, entries // (params.m + 1))
-        flat = modeq._factor(params, bpoly.BTable(p))
-        check(flat == rowwise_factor(params, bpoly.BTable(p)),
-              "p = %d, %d-row blocks: _factor equals the rowwise oracle" % (p, step))
-    modeq._FLAT_ENTRIES = saved
+        lower = modeq._lower(params, bpoly.BTable(p))
+        check(lower == rowwise_factor(params, bpoly.BTable(p)),
+              "p = %d: _lower equals the rowwise oracle" % p)
 
 
 def route_pins():

@@ -38,13 +38,16 @@ back-substitution through the binomials U[j][h] = C(h, j), as the
 library solved it before it used a Taylor shift; it is the reference
 for ``modeq._solve_leading``, messages included.
 
-``rowwise_factor`` is ``modeq._factor`` as it differenced C before it
-ran one flat pass per round: each row of C differenced on its own, l
-passes for row l.  ``fraction_row_moments`` is ``modeq.verify_row_moments``
-as it compared the row-1 moments before it ran on ints: each closed form
-a ``Fraction`` (from ``chained_row1_moment_expectations``), compared and
-printed as one.  They are the references for the two routes, error
-messages, details and notes included.
+``rowwise_factor`` is L of C = L U as the library took it before it
+built L's columns from the powers (P - 1)^j: each row of C differenced
+on its own, l passes for row l, its l-th differences checked against
+(-2n)^l.  It is the reference for ``modeq._lower``.
+
+``fraction_row_moments`` is ``modeq.verify_row_moments`` as it compared
+the row-1 moments before it ran on ints: each closed form a
+``Fraction`` (from ``chained_row1_moment_expectations``), compared and
+printed as one.  It is the reference for that route, details and notes
+included.
 """
 
 from fractions import Fraction
@@ -54,7 +57,6 @@ from operator import mul, sub
 
 from lambdaeq import (
     CheckResult,
-    FactorizationError,
     IntegralityError,
     ModularMatrix,
     Series,
@@ -65,6 +67,10 @@ from lambdaeq import (
 
 class SingularMatrixError(ArithmeticError):
     """A square system turned out singular during elimination."""
+
+
+class FactorizationError(ArithmeticError):
+    """C = [b_l(2h, 0)] is not L U with diagonal (-2n)^l."""
 
 
 class Matrix:
@@ -347,7 +353,7 @@ def chained_row1_moment_expectations(params):
 def binomial_solve_leading(params, i, lower, rhs):
     """The int solution a of 2^{ni} C_i a = rhs by binomial back-substitution.
 
-    ``lower`` holds the rows of L in C = L U (``modeq._factor``).  Forward
+    ``lower`` holds the rows of L in C = L U (``modeq._lower``).  Forward
     substitution divides row l by a fresh power (-2n)^l, and U x = y is
     solved from the bottom up with U[j][h] = C(h, j).
     """

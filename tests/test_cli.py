@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from lambdaeq import assemble, from_doc, to_doc
+from lambdaeq import assemble, from_doc, reduced, to_doc
 from lambdaeq.cli import main
 
 
@@ -830,25 +830,47 @@ def _corrupt_power(monkeypatch, h, index):
 
 
 def test_broken_block_factorization_exits_1_with_message(monkeypatch, capsys):
-    _corrupt_power(monkeypatch, 3, 2)  # entry (l, h) = (2, 3) of C for p = 13
+    # entry (l, h) = (2, 3) of C for p = 13: L comes from the scalar column
+    # b(2, 0), row 0's series from the packed P^3, which adds a_{0,3} = -35
+    _corrupt_power(monkeypatch, 3, 2)
     code, out, err = run(capsys, "verify", "13")
     assert code == 1
     assert out == ""
-    assert err.startswith(
-        "error: C of A_13: row l=2 of [b_l(2h, 0)] is not a degree-2 polynomial"
+    assert err.startswith("error: before row 1 of A_13: coefficient 2 of K^-0 F ")
+    assert err.endswith(" is -35, not 0\n")
+
+
+@pytest.mark.parametrize("p", [11, 13, 17])  # m = 3, 7, 9
+def test_every_broken_packed_entry_to_index_m_exits_1(p, monkeypatch, capsys):
+    # P^h[l] + 1 breaks row 0's series against L: the gap check before row 1
+    # reads coefficient l, moved by a_{0,h}, when l < m; when l = m, row 1's
+    # solve fails at every entry of these three primes
+    m = reduced(p)[0]
+    row1 = re.compile(
+        r"error: (a_\{1,\d+\} of A_%d solved to the non-integer |row 1 of A_%d has no integral)"
+        % (p, p)
     )
+    for h in range(1, m + 1):
+        for l in range(m + 1):
+            with monkeypatch.context() as patch:
+                _corrupt_power(patch, h, l)
+                code, out, err = run(capsys, "verify", str(p))
+            assert code == 1 and out == "", (h, l)
+            if l < m:
+                assert err.startswith("error: before row 1 of A_%d: coefficient %d " % (p, l))
+            else:
+                assert row1.match(err), (h, err)
 
 
 def test_scan_stops_at_the_first_prime_of_a_broken_class(monkeypatch, capsys):
-    # column h = 8 of C: of the classes of --max-p 23, only n = 4 reads it
-    # (p_top = 17, m = 9), and its first prime, 5, comes right after 3 (n = 2)
-    _corrupt_power(monkeypatch, 8, 2)
+    # b_2(2, 0): of the classes of --max-p 23, n = 2 reads it only into rows
+    # l >= 2 of its L (p_top = 19, m = 5), which its first prime 3 (m = 1)
+    # never solves with; the first prime of n = 4, 5, comes right after 3
+    _corrupt_column(monkeypatch, (2, 0), 2)
     code, out, err = run(capsys, "scan", "--max-p", "23")
     assert code == 1
     assert [line.split()[0] for line in out.splitlines()] == ["p=3"]
-    assert err.startswith(
-        "error: C of A_17: row l=2 of [b_l(2h, 0)] is not a degree-2 polynomial"
-    )
+    assert err.startswith("error: a_{1,1} of A_5 solved to the non-integer ")
 
 
 def test_scan_shares_one_table_and_one_factorization_per_class(monkeypatch, capsys):
@@ -856,18 +878,18 @@ def test_scan_shares_one_table_and_one_factorization_per_class(monkeypatch, caps
 
     # one per class n = 2, 4, 1, each of the class's largest prime
     built, factored = [], []
-    make, factor = modeq.BTable, modeq._factor
+    make, lower = modeq.BTable, modeq._lower
 
     def recording_table(p):
         built.append(p)
         return make(p)
 
-    def recording_factor(params, table):
+    def recording_lower(params, table):
         factored.append(params.p)
-        return factor(params, table)
+        return lower(params, table)
 
     monkeypatch.setattr(modeq, "BTable", recording_table)
-    monkeypatch.setattr(modeq, "_factor", recording_factor)
+    monkeypatch.setattr(modeq, "_lower", recording_lower)
     code, out, _ = run(capsys, "scan", "--max-p", "61")
     assert code == 0 and "hold for every prime" in out
     assert built == factored == [59, 61, 47]
@@ -923,9 +945,8 @@ def tables(monkeypatch):
 
 
 def column_lengths(table):
-    """Column lengths by point: the power family's P^h at (2h, 0), then every other column."""
-    lengths = {(2 * h, 0): len(column) for h, column in enumerate(table._powers)}
-    assert lengths.keys().isdisjoint(table._columns)  # no point has two columns
+    """Column lengths by point (u, v), and the power family's by "P^h"."""
+    lengths = {"P^%d" % h: len(column) for h, column in enumerate(table._powers)}
     lengths.update((key, len(column)) for key, column in table._columns.items())
     return lengths
 
@@ -933,10 +954,12 @@ def column_lengths(table):
 def factored_layout(m, power_top):
     """Column lengths of assembly's route for one prime, past its own reads.
 
-    The columns P^h = b(2h, 0) reach index power_top and K^-1 = b(-1, -1)
+    The power family P^h = b(2h, 0) reaches index power_top, the scalar
+    column b(2, 0) that L is built from reaches m, and K^-1 = b(-1, -1)
     reaches m^2 - m.  No other point has a column.
     """
-    layout = {(2 * h, 0): power_top + 1 for h in range(m + 1)}
+    layout = {"P^%d" % h: power_top + 1 for h in range(m + 1)}
+    layout[(2, 0)] = m + 1
     layout[(-1, -1)] = m * m - m + 1
     return layout
 
@@ -967,7 +990,7 @@ def test_verify_order_below_m_squared_builds_no_table(tables, capsys):
 def test_verify_without_global_builds_only_what_assembly_needs(tables, capsys):
     code, _, _ = run(capsys, "verify", "13", "--checks", "symmetry")
     assert code == 0
-    # only the columns b(2h, 0) to index m^2 = 49 and b(-1, -1)
+    # only the power family to index m^2 = 49, b(2, 0) to m and b(-1, -1)
     assert column_lengths(tables[0]) == factored_layout(7, 49)
 
 

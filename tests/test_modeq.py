@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from lambdaeq import (
     BTable,
-    FactorizationError,
     IntegralityError,
     ModularMatrix,
     PrimeParams,
@@ -43,9 +42,8 @@ from lambdaeq import (
 )
 from lambdaeq.modeq import integer_det
 from lambdaeq.modeq import (
-    _FLAT_ENTRIES,
     _add_row_series,
-    _factor,
+    _lower,
     _ratio_str,
     _row0_power,
     _row1_moment_expectations,
@@ -53,6 +51,7 @@ from lambdaeq.modeq import (
     _solve_rows,
 )
 from oracles import (
+    FactorizationError,
     Matrix,
     binomial_solve_leading,
     chained_row1_moment_expectations,
@@ -63,9 +62,8 @@ from oracles import (
 
 
 def column_lengths(table):
-    """Column lengths by point: the power family's P^h at (2h, 0), then every other column."""
-    lengths = {(2 * h, 0): len(column) for h, column in enumerate(table._powers)}
-    assert lengths.keys().isdisjoint(table._columns)  # no point has two columns
+    """Column lengths by point (u, v), and the power family's by "P^h"."""
+    lengths = {"P^%d" % h: len(column) for h, column in enumerate(table._powers)}
     lengths.update((key, len(column)) for key, column in table._columns.items())
     return lengths
 
@@ -219,7 +217,7 @@ def test_structured_solve_inverts_the_diagonal_block(data):
     params, i, table, c, x = _leading_system(data)
     scale = 2 ** (params.n * i)
     rhs = [scale * int(v) for v in c.mul_vec(x)]
-    solved = _solve_leading(params, i, _factor(params, table), rhs)
+    solved = _solve_leading(params, i, _lower(params, table), rhs)
     assert solved == x
     assert all(type(v) is int for v in solved)
     assert tuple(v / scale for v in c.solve(rhs)) == solved
@@ -229,7 +227,7 @@ def test_structured_solve_inverts_the_diagonal_block(data):
 @given(data=st.data())
 def test_structured_solve_refuses_rhs_outside_the_integral_image(data):
     params, i, table, c, x = _leading_system(data)
-    lower = _factor(params, table)
+    lower = _lower(params, table)
     scale = 2 ** (params.n * i)
     off_lattice = [scale * int(v) for v in c.mul_vec(x)]
     off_lattice[-1] += 1
@@ -253,7 +251,7 @@ def test_taylor_shift_solve_matches_binomial_back_substitution(p, data):
     params = PrimeParams(p)
     m, n = params.m, params.n
     table = BTable(p)
-    lower = _factor(params, table)
+    lower = _lower(params, table)
     c = list(zip(*[table.column(2 * h, 0, m)[: m + 1] for h in range(m + 1)]))
     for i in range(1, m + 1):
         size = m - i + 1
@@ -271,21 +269,6 @@ def test_taylor_shift_solve_matches_binomial_back_substitution(p, data):
         message = _integrality_message(_solve_leading, params, i, lower, image)
         assert message == _integrality_message(binomial_solve_leading, params, i, lower, image)
         assert message.startswith("a_{%d," % i)
-
-
-@pytest.mark.parametrize("p, i, h, l", [(13, 1, 3, 2), (13, 2, 0, 0), (17, 4, 5, 5), (7, 1, 0, 0)])
-def test_structured_solve_refuses_a_perturbed_diagonal_column(p, i, h, l):
-    # entry (l, h) of C_i, the leading block of C that row i solves against
-    params = PrimeParams(p)
-    m = params.m
-    table = BTable(params.p)
-    # row 0's series from the intact columns: a perturbed entry would make
-    # their later coefficients fail the table's own integrality check
-    window = _add_row_series([0] * (m * i + m - i + 1), 1, row0(m), table)
-    table.powers(m)[h][l] += 1  # the table's own list
-    message = r"C of A_%d: row l=%d of \[b_l\(2h, 0\)\] " % (p, l)
-    with pytest.raises(FactorizationError, match=message):
-        _solve_rows(params, table, i, window, _factor(params, table))
 
 
 def test_gap_error_names_the_row_the_index_and_the_value(monkeypatch):
@@ -575,8 +558,8 @@ def test_solve_row1_reads_no_column_past_index_m(monkeypatch):
     for p in (7, 11, 13, 53):
         ((params, _),) = scan_row1([p])
         m = params.m
-        layout = {(2 * h, 0): m + 1 for h in range(m + 1)}
-        layout[(-1, -1)] = m
+        # P - 1 for row 0's power and L, and K^-1; no power family
+        layout = {(2, 0): m + 1, (-1, -1): m}
         assert column_lengths(built[-1]) == layout, p
     assert len(built) == 4
 
@@ -599,14 +582,14 @@ def test_tables_of_one_class_agree_below_the_smaller_prime(p, later):
 
 
 def test_scan_row1_matches_the_per_prime_route():
-    # the reference is the per-prime route: a fresh table of p and its own _factor
+    # the reference is the per-prime route: a fresh table of p and its own L
     primes = [p for p in range(3, 200) if is_odd_prime(p)]
     solved = list(scan_row1(primes))
     assert [params.p for params, _ in solved] == primes
     for params, row in solved:
         table = BTable(params.p)
         window = _row0_power(params, table)
-        reference = _solve_rows(params, table, 1, window, _factor(params, table))[1] + (0,)
+        reference = _solve_rows(params, table, 1, window, _lower(params, table))[1] + (0,)
         assert row == reference, params.p
     # any order: each class shares the table of its largest prime all the same
     mixed = [61, 5, 47, 13, 7, 59, 11]
@@ -696,46 +679,77 @@ def test_rowsums_note_says_when_the_sign_flipped_variant_matches():
     assert result == fraction_row_moments(params, (row[0] - 196608,) + row[1:])
 
 
-@pytest.mark.parametrize("entries", [_FLAT_ENTRIES, 50])
-def test_flat_factor_matches_the_rowwise_route(entries, monkeypatch):
-    # m reaches 99 below 200, so the default size splits the rows into blocks
-    # from m = 64 on, and 50 entries split them from m = 7 on
-    monkeypatch.setattr("lambdaeq.modeq._FLAT_ENTRIES", entries)
+class _PackedC:
+    """C read from a table's packed power family: the column at (2h, 0) is P^h."""
+
+    def __init__(self, table, top):
+        self.family = table.powers(top)
+
+    def column(self, u, v, top):
+        assert v == 0 and u % 2 == 0 and len(self.family[0]) > top
+        return self.family[u // 2]
+
+
+@pytest.mark.parametrize("entries", [4096, 50])
+def test_flat_factor_matches_the_rowwise_route(entries):
+    # L from the one flat column b(2, 0), as the powers (P - 1)^j, against the
+    # forward differences of C, which the oracle proves have degree l in row
+    # l; the oracle reads C from the scalar columns b(2h, 0) and from the
+    # packed family, grown first to hold at least ``entries`` entries (past
+    # index m for the small primes, as assembly grows it to index m^2); m
+    # reaches 99 below 200
     for p in filter(is_odd_prime, range(3, 200)):
         params = PrimeParams(p)
-        assert _factor(params, BTable(p)) == rowwise_factor(params, BTable(p)), p
+        m = params.m
+        table = BTable(p)
+        packed = _PackedC(table, max(m, -(-entries // (m + 1)) - 1))
+        lower = _lower(params, table)
+        assert lower == rowwise_factor(params, table) == rowwise_factor(params, packed), p
 
 
-# n = 1, 4, 2, 1, 4; m = 75 at 149; the default size keeps the id of p alone
+# n = 1, 4, 2, 1, 4; m = 1, 7, 5, 6, 75; the faults as listed keep the id of p alone
 @pytest.mark.parametrize(
-    "p, entries",
-    [pytest.param(p, entries, id=str(p) if entries == _FLAT_ENTRIES else "%d-%d" % (p, entries))
-     for entries in (_FLAT_ENTRIES, 50) for p in (7, 13, 19, 47, 149)],
+    "p, scale",
+    [pytest.param(p, scale, id=str(p) if scale == 1 else "%d-%d" % (p, scale))
+     for scale in (1, 50) for p in (7, 13, 19, 47, 149)],
 )
-def test_flat_factor_fails_like_the_rowwise_route(p, entries, monkeypatch):
-    # a corrupted entry of C, first and last rows and columns and the rows on
-    # either side of a block boundary included, is found at the same first
-    # bad (l, h) with the same message by both routes; 50 entries make blocks
-    # of 6 rows at m = 7 and of one row from m = 50 on
-    monkeypatch.setattr("lambdaeq.modeq._FLAT_ENTRIES", entries)
+def test_flat_factor_fails_like_the_rowwise_route(p, scale):
+    # an entry (l, h) of C, first and last rows and columns included, off by
+    # delta * scale in the packed family and in the scalar column alike: the
+    # oracle refuses it at row l, and the row loop, with L from the flat
+    # column b(2, 0) and row 0's series from the packed family, refuses it
+    # at the gap check before row 1, coefficient l, when h >= 1 and l < m
     params = PrimeParams(p)
     m = params.m
-    step = max(1, entries // (m + 1))
+
+    def row1(table):
+        window = _add_row_series([0] * (2 * m), 1, row0(m), table)
+        return _solve_rows(params, table, 1, window, _lower(params, table))
+
+    intact = row1(BTable(p))
     bad_entries = [(0, 0, 1), (0, m, -1), (m, 0, 1), (m, m, 1), (m // 2, m, 3),
-                   (m, m // 2, -2), (1, 1, 1)]
-    if step <= m:
-        bad_entries += [(step - 1, m, 1), (step, 0, -1)]
+                   (m, m // 2, -2), (1, 1, 1), (0, 1, 1), (m, 1, 1)]
     for l, h, delta in bad_entries:
         table = BTable(p)
-        # _factor reads the power family, the rowwise oracle the scalar column
-        table.powers(m)[h][l] += delta
-        table.column(2 * h, 0, m)[l] += delta
-        with pytest.raises(FactorizationError) as flat:
-            _factor(params, table)
-        with pytest.raises(FactorizationError) as rowwise:
+        # the table's own lists, the family grown first to the window's last index
+        table.powers(2 * m - 1)[h][l] += delta * scale
+        table.column(2 * h, 0, m)[l] += delta * scale
+        with pytest.raises(FactorizationError, match=r"^C of A_%d: row l=%d " % (p, l)):
             rowwise_factor(params, table)
-        assert str(flat.value) == str(rowwise.value), (p, l, h)
-        assert "row l=%d " % l in str(flat.value), (p, l, h)
+        if h == 0:
+            # P^0 = 1 is read by neither route of the loop
+            assert row1(table) == intact, (p, l, h)
+        elif l < m:
+            with pytest.raises(ArithmeticError, match=r"^before row 1 of A_%d: coefficient %d "
+                               % (p, l)):
+                row1(table)
+        elif scale == 1:
+            # at l = m only row 1's integrality checks read the fault, and an
+            # even one can pass them: P^1[1] + 50 at p = 7 (m = 1) does, and
+            # verify 7 then fails symmetry, rowsums and global instead
+            with pytest.raises(IntegralityError, match=r"^(a_\{1,\d+\} of A_%d solved to the "
+                               r"non-integer |row 1 of A_%d has no integral )" % (p, p)):
+                row1(table)
 
 
 def test_int_row_moments_match_the_fraction_route():
