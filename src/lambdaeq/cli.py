@@ -64,10 +64,10 @@ MAX_M = 48
 # this, so no admitted order costs much more than a full verify at m = 48.
 MAX_ORDER = 2500
 
-# scan grows one column P = b(2, 0) to the largest m = M of each class n,
-# ~M^2/4 multiply-adds, and builds L from the powers (P - 1)^j, ~M^3/6
-# (``modeq.scan_row1``), so its time grows like max-p^3; each prime adds
-# one power of (P - 1)/q, one product with K^-1 and one solve, O(m^2).
+# scan grows the columns P = b(2, 0) and K = b(1, 1) to the largest m = M of
+# each class n, ~M^2/4 multiply-adds each, and builds L' from the products
+# K ((P - 1)/q)^j, ~M^3/6 (``modeq.scan_row1``), so its time grows like
+# max-p^3; each prime adds one power of (P - 1)/q and one solve, O(m^2).
 MAX_SCAN_P = 400
 
 # P_s(m) sums m + 1 integer powers j^(s+m), each up to (s+m) log2(m) bits

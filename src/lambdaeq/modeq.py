@@ -48,8 +48,10 @@ coefficients m(i-1)..mi-1 of G_i are row i-1's equations and the gap
 equations, which no solve reads; the loop (``_solve_rows``) asserts
 that they vanish.  Each step is one integer combination of the power
 columns P^h = b(2h, 0) and one truncated product with K^{-1}.
-``assemble`` runs the loop to row m, and ``scan_row1`` stops it after
-row 1.
+``assemble`` runs the loop to row m.  ``scan_row1`` needs row 1 alone,
+whose equations are equally the coefficients m..2m-1 of F itself: it
+solves them against L' = T_K L, the columns K (P - 1)^j / q^j, with no
+K^{-1} and no gap to check.
 
 The checks stay independent of the row loop:
 
@@ -198,25 +200,23 @@ def xy_normalized_lemma(params, i, h, order):
 def scan_row1(primes):
     """Yield (params, row 1 of A_p) for each odd prime p of ``primes``, in order.
 
-    Row 1 is the m+1 ints a_{1,0}..a_{1,m}, the last 0, from the row loop
-    of ``assemble`` stopped after row 1, which raises as ``assemble``
-    does.  Its equations are the coefficients m..2m-1 of
-    A_0(P) = (1 - P)^m = (-1)^m q^m E^m, E = (P - 1)/q: (-1)^m times E^m
-    to index m - 1, a ``Series`` power of P_1..P_m (``_row0_power``),
-    ~m^2/2 multiply-adds.  So the route reads two columns, b(2, 0) to
-    index m, where ``_lower`` reads it anyway, and K^{-1} to m - 1.  The
-    gap check before row 1 reads m zeros by construction, as A_0(P) has
-    valuation m.
+    Row 1 is the m+1 ints a_{1,0}..a_{1,m}, the last 0.  With E = (P - 1)/q,
+    F = (-1)^m q^m E^m + 2^n q^m K A_1(P) + O(q^{2m}), so row 1's equations,
+    K times those of K^{-1} F, read 2^n L'_1 U_1 a'_1 = -(-1)^m E^m[0..m-1].
+    L'_1 = T_K L_1 and the right-hand side is T_K times the row loop's, so
+    forward substitution meets the numerators of ``assemble`` and raises as
+    it does.  The route reads b(2, 0) to index m and K = b(1, 1) to m - 1;
+    each prime pays E^m to index m - 1 (``_row0_power``, ~m^2/2
+    multiply-adds) and its solve, O(m^2).
 
-    Each class n shares one b-table and one L, both from the class's
+    Each class n shares one b-table and one L', both from the class's
     largest prime p_top and built at its first prime.  k alpha_p(k)
     has no p-term below k = p (``arith.k_alpha``), so b_l(u, v) with l < p
     depends on n alone, and as m < p <= p_top, p_top's table equals p's at
-    every index p reads.  Row l of L reads E to index l - 1, so p's L is
-    the leading m+1 rows of p_top's.  The column b(2, 0) and L to
-    M = m(p_top), ~M^3/6 multiply-adds, are paid once per class; each
-    prime adds its power and its solve, O(m^2).  A list of one prime is
-    the per-prime route.
+    every index p reads.  Row l of L' reads K to index l and E to l - 1,
+    so p's L' is the leading m rows of p_top's.  The column b(2, 0) and L'
+    to M = m(p_top), ~M^3/6 multiply-adds, are paid once per class.  A
+    list of one prime is the per-prime route.
     """
     primes = [PrimeParams(p) for p in primes]
     tops = {params.n: params for params in sorted(primes, key=lambda q: q.p)}
@@ -225,15 +225,15 @@ def scan_row1(primes):
         if params.n not in shared:
             top = tops[params.n]
             table = BTable(top.p)
-            shared[params.n] = table, _lower(top, table)
+            shared[params.n] = table, _lower(top, table, table.column(1, 1, top.m - 1)[: top.m])
         table, lower = shared[params.n]
         # row 1 reads indices <= m < p, and below p the table of p_top is p's
         assert table.n == params.n and params.m < params.p <= table.p
-        window = _row0_power(params, table)
-        yield params, _solve_rows(params, table, 1, window, lower)[1] + (0,)
+        rhs = [-c for c in _row0_power(params, table)]
+        yield params, _solve_leading(params, 1, lower, rhs) + (0,)
 
 
-def _lower(params, table):
+def _lower(params, table, first=None):
     """The rows of L in C = L U, C = [b_l(2h, 0)] with l, h = 0..m.
 
     By the binomial theorem P^h = sum_j C(h, j) (P - 1)^j, and
@@ -247,14 +247,17 @@ def _lower(params, table):
     Column j of L is E^j to index m - j, one truncated product per j
     from the scalar column b(2, 0) to index m: ~m^3/6 multiply-adds.
     Row l of the result holds L[l][0..l-1]; ``_solve_leading`` divides by
-    the diagonal.
+    the diagonal.  Given a column ``first`` with first[0] = 1, the chain
+    starts there instead of at 1: the columns are first E^j, the rows
+    those of T_first L to index len(first) - 1, and the diagonal is kept.
     """
     m = params.m
     e = table.column(2, 0, m)[1 : m + 1]
-    columns = [[1] + [0] * m]
-    for j in range(1, m):
-        columns.append(_truncated_product(columns[-1], e, m - j))
-    return [[columns[j][l - j] for j in range(l)] for l in range(m + 1)]
+    columns = [[1] + [0] * m if first is None else first]
+    top = len(columns[0]) - 1
+    for j in range(1, top):
+        columns.append(_truncated_product(columns[-1], e, top - j))
+    return [[columns[j][l - j] for j in range(l)] for l in range(top + 1)]
 
 
 def _solve_leading(params, i, lower, rhs):
@@ -314,17 +317,17 @@ def _add_row_series(window, weight, head, table):
 
 
 def _row0_power(params, table):
-    """Row 0's series A_0(P) = (1 - P)^m to index 2m - 1, as ``scan_row1`` takes it."""
+    """(-1)^m E^m to index m - 1: row 0's series A_0(P) = (1 - P)^m at q^m..q^{2m-1}."""
     m = params.m
     power = Series(table.column(2, 0, m)[1 : m + 1]) ** m
-    return [0] * m + [(-1) ** m * c for c in power.coeffs]
+    return [(-1) ** m * c for c in power.coeffs]
 
 
 def _solve_rows(params, table, last, window, lower):
     """The heads of rows 0..last of A_p, bottom-up in K^{-1} (see the module docstring).
 
-    ``window`` is row 0's series A_0(P) to the last index any equation
-    of the loop reads (``_add_row_series`` or ``_row0_power``), and
+    ``assemble`` runs it to row m.  ``window`` is row 0's series A_0(P) to
+    the last index any equation of the loop reads (``_add_row_series``), and
     ``lower`` is L of C = L U from ``_lower``.  At row i the window holds
     G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index m(i-1).  K^{-1}
     is a unit series, so the window and G_i = K^{-1} window share their

@@ -15,7 +15,9 @@ step names the first non-integer slot even where the whole packed int
 divides exactly.  It checks L of the row solves, built from the powers
 (P - 1)^j by ``modeq._lower``, against the forward differences of the
 oracle ``rowwise_factor`` of ``tests/oracles.py`` at p = 397 (m = 199)
-and p = 149 (m = 75).  Then it runs ``ode-check --order 10`` and
+and p = 149 (m = 75), and at the same primes it checks ``modeq.scan_row1``,
+which solves against L' = T_K L, against row 1 of the K^-1 row loop of
+``modeq.assemble``.  Then it runs ``ode-check --order 10`` and
 ``--order 1000`` in process and compares the sha256 of their stdout with
 the ``ROUTE_SHA256`` pins of ``tests/test_cli.py``, read with ``ast`` so
 that pytest need not be installed.  It prints one line per check and exits 1 on the first
@@ -133,6 +135,17 @@ def factor_checks():
               "p = %d: _lower equals the rowwise oracle" % p)
 
 
+def scan_checks():
+    for p in (397, 149):
+        params = modeq.PrimeParams(p)
+        m = params.m
+        table = bpoly.BTable(p)
+        window = modeq._add_row_series([0] * (2 * m), 1, modeq.row0(m), table)
+        loop = modeq._solve_rows(params, table, 1, window, modeq._lower(params, table))[1]
+        check(next(modeq.scan_row1([p])) == (params, loop + (0,)),
+              "p = %d: scan_row1 equals row 1 of the K^-1 row loop" % p)
+
+
 def route_pins():
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "test_cli.py")
     with open(path) as fh:
@@ -159,4 +172,5 @@ if __name__ == "__main__":
     kernel_checks()
     power_checks()
     factor_checks()
+    scan_checks()
     ode_check_pins()

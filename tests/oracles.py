@@ -43,6 +43,11 @@ built L's columns from the powers (P - 1)^j: each row of C differenced
 on its own, l passes for row l, its l-th differences checked against
 (-2n)^l.  It is the reference for ``modeq._lower``.
 
+``lagrange_row1`` is row 1 of A_p by Lagrange-Buermann inversion of
+w = P - 1, from the columns b(2, 0) and K^{-1} = b(-1, -1) and products
+of its own: the reference for ``modeq.scan_row1``, which reads K and
+solves against L' = T_K L.
+
 ``fraction_row_moments`` is ``modeq.verify_row_moments`` as it compared
 the row-1 moments before it ran on ints: each closed form a
 ``Fraction`` (from ``chained_row1_moment_expectations``), compared and
@@ -406,6 +411,40 @@ def rowwise_factor(params, table):
         lower.append(row)
         lead *= -2 * n
     return lower
+
+
+def lagrange_row1(params, table):
+    """Row 1 of A_p, a_{1,0}..a_{1,m} (the last 0), by Lagrange-Buermann inversion.
+
+    Row 1's equations say 2^n A_1(P) = -(-1)^m K^{-1} E^m mod q^m, with
+    E = (P - 1)/q, and y_j = sum_h C(h, j) a_{1,h} is the coefficient of
+    w^j in A_1(1 + w).  As w = P - 1 = q E has valuation 1,
+    [w^j] f = res f dw / w^{j+1} = [q^j] f P' E^{-j-1}, so for j < m
+
+        2^n y_j = -(-1)^m [q^j] K^{-1} P' E^{m-1-j},    P' = dP/dq,
+
+    and a_{1,h} = sum_j (-1)^{j-h} C(j, h) y_j.  E^k comes from pairwise
+    products, E^k to index m - 1 - k, ~m^3/6 multiply-adds; a
+    non-integral y_j raises ``IntegralityError``.
+    """
+    m, n, p = params.m, params.n, params.p
+    column = table.column(2, 0, m)
+    reverse_e = column[m:0:-1]  # E[m-1], ..., E[0]
+    dp = [l * column[l] for l in range(1, m + 1)]
+    kernel = table.column(-1, -1, m - 1)
+    g = [sum(map(mul, kernel[: t + 1], dp[t::-1])) for t in range(m)]  # K^-1 P'
+    sign = (-1) ** (m + 1)
+    y = [0] * m
+    power = [1] + [0] * (m - 1)  # E^k to index j = m - 1 - k
+    for j in range(m - 1, -1, -1):
+        value, rem = divmod(sign * sum(map(mul, g[: j + 1], power[::-1])), 2**n)
+        if rem:
+            raise IntegralityError("y_%d of row 1 of A_%d is not an integer" % (j, p))
+        y[j] = value
+        power = [sum(map(mul, power[: t + 1], reverse_e[m - 1 - t :])) for t in range(j)]
+    return tuple(
+        sum((-1) ** (j - h) * comb(j, h) * y[j] for j in range(h, m)) for h in range(m)
+    ) + (0,)
 
 
 def fraction_row_moments(params, row):

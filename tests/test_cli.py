@@ -876,7 +876,8 @@ def test_scan_stops_at_the_first_prime_of_a_broken_class(monkeypatch, capsys):
 def test_scan_shares_one_table_and_one_factorization_per_class(monkeypatch, capsys):
     import lambdaeq.modeq as modeq
 
-    # one per class n = 2, 4, 1, each of the class's largest prime
+    # one per class n = 2, 4, 1, each of the class's largest prime, and
+    # each L' = T_K L, its product chain started at K = b(1, 1) to index m - 1
     built, factored = [], []
     make, lower = modeq.BTable, modeq._lower
 
@@ -884,15 +885,37 @@ def test_scan_shares_one_table_and_one_factorization_per_class(monkeypatch, caps
         built.append(p)
         return make(p)
 
-    def recording_lower(params, table):
+    def recording_lower(params, table, first=None):
         factored.append(params.p)
-        return lower(params, table)
+        assert first == table.column(1, 1, params.m - 1)[: params.m]
+        return lower(params, table, first)
 
     monkeypatch.setattr(modeq, "BTable", recording_table)
     monkeypatch.setattr(modeq, "_lower", recording_lower)
     code, out, _ = run(capsys, "scan", "--max-p", "61")
     assert code == 0 and "hold for every prime" in out
     assert built == factored == [59, 61, 47]
+
+
+# n = 4 reads K = b(1, 1) to index 30 (p_top = 61, m = 31): a fault at 0
+# moves every column of its L' and the moments with it, at 1 and 2 the
+# forward substitution of p = 5, and at 30 that of p = 61
+@pytest.mark.parametrize("index, first_bad", [(0, None), (1, 5), (2, 5), (30, 61)])
+def test_scan_reads_k_and_never_k_inverse(monkeypatch, capsys, index, first_bad):
+    import hashlib
+
+    with monkeypatch.context() as patch:
+        _corrupt_column(patch, (-1, -1), index)
+        code, out, err = run(capsys, "scan", "--max-p", "61")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_61_SHA256
+    _corrupt_column(monkeypatch, (1, 1), index)
+    code, out, err = run(capsys, "scan", "--max-p", "61")
+    assert code == 1
+    if first_bad is None:
+        assert "MISMATCH" in out and err == ""
+    else:
+        assert err.startswith("error: a_{1,0} of A_%d solved to the non-integer " % first_bad)
 
 
 def test_corrupted_block_head_fails_dets(monkeypatch, capsys):

@@ -56,6 +56,7 @@ from oracles import (
     binomial_solve_leading,
     chained_row1_moment_expectations,
     fraction_row_moments,
+    lagrange_row1,
     rowwise_factor,
     with_entry,
 )
@@ -540,7 +541,7 @@ def test_row0_power_matches_the_column_sum(p):
         for t in range(2 * m)
     ]
     power = _row0_power(params, BTable(p))
-    assert power == column_sum
+    assert column_sum[:m] == [0] * m and power == column_sum[m:]
     assert all(type(c) is int for c in power)
 
 
@@ -558,8 +559,8 @@ def test_solve_row1_reads_no_column_past_index_m(monkeypatch):
     for p in (7, 11, 13, 53):
         ((params, _),) = scan_row1([p])
         m = params.m
-        # P - 1 for row 0's power and L, and K^-1; no power family
-        layout = {(2, 0): m + 1, (-1, -1): m}
+        # P - 1 for row 0's power and L', and K for L'; no power family, no K^-1
+        layout = {(2, 0): m + 1, (1, 1): m}
         assert column_lengths(built[-1]) == layout, p
     assert len(built) == 4
 
@@ -582,18 +583,31 @@ def test_tables_of_one_class_agree_below_the_smaller_prime(p, later):
 
 
 def test_scan_row1_matches_the_per_prime_route():
-    # the reference is the per-prime route: a fresh table of p and its own L
+    # the reference is the per-prime row loop of assemble, stopped after row 1:
+    # a fresh table of p, row 0's series from its power family, its own L from
+    # 1, K^-1 and the gap check, where scan_row1 solves against L' = T_K L
     primes = [p for p in range(3, 200) if is_odd_prime(p)]
     solved = list(scan_row1(primes))
     assert [params.p for params, _ in solved] == primes
     for params, row in solved:
+        m = params.m
         table = BTable(params.p)
-        window = _row0_power(params, table)
+        window = _add_row_series([0] * (2 * m), 1, row0(m), table)
         reference = _solve_rows(params, table, 1, window, _lower(params, table))[1] + (0,)
         assert row == reference, params.p
     # any order: each class shares the table of its largest prime all the same
     mixed = [61, 5, 47, 13, 7, 59, 11]
     assert list(scan_row1(mixed)) == [next(scan_row1([p])) for p in mixed]
+
+
+def test_scan_row1_matches_the_lagrange_oracle():
+    # 2^n sum_h C(h, j) a_{1,h} = -(-1)^m [q^j] K^-1 P' E^(m-1-j): K^-1, its
+    # own powers of E and no L, against K and L' = T_K L; m reaches 199
+    primes = [p for p in range(3, 400) if is_odd_prime(p)]
+    solved = list(scan_row1(primes))
+    assert sum(params.m for params, _ in solved) == 4779
+    for params, row in solved:
+        assert row == lagrange_row1(params, BTable(params.p)), params.p
 
 
 def test_closed_form_row1_negates_entries():
