@@ -144,8 +144,9 @@ def _build_parser():
     p_series = sub.add_parser("series", help="print exact q-expansions")
     p_series.add_argument("kind", choices=("lambda", "xy"))
     p_series.add_argument("--p", type=_int_arg)
-    p_series.add_argument("--i", type=_int_arg, default=0)
-    p_series.add_argument("--h", type=_int_arg, default=0)
+    # --i and --h mean 0 for xy when not given; series lambda takes neither, nor --p
+    p_series.add_argument("--i", type=_int_arg)
+    p_series.add_argument("--h", type=_int_arg)
     p_series.add_argument(
         "--order", type=_int_arg, required=True, help="at most %d" % MAX_SERIES_ORDER
     )
@@ -326,16 +327,20 @@ def _cmd_series(args):
         "series products grow like order^2 bignum multiply-adds",
     )
     if args.kind == "lambda":
+        given = [flag for flag in ("--p", "--i", "--h") if getattr(args, flag[2:]) is not None]
+        if given:
+            raise ValueError("series lambda takes no %s" % ", ".join(given))
         series = lambda_series(args.order)
     else:
         if args.p is None:
             raise ValueError("series xy needs --p")
+        i, h = args.i or 0, args.h or 0
         _refuse_above(
-            "i + h =", args.i + args.h, MAX_XY_EXPONENT,
+            "i + h =", i + h, MAX_XY_EXPONENT,
             "the coefficients of X^i Y^h lengthen with i + h",
         )
         params = PrimeParams(_sized_prime(args.p))
-        series = xy_normalized_lemma(params, args.i, args.h, args.order)
+        series = xy_normalized_lemma(params, i, h, args.order)
     print(series.to_text())
     return EXIT_OK
 
@@ -400,13 +405,16 @@ def _cmd_scan(args):
     failures = 0
     primes = [p for p in range(3, args.max_p + 1, 2) if is_odd_prime(p)]
     for params, row in scan_row1(primes):
+        m = params.m
         check = verify_row_moments(params, row)
-        if not check.passed:
+        # row 1 is also the palindrome a_{1,h} = a_{1,m-1-h}, which no solve imposes
+        passed = check.passed and row[:m] == row[m - 1::-1]
+        if not passed:
             failures += 1
         moments = [check.details[k]["actual"] for k in ("first", "second", "third")]
         print(
             "p=%-4d m=%-3d n=%d  moments=%s, %s, %s  %s"
-            % (params.p, params.m, params.n, *moments, "ok" if check.passed else "MISMATCH")
+            % (params.p, m, params.n, *moments, "ok" if passed else "MISMATCH")
         )
     print(
         "scan complete: row-1 moment identities %s"

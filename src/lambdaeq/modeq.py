@@ -300,22 +300,6 @@ def _solve_leading(params, i, lower, rhs):
     return tuple(value // scale for value in x)
 
 
-def _add_row_series(window, weight, head, table):
-    """window + weight A(P), A(P) = sum_h head[h] P^h, to the window's last index.
-
-    Each P^h is the power column b(2h, 0), read to that index; P^0 = 1
-    adds head[0] at index 0 alone.
-    """
-    powers = table.powers(len(window) - 1)
-    window = list(window)
-    window[0] += weight * head[0]
-    for a, power in zip(head[1:], powers[1:]):
-        if a:
-            coef = weight * a
-            window = [x + coef * b for x, b in zip(window, power)]
-    return window
-
-
 def _row0_power(params, table):
     """(-1)^m E^m to index m - 1: row 0's series A_0(P) = (1 - P)^m at q^m..q^{2m-1}."""
     m = params.m
@@ -323,24 +307,32 @@ def _row0_power(params, table):
     return [(-1) ** m * c for c in power.coeffs]
 
 
-def _solve_rows(params, table, last, window, lower):
-    """The heads of rows 0..last of A_p, bottom-up in K^{-1} (see the module docstring).
+def _solve_rows(params, table, last):
+    """Rows 0..last of A_p, row i padded by i zeros, bottom-up in K^{-1} (module docstring).
 
-    ``assemble`` runs it to row m.  ``window`` is row 0's series A_0(P) to
-    the last index any equation of the loop reads (``_add_row_series``), and
-    ``lower`` is L of C = L U from ``_lower``.  At row i the window holds
-    G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from index m(i-1).  K^{-1}
-    is a unit series, so the window and G_i = K^{-1} window share their
-    first nonzero entry, and checking the window's first m entries is the
-    gap check on G_i; a nonzero one raises ``ArithmeticError`` naming i,
-    the index and the value.
+    The window runs to index m last + m - last, the last coefficient row
+    ``last`` reads.  At row i it gains 2^{n(i-1)} A_{i-1}(P), row 0's series
+    at i = 1, and so holds G_{i-1} + 2^{n(i-1)} q^{m(i-1)} A_{i-1}(P) from
+    index m(i-1).  K^{-1} is a unit series, so the window and
+    G_i = K^{-1} window share their first nonzero entry, and checking the
+    window's first m entries is the gap check on G_i; a nonzero one raises
+    ``ArithmeticError`` naming i, the index and the value.
     """
     m, n, p = params.m, params.n, params.p
-    kernel = table.column(-1, -1, len(window) - 1 - m)
-    heads = [row0(m)]
+    top = m * last + m - last
+    window = [0] * (top + 1)
+    powers = table.powers(top)
+    lower = _lower(params, table)
+    kernel = table.column(-1, -1, top - m)
+    rows = [row0(m)]
     for i in range(1, last + 1):
-        if i > 1:
-            window = _add_row_series(window, 2 ** (n * (i - 1)), heads[-1], table)
+        # P^0 = 1 adds a_{i-1,0} at index 0 alone
+        weight = 2 ** (n * (i - 1))
+        window[0] += weight * rows[-1][0]
+        for a, power in zip(rows[-1][1:], powers[1:]):
+            if a:
+                coef = weight * a
+                window = [x + coef * b for x, b in zip(window, power)]
         bad = next((t for t in range(m) if window[t]), None)
         if bad is not None:
             raise ArithmeticError(
@@ -349,29 +341,27 @@ def _solve_rows(params, table, last, window, lower):
                 % (i, p, m * (i - 1) + bad, i - 1, i - 1, window[bad])
             )
         window = _truncated_product(kernel, window[m:], len(window) - m - 1)
-        heads.append(_solve_leading(params, i, lower, [-x for x in window[: m - i + 1]]))
-    return heads
+        head = _solve_leading(params, i, lower, [-x for x in window[: m - i + 1]])
+        rows.append(head + (0,) * i)
+    return rows
 
 
 def assemble(p, table=None):
     """Build the full matrix A_p, asserting integrality of every entry.
 
-    ``table`` may be the prime's shared b-table.  Assembly reads only its
-    power columns b(2h, 0), to index m^2, b(-1, -1), to m^2 - m (each
-    product skips the m entries the gap check cleared), and the scalar
-    column b(2, 0), to index m: ~m^3 coefficients, and ~m^5/6
+    ``table`` may be the prime's shared b-table.  The row loop runs to
+    row m, so its window (``_solve_rows``) ends at index m^2.  Assembly
+    reads only the power columns b(2h, 0), to index m^2, b(-1, -1), to
+    m^2 - m (each product skips the m entries the gap check cleared), and
+    the scalar column b(2, 0), to index m: ~m^3 coefficients, and ~m^5/6
     multiply-adds in the products.  L comes from the scalar column and
-    row 0's series from the packed family, so each route checks the
-    other to index m: a packed entry P^h[l], h >= 1, l < m, off by d
-    moves coefficient l of row 0's series by d a_{0,h} != 0, which the
-    gap check before row 1 reads.
+    row 0's series from the packed family, so each route checks the other
+    to index m: a packed entry P^h[l], h >= 1, l < m, off by d moves
+    coefficient l of row 0's series by d a_{0,h} != 0, which the gap check
+    before row 1 reads.
     """
     params = PrimeParams(p)
-    m = params.m
-    table = _table_for(params, table)
-    window = _add_row_series([0] * (m * m + 1), 1, row0(m), table)
-    heads = _solve_rows(params, table, m, window, _lower(params, table))
-    return ModularMatrix(params, tuple(head + (0,) * i for i, head in enumerate(heads)))
+    return ModularMatrix(params, tuple(_solve_rows(params, _table_for(params, table), params.m)))
 
 
 # ---------------------------------------------------------------------------

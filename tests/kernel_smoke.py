@@ -15,12 +15,14 @@ step names the first non-integer slot even where the whole packed int
 divides exactly.  It checks L of the row solves, built from the powers
 (P - 1)^j by ``modeq._lower``, against the forward differences of the
 oracle ``rowwise_factor`` of ``tests/oracles.py`` at p = 397 (m = 199)
-and p = 149 (m = 75), and at the same primes it checks ``modeq.scan_row1``,
-which solves against L' = T_K L, against row 1 of the K^-1 row loop of
-``modeq.assemble``.  Then it runs ``ode-check --order 10`` and
-``--order 1000`` in process and compares the sha256 of their stdout with
-the ``ROUTE_SHA256`` pins of ``tests/test_cli.py``, read with ``ast`` so
-that pytest need not be installed.  It prints one line per check and exits 1 on the first
+and p = 149 (m = 75).  At the same primes it checks ``modeq.scan_row1``,
+which solves against L' = T_K L, against row 1 of the K^-1 row loop
+``modeq._solve_rows(params, table, 1)``, and that the row is the
+palindrome a_{1,h} = a_{1,m-1-h} that ``scan`` demands.  Then it runs
+``ode-check --order 10`` and ``--order 1000`` in process and compares
+the sha256 of their stdout with the ``ROUTE_SHA256`` pins of
+``tests/test_cli.py``, read with ``ast`` so that pytest need not be
+installed.  It prints one line per check and exits 1 on the first
 failure.  It is a smoke test, not part of the tier-1 suite, which needs
 pytest and hypothesis.
 """
@@ -139,11 +141,11 @@ def scan_checks():
     for p in (397, 149):
         params = modeq.PrimeParams(p)
         m = params.m
-        table = bpoly.BTable(p)
-        window = modeq._add_row_series([0] * (2 * m), 1, modeq.row0(m), table)
-        loop = modeq._solve_rows(params, table, 1, window, modeq._lower(params, table))[1]
-        check(next(modeq.scan_row1([p])) == (params, loop + (0,)),
+        loop = modeq._solve_rows(params, bpoly.BTable(p), 1)[1]
+        solved, row = next(modeq.scan_row1([p]))
+        check(solved == params and row == loop,
               "p = %d: scan_row1 equals row 1 of the K^-1 row loop" % p)
+        check(row[:m] == row[m - 1::-1], "p = %d: row 1 is a palindrome, as scan demands" % p)
 
 
 def route_pins():

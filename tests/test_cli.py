@@ -505,6 +505,23 @@ def test_series_xy_needs_p(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags", [["--p", "5", "--i", "3", "--h", "2"], ["--p", "5"], ["--i", "0"], ["--h", "1"]],
+    ids=" ".join,
+)
+def test_series_lambda_refuses_the_flags_of_xy(flags, capsys):
+    code, out, err = run(capsys, "series", "lambda", *flags, "--order", "4")
+    assert code == 2 and out == ""
+    assert err == "error: series lambda takes no %s\n" % ", ".join(flags[::2])
+
+
+def test_series_xy_reads_missing_exponents_as_zero(capsys):
+    code, out, _ = run(capsys, "series", "xy", "--p", "11", "--order", "10")
+    assert code == 0 and out == "1 + O(q^11)\n"
+    code, out, _ = run(capsys, "series", "xy", "--p", "7", "--i", "1", "--order", "1")
+    assert code == 0 and out == "1 - q + O(q^2)\n"
+
+
 def test_bpoly_methods_agree(capsys):
     code1, out1, _ = run(capsys, "bpoly", "5", "7", "--u", "3/2", "--v", "-1", "--method", "partition")
     code2, out2, _ = run(capsys, "bpoly", "5", "7", "--u", "3/2", "--v", "-1", "--method", "recurrence")
@@ -797,8 +814,8 @@ def test_singular_theorem52_block_exits_1_with_message(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def _corrupt_column(monkeypatch, point, index):
-    """Make every b-table return ``point``'s column with entry ``index`` off by one."""
+def _corrupt_column(monkeypatch, point, index, delta=1):
+    """Make every b-table return ``point``'s column with entry ``index`` off by ``delta``."""
     from lambdaeq import BTable
 
     column = BTable.column
@@ -807,7 +824,7 @@ def _corrupt_column(monkeypatch, point, index):
         values = column(self, u, v, top)
         if (u, v) == point and len(values) > index:
             values = values[:]
-            values[index] += 1
+            values[index] += delta
         return values
 
     monkeypatch.setattr(BTable, "column", corrupted)
@@ -916,6 +933,38 @@ def test_scan_reads_k_and_never_k_inverse(monkeypatch, capsys, index, first_bad)
         assert "MISMATCH" in out and err == ""
     else:
         assert err.startswith("error: a_{1,0} of A_%d solved to the non-integer " % first_bad)
+
+
+# single faults of --max-p 61 that keep every division exact and the three
+# moments, so only the palindrome a_{1,h} = a_{1,m-1-h} of row 1 reads them
+MOMENT_BLIND_FAULTS = [((1, 1), i) for i in (12, 16, 17, 19, 21, 22, 23, 24, 25, 27, 28, 29)]
+MOMENT_BLIND_FAULTS += [((2, 0), i) for i in (12, 24, 28)]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_scan_fails_a_row_1_that_is_no_palindrome(monkeypatch, capsys, delta):
+    for point, index in MOMENT_BLIND_FAULTS:
+        with monkeypatch.context() as patch:
+            _corrupt_column(patch, point, index, delta)
+            code, out, err = run(capsys, "scan", "--max-p", "61")
+        assert code == 1 and err == "", (point, index)
+        assert "MISMATCH" in out and "FAILED for " in out.splitlines()[-1], (point, index)
+
+
+@pytest.mark.parametrize("point, index, delta", [((1, 1), 30, 2**40), ((2, 0), 31, 2**93)])
+def test_scan_misses_a_fault_in_the_last_moment_of_the_top_prime(
+    monkeypatch, capsys, point, index, delta
+):
+    # the fault moves only y_30 of p = 61 (m = 31), the last entry of its
+    # forward substitution, and keeps every division exact; row 1 then moves
+    # by a multiple of (-1)^{m-1-h} C(m-1, h), itself a palindrome, and the
+    # three moments read y_0..y_2 alone
+    import hashlib
+
+    _corrupt_column(monkeypatch, point, index, delta)
+    code, out, err = run(capsys, "scan", "--max-p", "61")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_61_SHA256
 
 
 def test_corrupted_block_head_fails_dets(monkeypatch, capsys):
